@@ -67,9 +67,7 @@ class BoundaryDataSet:
 
     ``g``, ``g1``, ``g2`` are per-face dicts (see
     :func:`extract_boundary` for shapes); ``g3``/``g4`` live on the top
-    face only.  ``delta``/``seed`` record the noise that produced ``g``,
-    ``neumann_sign`` which variant of the normal-derivative formula was
-    used ('rederived' or 'printed').
+    face only.  ``delta``/``seed`` record the noise that produced ``g``.
     """
 
     grid: GridSet
@@ -80,7 +78,6 @@ class BoundaryDataSet:
     g4: np.ndarray
     delta: float
     seed: int
-    neumann_sign: str = "rederived"
     attenuation_trace: float = 5.0
 
     def __post_init__(self):
@@ -108,8 +105,8 @@ class BoundaryDataSet:
         return col
 
 
-def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, neumann_sign="rederived",
-                         delta=0.0, seed=0, attenuation_trace=None):
+def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0,
+                         attenuation_trace=None):
     """Log data and derived derivatives from (possibly noisy) traces.
 
     The normal derivative on the top face never touches the (unknown)
@@ -122,11 +119,7 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, neumann_sign="rede
     absorbers are assumed interior, so it defaults to the scattering
     background ``mu_s_value``.  Passing 0 drops the term, which biases
     the reconstruction near the top by about a_top / nu_n.
-    ``neumann_sign='printed'`` flips to the variant with the minus over
-    the whole tangential-plus-scattering bracket.
     """
-    if neumann_sign not in ("rederived", "printed"):
-        raise UsageError(f"unknown neumann_sign {neumann_sign!r}")
     if attenuation_trace is None:
         attenuation_trace = mu_s_value
     if delta > 0.0:
@@ -149,14 +142,11 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, neumann_sign="rede
     w_x1 = diff_axis(g1["top"], grid.h_x1, axis=0)
     smat = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
     scattering = mu_s_value * (top @ smat.T) / top
-    if neumann_sign == "rederived":
-        g3 = (-nu1 * w_x1 + scattering - attenuation_trace) / nu_n
-    else:
-        g3 = (-(nu1 * w_x1 + scattering) - attenuation_trace) / nu_n
+    g3 = (-nu1 * w_x1 + scattering - attenuation_trace) / nu_n
     g4 = diff_axis(g3, grid.h_alpha, axis=1)
     return BoundaryDataSet(
         grid=grid, g={k: faces[k].copy() for k in FACE_ORDER}, g1=g1, g2=g2,
-        g3=g3, g4=g4, delta=float(delta), seed=int(seed), neumann_sign=neumann_sign,
+        g3=g3, g4=g4, delta=float(delta), seed=int(seed),
         attenuation_trace=float(attenuation_trace),
     )
 
@@ -197,6 +187,5 @@ def downsample_boundary(bds, factor):
         g4=bds.g4[::factor, ::factor].copy(),
         delta=bds.delta,
         seed=bds.seed,
-        neumann_sign=bds.neumann_sign,
         attenuation_trace=bds.attenuation_trace,
     )

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._march import active_backend, set_workers
 from .boundary import derive_boundary_data, downsample_boundary, extract_boundary
 from .carleman import convexity_sweep, empirical_carleman_constant, gradient_check
 from .config import RunConfig, config_hash, geometry_of, load_config, with_overrides
@@ -63,7 +62,6 @@ def _add_common(sp):
     sp.add_argument("--gamma", type=float, help="Tikhonov weight")
     sp.add_argument("--epsilon", type=float, help="viscosity")
     sp.add_argument("--out", help="output directory")
-    sp.add_argument("--workers", type=int, help="cap on kernel threads")
 
 
 def build_parser():
@@ -96,8 +94,7 @@ def _configure(args):
         epsilon=getattr(args, "epsilon", None),
         out=getattr(args, "out", None),
     )
-    workers = set_workers(getattr(args, "workers", None))
-    return cfg, workers
+    return cfg
 
 
 def _models(cfg):
@@ -107,7 +104,7 @@ def _models(cfg):
 
 
 def cmd_forward(args):
-    cfg, workers = _configure(args)
+    cfg = _configure(args)
     out = Path(cfg.out)
     grid = GridSet.uniform(geometry_of(cfg), cfg.h_forward)
     phantom = make_phantom(cfg.letter, cfg.c_a, grid, cfg.mu_s)
@@ -118,16 +115,16 @@ def cmd_forward(args):
         faces, grid, kernel, mu_s_value=cfg.mu_s, delta=cfg.delta, seed=cfg.seed
     )
     write_boundary(bds, out / "boundary.csv", meta={"config_hash": config_hash(cfg)})
-    write_manifest(cfg, out / "manifest.txt", extra={"backend": active_backend()})
+    write_manifest(cfg, out / "manifest.txt")
     print(
-        f"forward: {info['sweeps']} sweeps on {grid.shape_hull} hull nodes "
-        f"({workers} worker(s)), wrote {out / 'boundary.csv'}"
+        f"forward: {info['sweeps']} sweeps on {grid.shape_hull} hull nodes, "
+        f"wrote {out / 'boundary.csv'}"
     )
     return 0
 
 
 def cmd_invert(args):
-    cfg, workers = _configure(args)
+    cfg = _configure(args)
     out = Path(cfg.out)
     data_dir = Path(args.data) if args.data else out
     bds = read_boundary(data_dir / "boundary.csv")
@@ -163,17 +160,17 @@ def cmd_invert(args):
         },
         meta=meta,
     )
-    write_manifest(cfg, out / "manifest.txt", extra={"backend": active_backend()})
+    write_manifest(cfg, out / "manifest.txt")
     print(
-        f"invert: {state.iterations} iteration(s) on {coarse.grid.shape_medium} nodes "
-        f"({workers} worker(s)), J={state.value:.6e}, grad={state.grad_norm:.3e}, "
+        f"invert: {state.iterations} iteration(s) on {coarse.grid.shape_medium} nodes, "
+        f"J={state.value:.6e}, grad={state.grad_norm:.3e}, "
         f"contrast={metrics['contrast']:.3f}"
     )
     return 0
 
 
 def cmd_verify(args):
-    cfg, _ = _configure(args)
+    cfg = _configure(args)
     out = Path(cfg.out)
     grid = GridSet.uniform(geometry_of(cfg), VERIFY_STEP)
     phantom = make_phantom(cfg.letter, cfg.c_a, grid, cfg.mu_s)

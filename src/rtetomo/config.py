@@ -11,6 +11,7 @@ of the Python keyword.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -50,6 +51,10 @@ class RunConfig:
     out: str = "run"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{_file_key(f.name)} must be finite, got {value!r}")
         if not (self.half_width > 0 and self.source_half_width > 0):
             raise UsageError("half widths must be positive")
         if not 0 < self.slab_bottom < self.slab_top:
@@ -176,8 +181,7 @@ def config_hash(config):
 
     Every field enters except the output directory: the hash identifies
     the experiment (physics, grids, noise, seed), and the same experiment
-    written to two places must produce byte-identical data files.  The
-    worker count is a CLI concern and never part of the hash.
+    written to two places must produce byte-identical data files.
     """
     lines = [line for line in config_lines(config) if not line.startswith("out=")]
     blob = "\n".join(lines).encode("utf-8")

@@ -7,9 +7,23 @@ in-scattered radiance along the ray from the source to x.  The kernel of K
 couples source abscissae through a wrapped Henyey-Greenstein factor over
 the finite source aperture.
 
+Both K and the ballistic attenuation use one ray quadrature.  For each
+target node x and source abscissa alpha it marches the segment of the ray
+[x_alpha, x] that lies above the medium's lower edge (media vanish below
+it, so the skipped part contributes nothing, and starting at the crossing
+keeps the interface sharp instead of smearing it across one interpolation
+cell).  Marching accumulates
+
+  - the attenuation integral A(s), giving c = exp(A(ell)), and
+  - the attenuated scattering source T = int c(s) V(s) ds,
+
+with trapezoid rule in arclength and bilinear interpolation of the nodal
+attenuation and scattering-density fields; the pair kept per (node,
+source) is (T / c, c).
+
 Two solvers are provided: damped-free fixed-point sweeps (production) and
 a dense collocation solve of the same discretization (oracle for small
-grids).  Both share the ray quadrature of :mod:`rtetomo._march`.
+grids), which rebuilds the quadrature ray by ray.
 """
 
 from dataclasses import dataclass
@@ -17,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 
-from . import _march
 from .errors import ForwardConvergenceError, UsageError
 from .geometry import RadianceField, trapezoid_weights
 
@@ -141,7 +154,7 @@ def default_ds(grid):
 
 
 def _ray_samples(x1t, zt, alpha, grid, ds_target):
-    """Sample arclengths and positions for one ray, mirroring the kernels.
+    """Sample arclengths and positions for one ray, mirroring :func:`_march`.
 
     Returns (s, px, pz, ds); empty arrays when the target is at or below
     the medium floor.
@@ -180,16 +193,84 @@ def _bilinear_medium(px, pz, values, grid):
     return np.where(inside, out, 0.0)
 
 
-def attenuation_integral(x, alpha, phantom, grid, ds_target=None):
-    """Beer-Lambert factor c(x, alpha) = exp(int of attenuation along the
-    ray), >= 1; equals 1 when the ray never meets the medium."""
-    ds_target = ds_target or default_ds(grid)
-    s, px, pz, ds = _ray_samples(x[0], x[1], alpha, grid, ds_target)
-    if s.size == 0:
-        return 1.0
-    a_s = _bilinear_medium(px, pz, phantom.medium_block("attenuation"), grid)
-    inc = 0.5 * ds * (a_s[1:] + a_s[:-1])
-    return float(np.exp(inc.sum()))
+def _march(tx, tz, atten, vsrc, grid, ds_target):
+    """March every (target, source) ray; see the module docstring.
+
+    ``tx``, ``tz`` are flat target coordinates; targets at or below the
+    medium floor read (0, 1).  ``atten`` (n1, nz) and ``vsrc`` (n1, nz,
+    n_alpha) are nodal attenuation and scattering density on the medium
+    grid; points outside its x-range read as zero.  Each ray uses the
+    closest step to ``ds_target`` that divides its marched segment evenly.
+    Returns (scatter, c), two (n_targets, n_alpha) arrays.
+    """
+    if atten.shape != grid.shape_medium[:2] or vsrc.shape != grid.shape_medium:
+        raise UsageError("attenuation / scattering-density shapes disagree with the grid")
+    alpha = grid.alpha
+    x0, h1, z0, hz = grid.x1[0], grid.h_x1, grid.z[0], grid.h_z
+    floor_z = grid.geometry.slab_bottom
+    n1, nz = atten.shape
+    out_scat = np.empty((tx.size, alpha.size))
+    out_c = np.empty_like(out_scat)
+    active = tz > floor_z + 1e-12
+    out_scat[~active] = 0.0
+    out_c[~active] = 1.0
+    if not np.any(active):
+        return out_scat, out_c
+    ax = tx[active]
+    az = tz[active]
+    for k in range(alpha.size):
+        dxr = ax - alpha[k]
+        ell = np.hypot(dxr, az)
+        s_a = ell * (floor_z / az)
+        seg = ell - s_a
+        m_cnt = np.maximum(np.ceil(seg / ds_target).astype(np.int64) + 1, 2)
+        ds = seg / (m_cnt - 1)
+        m_max = int(m_cnt.max())
+        m = np.arange(m_max)
+        live = m[None, :] < m_cnt[:, None]
+        mm = np.minimum(m[None, :], m_cnt[:, None] - 1)
+        s = s_a[:, None] + ds[:, None] * mm
+        tpar = s / ell[:, None]
+        px = alpha[k] + tpar * dxr[:, None]
+        pz = tpar * az[:, None]
+
+        fx = (px - x0) / h1
+        inside = (fx >= -1e-9) & (fx <= (n1 - 1) + 1e-9)
+        ix = np.clip(np.floor(fx).astype(np.int64), 0, n1 - 2)
+        wx = np.clip(fx - ix, 0.0, 1.0)
+        fz = (pz - z0) / hz
+        iz = np.clip(np.floor(fz).astype(np.int64), 0, nz - 2)
+        wz = np.clip(fz - iz, 0.0, 1.0)
+        w00 = (1.0 - wx) * (1.0 - wz)
+        w10 = wx * (1.0 - wz)
+        w01 = (1.0 - wx) * wz
+        w11 = wx * wz
+        a_s = (
+            w00 * atten[ix, iz]
+            + w10 * atten[ix + 1, iz]
+            + w01 * atten[ix, iz + 1]
+            + w11 * atten[ix + 1, iz + 1]
+        )
+        vk = vsrc[:, :, k]
+        v_s = (
+            w00 * vk[ix, iz]
+            + w10 * vk[ix + 1, iz]
+            + w01 * vk[ix, iz + 1]
+            + w11 * vk[ix + 1, iz + 1]
+        )
+        a_s = np.where(inside, a_s, 0.0)
+        v_s = np.where(inside, v_s, 0.0)
+
+        gate = live[:, 1:]
+        inc = 0.5 * ds[:, None] * (a_s[:, 1:] + a_s[:, :-1]) * gate
+        acc = np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
+        c_s = np.exp(acc)
+        cv = c_s * v_s
+        t_total = (0.5 * ds[:, None] * (cv[:, 1:] + cv[:, :-1]) * gate).sum(axis=1)
+        c_end = c_s[:, -1]
+        out_scat[active, k] = t_total / c_end
+        out_c[active, k] = c_end
+    return out_scat, out_c
 
 
 def _hull_targets(grid):
@@ -197,42 +278,21 @@ def _hull_targets(grid):
     return x.ravel(), z.ravel()
 
 
-def _ballistic_hull(phantom, source, grid, backend, ds_target):
+def _ballistic_hull(phantom, source, grid, ds_target):
     """u0 and c on all hull nodes, flat (n_hull, n_alpha) arrays."""
     tx, tz = _hull_targets(grid)
     atten = np.ascontiguousarray(phantom.medium_block("attenuation"))
-    vzero = np.zeros(atten.shape + (grid.alpha.size,))
-    _, c = _march.sweep(
-        tx, tz, grid.alpha, atten, vzero,
-        grid.x1[0], grid.h_x1, grid.z[0], grid.h_z,
-        grid.geometry.slab_bottom, ds_target, backend=backend,
-    )
+    _, c = _march(tx, tz, atten, np.zeros(grid.shape_medium), grid, ds_target)
     ell = np.hypot(tx[:, None] - grid.alpha[None, :], tz[:, None])
     amplitude = partial_profile_integral(np.minimum(ell, source.sigma), source)
     return amplitude / c, c
 
 
-def u0_field(phantom, source, grid, backend=None, ds_target=None):
+def u0_field(phantom, source, grid, ds_target=None):
     """Ballistic (unscattered) radiance on the hull grid."""
     ds_target = ds_target or default_ds(grid)
-    u0, _ = _ballistic_hull(phantom, source, grid, backend, ds_target)
+    u0, _ = _ballistic_hull(phantom, source, grid, ds_target)
     return RadianceField(u0.reshape(grid.shape_hull), grid, "hull")
-
-
-def scatter_apply(field, phantom, kernel, backend=None, ds_target=None):
-    """One application of the scattering operator K to a hull-grid field."""
-    grid = field.grid
-    ds_target = ds_target or default_ds(grid)
-    w = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
-    mu_s = phantom.medium_block("mu_s")
-    vsrc = mu_s[:, :, None] * (field.medium_view() @ w.T)
-    tx, tz = _hull_targets(grid)
-    scat, _ = _march.sweep(
-        tx, tz, grid.alpha, np.ascontiguousarray(phantom.medium_block("attenuation")), vsrc,
-        grid.x1[0], grid.h_x1, grid.z[0], grid.h_z,
-        grid.geometry.slab_bottom, ds_target, backend=backend,
-    )
-    return RadianceField(scat.reshape(grid.shape_hull), grid, "hull")
 
 
 def _outside_medium_targets(grid):
@@ -253,7 +313,6 @@ def solve_forward(
     tol=1e-10,
     max_iters=200,
     ds_target=None,
-    backend=None,
     return_info=False,
 ):
     """Iterate u <- u0 + K u on the medium nodes until the sweep update
@@ -266,7 +325,7 @@ def solve_forward(
     ``return_info`` is set).
     """
     ds_target = ds_target or default_ds(grid)
-    u0_flat, _ = _ballistic_hull(phantom, source, grid, backend, ds_target)
+    u0_flat, _ = _ballistic_hull(phantom, source, grid, ds_target)
     u = u0_flat.reshape(grid.shape_hull).copy()
     med = (
         slice(grid.ix0, grid.ix0 + grid.x1.size),
@@ -283,11 +342,7 @@ def solve_forward(
     diffs = []
     for _ in range(max_iters):
         vsrc = mu_s[:, :, None] * (u[med] @ w.T)
-        scat, _ = _march.sweep(
-            txm, tzm, grid.alpha, atten, vsrc,
-            grid.x1[0], grid.h_x1, grid.z[0], grid.h_z,
-            grid.geometry.slab_bottom, ds_target, backend=backend,
-        )
+        scat, _ = _march(txm, tzm, atten, vsrc, grid, ds_target)
         new = u0_med + scat.reshape(u0_med.shape)
         diff = float(np.max(np.abs(new - u[med])))
         if not np.isfinite(diff):
@@ -302,25 +357,21 @@ def solve_forward(
             last_diff=diffs[-1],
         )
 
-    _fill_outside_medium(u, phantom, kernel, grid, ds_target, backend, w, mu_s, atten, med)
+    _fill_outside_medium(u, grid, ds_target, w, mu_s, atten, med)
     field = RadianceField(u, grid, "hull")
     if return_info:
         return field, {"sweeps": len(diffs), "diffs": diffs, "ds": ds_target}
     return field
 
 
-def _fill_outside_medium(u, phantom, kernel, grid, ds_target, backend, w, mu_s, atten, med):
+def _fill_outside_medium(u, grid, ds_target, w, mu_s, atten, med):
     """Scatter onto hull nodes beside the medium (no-op when the hull and
     medium share the x-range); those nodes receive but never donate."""
     tx, tz, pick = _outside_medium_targets(grid)
     if tx.size == 0:
         return
     vsrc = mu_s[:, :, None] * (u[med] @ w.T)
-    scat, _ = _march.sweep(
-        tx, tz, grid.alpha, atten, vsrc,
-        grid.x1[0], grid.h_x1, grid.z[0], grid.h_z,
-        grid.geometry.slab_bottom, ds_target, backend=backend,
-    )
+    scat, _ = _march(tx, tz, atten, vsrc, grid, ds_target)
     u[pick] += scat
 
 
@@ -340,7 +391,7 @@ def solve_forward_direct(phantom, source, kernel, grid, cap=10000, ds_target=Non
     mu_s = phantom.medium_block("mu_s")
     w = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
 
-    u0_flat, _ = _ballistic_hull(phantom, source, grid, None, ds_target)
+    u0_flat, _ = _ballistic_hull(phantom, source, grid, ds_target)
     u0_hull = u0_flat.reshape(grid.shape_hull)
     med = (
         slice(grid.ix0, grid.ix0 + n1),
@@ -390,7 +441,7 @@ def solve_forward_direct(phantom, source, kernel, grid, cap=10000, ds_target=Non
 
     u = u0_hull.copy()
     u[med] = sol.reshape((n1, nz, nk))
-    _fill_outside_medium(u, phantom, kernel, grid, ds_target, None, w, mu_s, np.ascontiguousarray(atten), med)
+    _fill_outside_medium(u, grid, ds_target, w, mu_s, np.ascontiguousarray(atten), med)
     field = RadianceField(u, grid, "hull")
     if return_info:
         return field, {"residual": residual, "unknowns": n_unknown}

@@ -70,6 +70,11 @@ def _require(meta, keys, path):
 
 _GEOM_KEYS = ("half_width", "slab_bottom", "slab_top", "source_half_width")
 
+# boundary.csv names the normal-derivative formula its g3/g4 came from.
+# Only the rederived one exists; data derived otherwise must not be read
+# as if they were.
+_NEUMANN_SIGN = "rederived"
+
 
 def _geometry_meta(grid):
     g = grid.geometry
@@ -118,13 +123,9 @@ def read_keyvalues(path):
     return body, meta
 
 
-def write_manifest(config, path, extra=None):
+def write_manifest(config, path):
     """Configuration lines plus their hash (the run's identity card)."""
-    lines = list(config_lines(config))
-    lines.append(f"config_hash={config_hash(config)}")
-    for k, v in (extra or {}).items():
-        lines.append(f"{k}={v}")
-    _write(path, lines)
+    _write(path, config_lines(config) + [f"config_hash={config_hash(config)}"])
 
 
 def read_manifest(path):
@@ -148,7 +149,7 @@ def write_boundary(bds, path, meta=None):
         {
             "delta": fnum(bds.delta),
             "seed": str(bds.seed),
-            "neumann_sign": bds.neumann_sign,
+            "neumann_sign": _NEUMANN_SIGN,
             "attenuation_trace": fnum(bds.attenuation_trace),
         }
     )
@@ -183,6 +184,11 @@ def read_boundary(path):
     if header[:3] != ["face", "r", "c"]:
         raise UsageError(f"{path}: unexpected boundary columns {header}")
     _require(meta, ("delta", "seed", "neumann_sign", "attenuation_trace"), path)
+    if meta["neumann_sign"] != _NEUMANN_SIGN:
+        raise UsageError(
+            f"{path}: neumann_sign={meta['neumann_sign']} data are not supported "
+            f"(only {_NEUMANN_SIGN})"
+        )
     grid = _rebuild_grid(meta, path)
     n1, nz, nk = grid.shape_medium
     shapes = {"bottom": (n1, nk), "top": (n1, nk), "left": (nz - 2, nk), "right": (nz - 2, nk)}
@@ -212,7 +218,6 @@ def read_boundary(path):
     return BoundaryDataSet(
         grid=grid, g=g, g1=g1, g2=g2, g3=g3, g4=g4,
         delta=float(meta["delta"]), seed=int(meta["seed"]),
-        neumann_sign=meta["neumann_sign"],
         attenuation_trace=float(meta["attenuation_trace"]),
     )
 

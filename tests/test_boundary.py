@@ -92,15 +92,6 @@ def test_attenuation_trace_shifts_g3_by_a_over_nu(field10, grid10, kernel):
     assert with_trace.attenuation_trace == 5.0
 
 
-def test_printed_sign_variant_differs(field10, grid10, kernel):
-    faces = extract_boundary(field10)
-    a = derive_boundary_data(faces, grid10, kernel)
-    b = derive_boundary_data(faces, grid10, kernel, neumann_sign="printed")
-    assert np.max(np.abs(a.g3 - b.g3)) > 1.0
-    with pytest.raises(UsageError):
-        derive_boundary_data(faces, grid10, kernel, neumann_sign="upside-down")
-
-
 def test_derive_rejects_nonpositive_traces(field10, grid10, kernel):
     faces = extract_boundary(field10)
     faces["left"] = faces["left"].copy()
@@ -128,7 +119,6 @@ def test_downsample_restricts_without_recomputing(boundary20, grid10):
     np.testing.assert_array_equal(coarse.g3, boundary20.g3[::2, ::2])
     np.testing.assert_array_equal(coarse.g4, boundary20.g4[::2, ::2])
     assert coarse.delta == boundary20.delta
-    assert coarse.neumann_sign == boundary20.neumann_sign
 
 
 def test_downsample_factor_validation(boundary20):

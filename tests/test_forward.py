@@ -14,7 +14,8 @@ from rtetomo import (
     u0_field,
 )
 from rtetomo.forward import (
-    attenuation_integral,
+    _march,
+    default_ds,
     kernel_alpha_derivative,
     kernel_matrix,
     kernel_value,
@@ -108,18 +109,31 @@ def test_scatter_matrices_fold_in_weights(kernel):
     )
 
 
-def test_attenuation_integral_below_floor(geometry, grid10):
-    phantom = make_phantom("A", 5.0, grid10)
-    assert attenuation_integral((0.0, 0.5), 0.0, phantom, grid10) == 1.0
+def test_attenuation_integral_below_floor(grid10):
+    atten = make_phantom("A", 5.0, grid10).medium_block("attenuation")
+    vsrc = np.ones(grid10.shape_medium)
+    scat, c = _march(np.array([0.0, 0.2]), np.array([0.5, 0.0]), atten, vsrc, grid10, 0.05)
+    np.testing.assert_array_equal(scat, 0.0)
+    np.testing.assert_array_equal(c, 1.0)
 
 
 def test_attenuation_integral_constant_medium(grid10):
-    phantom = make_phantom(None, 0.0, grid10)
-    c = attenuation_integral((0.0, 2.0), 0.0, phantom, grid10)
-    np.testing.assert_allclose(c, np.exp(5.0), rtol=1e-12)
-    ell = float(np.hypot(0.4, 2.0))
-    c = attenuation_integral((0.3, 2.0), -0.1, phantom, grid10)
+    atten = make_phantom(None, 0.0, grid10).medium_block("attenuation")
+    tx = np.array([0.0, 0.3])
+    tz = np.array([2.0, 2.0])
+    _, c = _march(tx, tz, atten, np.zeros(grid10.shape_medium), grid10, default_ds(grid10))
+    # Every ray crosses the unit-thick slab inside the medium, so half of
+    # its length lies in the constant attenuation 5.
+    ell = np.hypot(tx[:, None] - grid10.alpha[None, :], 2.0)
     np.testing.assert_allclose(c, np.exp(5.0 * ell / 2.0), rtol=1e-12)
+
+
+def test_march_shape_guard(grid10):
+    with pytest.raises(UsageError):
+        _march(
+            grid10.x1, np.full_like(grid10.x1, 1.5),
+            np.zeros((3, 3)), np.zeros((4, 4, grid10.alpha.size)), grid10, 0.05,
+        )
 
 
 def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
