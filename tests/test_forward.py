@@ -117,6 +117,14 @@ def test_attenuation_integral_below_floor(grid10):
     np.testing.assert_array_equal(c, 1.0)
 
 
+def test_targets_below_the_floor_are_transparent(grid10):
+    atten = np.full(grid10.shape_medium[:2], 5.0)
+    vsrc = np.ones(grid10.shape_medium)
+    scat, c = _march(np.array([0.0, 0.2]), np.array([0.5, 0.0]), atten, vsrc, grid10, 0.05)
+    np.testing.assert_array_equal(scat, 0.0)
+    np.testing.assert_array_equal(c, 1.0)
+
+
 def test_attenuation_integral_constant_medium(grid10):
     atten = make_phantom(None, 0.0, grid10).medium_block("attenuation")
     tx = np.array([0.0, 0.3])
