@@ -34,7 +34,7 @@ def extract_boundary(field):
     Bottom/top faces keep the corner nodes, shape (n_x1, n_alpha); the
     side faces carry interior z rows only, shape (n_z - 2, n_alpha).
     """
-    u = field.medium_view()
+    u = field.values
     return {
         "bottom": u[:, 0, :].copy(),
         "top": u[:, -1, :].copy(),

@@ -28,6 +28,7 @@ from .inverse import CarlemanObjective, minimize
 from .phantom import make_phantom
 from .recovery import recover_attenuation, score
 from .serialize import (
+    parse_value,
     read_boundary,
     read_manifest,
     read_reconstruction,
@@ -117,7 +118,7 @@ def cmd_forward(args):
     write_boundary(bds, out / "boundary.csv", meta={"config_hash": config_hash(cfg)})
     write_manifest(cfg, out / "manifest.txt")
     print(
-        f"forward: {info['sweeps']} sweeps on {grid.shape_hull} hull nodes, "
+        f"forward: {info['sweeps']} sweeps on {grid.shape_medium} nodes, "
         f"wrote {out / 'boundary.csv'}"
     )
     return 0
@@ -143,7 +144,7 @@ def cmd_invert(args):
     )
     state = minimize(objective)
     rec = recover_attenuation(state.pair, kernel, mu_s_value=cfg.mu_s)
-    mask = make_phantom(cfg.letter, cfg.c_a, coarse.grid, cfg.mu_s).medium_block("mask")
+    mask = make_phantom(cfg.letter, cfg.c_a, coarse.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
     meta = {"config_hash": config_hash(cfg)}
     write_iterations(state.history, out / "iterations.csv", meta=meta)
@@ -229,15 +230,16 @@ def cmd_verify(args):
 
 def cmd_score(args):
     run = Path(args.run)
-    manifest = read_manifest(run / "manifest.txt")
+    path = run / "manifest.txt"
+    manifest = read_manifest(path)
     for key in ("letter", "c_a", "mu_s"):
         if key not in manifest:
-            raise UsageError(f"{run / 'manifest.txt'}: missing {key}")
+            raise UsageError(f"{path}: missing {key}")
     letter = None if manifest["letter"] == "none" else manifest["letter"]
-    c_a = float(manifest["c_a"])
-    mu_s = float(manifest["mu_s"])
+    c_a = parse_value(path, manifest["c_a"])
+    mu_s = parse_value(path, manifest["mu_s"])
     rec = read_reconstruction(run / "reconstruction.csv")
-    mask = make_phantom(letter, c_a, rec.grid, mu_s).medium_block("mask")
+    mask = make_phantom(letter, c_a, rec.grid, mu_s).mask
     metrics = score(rec, mask, c_a, mu_s_value=mu_s)
     write_keyvalues(run / "metrics.txt", metrics, meta={"config_hash": manifest.get("config_hash", "")})
     for key, value in metrics.items():

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 
 from .errors import ForwardConvergenceError, UsageError
-from .geometry import RadianceField, trapezoid_weights
+from .geometry import RadianceField, _uniform_span, trapezoid_weights
 
 _PROFILE_TABLE_N = 8193
 
@@ -173,10 +173,11 @@ def _ray_samples(x1t, zt, alpha, grid, ds_target):
     return s, alpha + tpar * dxr, tpar * zt, ds
 
 
-def _bilinear_medium(px, pz, values, grid):
-    """Bilinear samples of a medium-grid nodal array; zero outside the
-    medium x-range (where all media vanish)."""
-    n1, nz = values.shape[:2]
+def _bilinear_corners(px, pz, grid):
+    """The four (ix, iz, weight) corner triples of bilinear interpolation on
+    the medium grid; weights vanish outside the medium x-range (where all
+    media vanish)."""
+    n1, nz = grid.x1.size, grid.z.size
     fx = (px - grid.x1[0]) / grid.h_x1
     inside = (fx >= -1e-9) & (fx <= (n1 - 1) + 1e-9)
     ix = np.clip(np.floor(fx).astype(np.int64), 0, n1 - 2)
@@ -184,13 +185,18 @@ def _bilinear_medium(px, pz, values, grid):
     fz = (pz - grid.z[0]) / grid.h_z
     iz = np.clip(np.floor(fz).astype(np.int64), 0, nz - 2)
     wz = np.clip(fz - iz, 0.0, 1.0)
-    out = (
-        (1.0 - wx) * (1.0 - wz) * values[ix, iz]
-        + wx * (1.0 - wz) * values[ix + 1, iz]
-        + (1.0 - wx) * wz * values[ix, iz + 1]
-        + wx * wz * values[ix + 1, iz + 1]
+    return (
+        (ix, iz, np.where(inside, (1.0 - wx) * (1.0 - wz), 0.0)),
+        (ix + 1, iz, np.where(inside, wx * (1.0 - wz), 0.0)),
+        (ix, iz + 1, np.where(inside, (1.0 - wx) * wz, 0.0)),
+        (ix + 1, iz + 1, np.where(inside, wx * wz, 0.0)),
     )
-    return np.where(inside, out, 0.0)
+
+
+def _bilinear_medium(px, pz, values, grid):
+    """Bilinear samples of a medium-grid nodal array; zero outside the
+    medium x-range."""
+    return sum(cw * values[ci, cj] for ci, cj, cw in _bilinear_corners(px, pz, grid))
 
 
 def _march(tx, tz, atten, vsrc, grid, ds_target):
@@ -273,36 +279,38 @@ def _march(tx, tz, atten, vsrc, grid, ds_target):
     return out_scat, out_c
 
 
-def _hull_targets(grid):
-    x, z = grid.spatial_mesh("hull")
+def _ballistic_targets(grid):
+    """Flat medium-node coordinates that the ballistic march aims at.
+
+    They are the medium nodes as a uniform grid over the rays' rectangle
+    P = (-reach, reach) x (0, b) with the same steps places them, and at
+    some z rows they differ from ``grid.z`` in the last bit.  A one-bit
+    change can change ceil(segment / ds), and with it the sample count of a
+    ray: marching to ``grid.z`` instead moves u0 by up to 1% at h = 0.1, so
+    the synthetic data depend on these exact coordinates.
+    """
+    g = grid.geometry
+    n1, nz = grid.x1.size, grid.z.size
+    ix0 = round((g.reach - g.half_width) / grid.h_x1)
+    x1 = _uniform_span(-g.reach, g.reach, grid.h_x1, "ray x1")[ix0 : ix0 + n1]
+    z = _uniform_span(0.0, g.slab_top, grid.h_z, "ray z")[-nz:]
+    x, z = np.meshgrid(x1, z, indexing="ij")
     return x.ravel(), z.ravel()
 
 
-def _ballistic_hull(phantom, source, grid, ds_target):
-    """u0 and c on all hull nodes, flat (n_hull, n_alpha) arrays."""
-    tx, tz = _hull_targets(grid)
-    atten = np.ascontiguousarray(phantom.medium_block("attenuation"))
-    _, c = _march(tx, tz, atten, np.zeros(grid.shape_medium), grid, ds_target)
+def _ballistic(phantom, source, grid, ds_target):
+    """u0 on the medium nodes as a flat (n_nodes, n_alpha) array."""
+    tx, tz = _ballistic_targets(grid)
+    _, c = _march(tx, tz, phantom.attenuation, np.zeros(grid.shape_medium), grid, ds_target)
     ell = np.hypot(tx[:, None] - grid.alpha[None, :], tz[:, None])
     amplitude = partial_profile_integral(np.minimum(ell, source.sigma), source)
-    return amplitude / c, c
+    return amplitude / c
 
 
 def u0_field(phantom, source, grid, ds_target=None):
-    """Ballistic (unscattered) radiance on the hull grid."""
+    """Ballistic (unscattered) radiance on the medium grid."""
     ds_target = ds_target or default_ds(grid)
-    u0, _ = _ballistic_hull(phantom, source, grid, ds_target)
-    return RadianceField(u0.reshape(grid.shape_hull), grid, "hull")
-
-
-def _outside_medium_targets(grid):
-    """Hull nodes above the floor but outside the medium x-range (present
-    only when the source segment is wider than the medium)."""
-    x, z = grid.spatial_mesh("hull")
-    cols = np.ones(grid.x1_hull.size, dtype=bool)
-    cols[grid.ix0 : grid.ix0 + grid.x1.size] = False
-    pick = cols[:, None] & (z > grid.geometry.slab_bottom + 1e-12)
-    return x[pick], z[pick], pick
+    return RadianceField(_ballistic(phantom, source, grid, ds_target).reshape(grid.shape_medium), grid)
 
 
 def solve_forward(
@@ -321,33 +329,25 @@ def solve_forward(
     The operator K is monotone, so the iterates increase pointwise from u0
     and converge whenever the scattering albedo stays subcritical; a
     non-contracting tail raises :class:`ForwardConvergenceError`.  Returns
-    the hull-grid radiance (and an info dict with the sweep history when
+    the medium-grid radiance (and an info dict with the sweep history when
     ``return_info`` is set).
     """
     ds_target = ds_target or default_ds(grid)
-    u0_flat, _ = _ballistic_hull(phantom, source, grid, ds_target)
-    u = u0_flat.reshape(grid.shape_hull).copy()
-    med = (
-        slice(grid.ix0, grid.ix0 + grid.x1.size),
-        slice(grid.jz0, grid.jz0 + grid.z.size),
-        slice(None),
-    )
-    u0_med = u[med].copy()
-    atten = np.ascontiguousarray(phantom.medium_block("attenuation"))
-    mu_s = phantom.medium_block("mu_s")
+    u0 = _ballistic(phantom, source, grid, ds_target).reshape(grid.shape_medium)
+    u = u0
     w = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
     xm, zm = grid.spatial_mesh("medium")
     txm, tzm = xm.ravel(), zm.ravel()
 
     diffs = []
     for _ in range(max_iters):
-        vsrc = mu_s[:, :, None] * (u[med] @ w.T)
-        scat, _ = _march(txm, tzm, atten, vsrc, grid, ds_target)
-        new = u0_med + scat.reshape(u0_med.shape)
-        diff = float(np.max(np.abs(new - u[med])))
+        vsrc = phantom.mu_s[:, :, None] * (u @ w.T)
+        scat, _ = _march(txm, tzm, phantom.attenuation, vsrc, grid, ds_target)
+        new = u0 + scat.reshape(u0.shape)
+        diff = float(np.max(np.abs(new - u)))
         if not np.isfinite(diff):
             raise ForwardConvergenceError("fixed-point sweep diverged", last_diff=diff)
-        u[med] = new
+        u = new
         diffs.append(diff)
         if diff <= tol * max(1.0, float(np.max(new))):
             break
@@ -357,22 +357,10 @@ def solve_forward(
             last_diff=diffs[-1],
         )
 
-    _fill_outside_medium(u, grid, ds_target, w, mu_s, atten, med)
-    field = RadianceField(u, grid, "hull")
+    field = RadianceField(u, grid)
     if return_info:
         return field, {"sweeps": len(diffs), "diffs": diffs, "ds": ds_target}
     return field
-
-
-def _fill_outside_medium(u, grid, ds_target, w, mu_s, atten, med):
-    """Scatter onto hull nodes beside the medium (no-op when the hull and
-    medium share the x-range); those nodes receive but never donate."""
-    tx, tz, pick = _outside_medium_targets(grid)
-    if tx.size == 0:
-        return
-    vsrc = mu_s[:, :, None] * (u[med] @ w.T)
-    scat, _ = _march(tx, tz, atten, vsrc, grid, ds_target)
-    u[pick] += scat
 
 
 def solve_forward_direct(phantom, source, kernel, grid, cap=10000, ds_target=None, return_info=False):
@@ -387,18 +375,9 @@ def solve_forward_direct(phantom, source, kernel, grid, cap=10000, ds_target=Non
     n_unknown = n1 * nz * nk
     if n_unknown > cap:
         raise UsageError(f"{n_unknown} unknowns exceed the dense-solver cap {cap}")
-    atten = phantom.medium_block("attenuation")
-    mu_s = phantom.medium_block("mu_s")
+    atten, mu_s = phantom.attenuation, phantom.mu_s
     w = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
-
-    u0_flat, _ = _ballistic_hull(phantom, source, grid, ds_target)
-    u0_hull = u0_flat.reshape(grid.shape_hull)
-    med = (
-        slice(grid.ix0, grid.ix0 + n1),
-        slice(grid.jz0, grid.jz0 + nz),
-        slice(None),
-    )
-    rhs = u0_hull[med].reshape(n_unknown)
+    rhs = _ballistic(phantom, source, grid, ds_target).reshape(n_unknown)
 
     smat = np.zeros((n_unknown, n_unknown))
     for i in range(n1):
@@ -415,19 +394,7 @@ def solve_forward_direct(phantom, source, kernel, grid, cap=10000, ds_target=Non
                 trap = np.full(s.size, ds)
                 trap[0] = trap[-1] = 0.5 * ds
                 sample_w = trap * c_s / c_s[-1]
-                fx = (px - grid.x1[0]) / grid.h_x1
-                ix = np.clip(np.floor(fx).astype(np.int64), 0, n1 - 2)
-                wx = np.clip(fx - ix, 0.0, 1.0)
-                fz = (pz - grid.z[0]) / grid.h_z
-                iz = np.clip(np.floor(fz).astype(np.int64), 0, nz - 2)
-                wz = np.clip(fz - iz, 0.0, 1.0)
-                corners = (
-                    (ix, iz, (1.0 - wx) * (1.0 - wz)),
-                    (ix + 1, iz, wx * (1.0 - wz)),
-                    (ix, iz + 1, (1.0 - wx) * wz),
-                    (ix + 1, iz + 1, wx * wz),
-                )
-                for ci, cj, cw in corners:
+                for ci, cj, cw in _bilinear_corners(px, pz, grid):
                     coeff = sample_w * cw * mu_s[ci, cj]
                     for m in range(s.size):
                         if coeff[m] == 0.0:
@@ -439,10 +406,7 @@ def solve_forward_direct(phantom, source, kernel, grid, cap=10000, ds_target=Non
     sol = np.linalg.solve(mat, rhs)
     residual = float(np.max(np.abs(mat @ sol - rhs)))
 
-    u = u0_hull.copy()
-    u[med] = sol.reshape((n1, nz, nk))
-    _fill_outside_medium(u, grid, ds_target, w, mu_s, np.ascontiguousarray(atten), med)
-    field = RadianceField(u, grid, "hull")
+    field = RadianceField(sol.reshape(grid.shape_medium), grid)
     if return_info:
         return field, {"residual": residual, "unknowns": n_unknown}
     return field

@@ -3,9 +3,10 @@
 The medium occupies the rectangle ``Omega = (-B, B) x (a, b)`` with
 ``0 < a < b``.  Point sources sit on the segment ``z = 0``,
 ``x1 in [-d, d]``, and every source-to-detector ray travels upward through
-the source-free gap ``0 < z < a``.  Computations that follow a ray from its
-source need the taller rectangle ``P = (-Bbar, Bbar) x (0, b)`` with
-``Bbar = max(B, d)``.
+the source-free gap ``0 < z < a``, so the rays cross the taller rectangle
+``P = (-Bbar, Bbar) x (0, b)`` with ``Bbar = max(B, d)``.  Only Omega
+carries a grid: the media vanish outside it, and every field lives on its
+nodes.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ class Geometry:
 
     @property
     def reach(self):
-        """Half-width of the hull rectangle P, max(half_width, source_half_width)."""
+        """Half-width of the rectangle P the rays cross, max(half_width, source_half_width)."""
         return max(self.half_width, self.source_half_width)
 
 
@@ -50,19 +51,15 @@ def _uniform_span(lo, hi, h, label):
 
 @dataclass(frozen=True, eq=False)
 class GridSet:
-    """Closed uniform tensor grids over Omega, P, and the source segment.
+    """Closed uniform tensor grids over Omega and the source segment.
 
-    ``x1`` / ``z`` are the medium-rectangle nodes (both endpoints included),
-    ``x1_hull`` / ``z_hull`` the hull-rectangle nodes, and ``alpha`` the
-    source abscissae.  The medium nodes are an exact sub-block of the hull
-    nodes starting at offsets ``(ix0, jz0)``.
+    ``x1`` / ``z`` are the medium-rectangle nodes (both endpoints included)
+    and ``alpha`` the source abscissae.
     """
 
     geometry: Geometry
     x1: np.ndarray
     z: np.ndarray
-    x1_hull: np.ndarray
-    z_hull: np.ndarray
     alpha: np.ndarray
     h_x1: float
     h_z: float
@@ -71,48 +68,26 @@ class GridSet:
     @classmethod
     def uniform(cls, geometry, h):
         """Build all grids with the single step ``h`` on every axis."""
-        if h <= 0:
+        if not h > 0:
             raise UsageError("grid step must be positive")
         g = geometry
-        grids = cls(
+        return cls(
             geometry=g,
             x1=_uniform_span(-g.half_width, g.half_width, h, "x1"),
             z=_uniform_span(g.slab_bottom, g.slab_top, h, "z"),
-            x1_hull=_uniform_span(-g.reach, g.reach, h, "hull x1"),
-            z_hull=_uniform_span(0.0, g.slab_top, h, "hull z"),
             alpha=_uniform_span(-g.source_half_width, g.source_half_width, h, "alpha"),
             h_x1=h,
             h_z=h,
             h_alpha=h,
         )
-        return grids
 
     def __post_init__(self):
-        for name in ("x1", "z", "x1_hull", "z_hull", "alpha"):
+        for name, step in (("x1", self.h_x1), ("z", self.h_z), ("alpha", self.h_alpha)):
             nodes = getattr(self, name)
             if nodes.ndim != 1 or nodes.size < 2:
                 raise UsageError(f"{name} nodes must be a 1D array with >= 2 entries")
-            step = getattr(self, "h_" + ("x1" if "x1" in name else "alpha" if name == "alpha" else "z"))
             if not np.allclose(np.diff(nodes), step, rtol=0, atol=1e-9):
                 raise UsageError(f"{name} nodes are not uniform with the declared step")
-        if self.ix0 < 0 or self.jz0 < 0:
-            raise UsageError("medium grid does not sit inside the hull grid")
-        sub = self.x1_hull[self.ix0 : self.ix0 + self.x1.size]
-        if sub.size != self.x1.size or not np.allclose(sub, self.x1, atol=1e-9):
-            raise UsageError("medium x1 nodes misaligned with hull nodes")
-        sub = self.z_hull[self.jz0 : self.jz0 + self.z.size]
-        if sub.size != self.z.size or not np.allclose(sub, self.z, atol=1e-9):
-            raise UsageError("medium z nodes misaligned with hull nodes")
-
-    @property
-    def ix0(self):
-        """x-offset of the medium block inside the hull grid."""
-        return round((self.x1[0] - self.x1_hull[0]) / self.h_x1)
-
-    @property
-    def jz0(self):
-        """z-offset of the medium block inside the hull grid."""
-        return round((self.z[0] - self.z_hull[0]) / self.h_z)
 
     @property
     def shape_medium(self):
@@ -120,45 +95,35 @@ class GridSet:
 
     @property
     def shape_hull(self):
-        return (self.x1_hull.size, self.z_hull.size, self.alpha.size)
-
-    def shape(self, region):
-        if region == "medium":
-            return self.shape_medium
-        if region == "hull":
-            return self.shape_hull
-        raise UsageError(f"unknown region {region!r}")
+        """Node counts a grid over P with the same steps would have; no field
+        is stored there, the tuple only sizes the rays' domain."""
+        g = self.geometry
+        return (
+            round(2.0 * g.reach / self.h_x1) + 1,
+            round(g.slab_top / self.h_z) + 1,
+            self.alpha.size,
+        )
 
     def spatial_mesh(self, region="medium"):
-        """Meshgrid (ij indexing) of the spatial nodes of ``region``."""
-        if region == "medium":
-            return np.meshgrid(self.x1, self.z, indexing="ij")
-        return np.meshgrid(self.x1_hull, self.z_hull, indexing="ij")
+        """Meshgrid (ij indexing) of the medium's spatial nodes."""
+        if region != "medium":
+            raise UsageError(f"unknown region {region!r}")
+        return np.meshgrid(self.x1, self.z, indexing="ij")
 
 
 @dataclass(eq=False)
 class RadianceField:
-    """Nodal samples of a directional field u(x, alpha) on one of the grids."""
+    """Nodal samples of a directional field u(x, alpha) on the medium grid."""
 
     values: np.ndarray
     grid: GridSet
-    region: str = "hull"
 
     def __post_init__(self):
-        expected = self.grid.shape(self.region)
+        expected = self.grid.shape_medium
         if self.values.shape != expected:
-            raise UsageError(
-                f"field shape {self.values.shape} does not match {self.region} grid {expected}"
-            )
+            raise UsageError(f"field shape {self.values.shape} does not match the grid {expected}")
         if not np.all(np.isfinite(self.values)):
             raise UsageError("field contains non-finite entries")
-
-    def medium_view(self):
-        """The Omega-block of the samples (a view when region is 'hull')."""
-        if self.region == "medium":
-            return self.values
-        g = self.grid
-        return self.values[g.ix0 : g.ix0 + g.x1.size, g.jz0 : g.jz0 + g.z.size, :]
 
 
 def direction_vector(x, alpha):
@@ -216,29 +181,3 @@ def trapezoid_weights(n, h):
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
-
-
-def alpha_quadrature(values, h, axis=-1):
-    """Trapezoid integral of nodal samples along the source-abscissa axis."""
-    values = np.asarray(values)
-    w = trapezoid_weights(values.shape[axis], h)
-    return np.tensordot(values, w, axes=([axis], [0]))
-
-
-def line_quadrature(x, alpha, n_samples):
-    """Uniform samples and trapezoid weights along the segment from the
-    source (alpha, 0) to ``x``.
-
-    Returns (points, weights) with points of shape (n_samples, 2); the
-    weights sum to the segment length.
-    """
-    if n_samples < 2:
-        raise UsageError("need at least two samples along a ray")
-    dx = x[0] - alpha
-    dz = x[1]
-    length = float(np.hypot(dx, dz))
-    if length == 0.0:
-        raise DegenerateDirectionError(f"point {x!r} coincides with source ({alpha!r}, 0)")
-    t = np.linspace(0.0, 1.0, n_samples)
-    points = np.column_stack((alpha + t * dx, t * dz))
-    return points, trapezoid_weights(n_samples, length / (n_samples - 1))

@@ -92,11 +92,12 @@ def letter_mask(letter, grid):
 
 @dataclass(eq=False)
 class Phantom:
-    """Nodal medium coefficients on the hull spatial grid.
+    """Nodal medium coefficients on the medium spatial grid.
 
     ``attenuation`` is the total coefficient (absorption plus scattering)
-    entering the ray integrals; all arrays vanish outside the closed medium
-    rectangle, scattering takes its medium value on the medium boundary.
+    entering the ray integrals; scattering takes its medium value on every
+    node, boundary included.  The media vanish outside the medium rectangle,
+    so nothing is stored there.
     """
 
     letter: "str | None"
@@ -108,28 +109,21 @@ class Phantom:
     grid: GridSet
 
     def medium_block(self, name):
-        """Medium-rectangle view of one of the coefficient arrays."""
-        arr = getattr(self, name)
-        g = self.grid
-        return arr[g.ix0 : g.ix0 + g.x1.size, g.jz0 : g.jz0 + g.z.size]
+        """The named coefficient array (every array is a medium block)."""
+        return getattr(self, name)
 
 
 def make_phantom(letter, c_a, grid, mu_s_value=5.0):
     """Build the letter phantom: mu_s = ``mu_s_value`` on the closed medium
-    rectangle, mu_a = ``c_a`` on the letter mask, zero elsewhere."""
+    rectangle, mu_a = ``c_a`` on the letter mask and zero off it."""
     if letter is not None and not c_a > 0:
         raise UsageError("absorber level must be positive when a letter is drawn")
     if c_a < 0:
         raise UsageError("absorber level must be non-negative")
     if mu_s_value < 0:
         raise UsageError("scattering level must be non-negative")
-    geom = grid.geometry
-    x1, z = grid.spatial_mesh("hull")
-    inside = _in_rect(x1, z, (-geom.half_width, geom.half_width, geom.slab_bottom, geom.slab_top))
-    mu_s = np.where(inside, float(mu_s_value), 0.0)
-    mask = np.zeros(x1.shape, dtype=bool)
-    sub = letter_mask(letter, grid)
-    mask[grid.ix0 : grid.ix0 + grid.x1.size, grid.jz0 : grid.jz0 + grid.z.size] = sub
+    mask = letter_mask(letter, grid)
+    mu_s = np.full(mask.shape, float(mu_s_value))
     mu_a = np.where(mask, float(c_a), 0.0)
     return Phantom(
         letter=letter,

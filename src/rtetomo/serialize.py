@@ -35,8 +35,12 @@ def _meta_lines(meta):
     return [f"# {k}={v}" for k, v in (meta or {}).items()]
 
 
-def _read_rows(path):
-    """Split a headered CSV into (meta dict, column names, row lists)."""
+def _read_rows(path, columns):
+    """Split a headered CSV into (meta dict, row lists).
+
+    The column header must equal ``columns`` and every row must carry one
+    cell per column.
+    """
     meta = {}
     header = None
     rows = []
@@ -53,13 +57,30 @@ def _read_rows(path):
                 key, _, val = body.partition("=")
                 meta[key.strip()] = val.strip()
             continue
+        cells = raw.split(",")
         if header is None:
-            header = raw.split(",")
-            continue
-        rows.append(raw.split(","))
+            header = cells
+            if header != list(columns):
+                raise UsageError(f"{path}: unexpected columns {header}, expected {list(columns)}")
+        elif len(cells) != len(header):
+            raise UsageError(f"{path}: row {raw!r} has {len(cells)} cells, not {len(header)}")
+        else:
+            rows.append(cells)
     if header is None:
         raise UsageError(f"{path}: no column header found")
-    return meta, header, rows
+    return meta, rows
+
+
+def parse_value(path, text, kind=float, size=None):
+    """``text`` read as ``kind``; with ``size`` it must be an index in
+    0..size-1.  Anything else is a usage error naming ``path``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise UsageError(f"{path}: cannot read {text!r} as {kind.__name__}") from None
+    if size is not None and not 0 <= value < size:
+        raise UsageError(f"{path}: index {value} outside 0..{size - 1}")
+    return value
 
 
 def _require(meta, keys, path):
@@ -67,6 +88,11 @@ def _require(meta, keys, path):
     if missing:
         raise UsageError(f"{path}: header lacks {missing}")
 
+
+_BOUNDARY_COLUMNS = ("face", "r", "c", "x1", "z", "alpha", "g", "g1", "g2", "g3", "g4")
+_ITERATION_COLUMNS = ("iteration", "objective", "grad_inf", "step")
+_PAIR_COLUMNS = ("i", "j", "k", "x1", "z", "alpha", "p", "q")
+_RECONSTRUCTION_COLUMNS = ("i", "j", "x1", "z", "attenuation", "absorber")
 
 _GEOM_KEYS = ("half_width", "slab_bottom", "slab_top", "source_half_width")
 
@@ -89,8 +115,8 @@ def _geometry_meta(grid):
 
 def _rebuild_grid(meta, path):
     _require(meta, _GEOM_KEYS + ("h",), path)
-    geom = Geometry(*(float(meta[k]) for k in _GEOM_KEYS))
-    return GridSet.uniform(geom, float(meta["h"]))
+    geom = Geometry(*(parse_value(path, meta[k]) for k in _GEOM_KEYS))
+    return GridSet.uniform(geom, parse_value(path, meta["h"]))
 
 
 def write_keyvalues(path, mapping, meta=None):
@@ -155,7 +181,7 @@ def write_boundary(bds, path, meta=None):
     )
     head.update({k: str(v) for k, v in (meta or {}).items()})
     lines = _meta_lines(head)
-    lines.append("face,r,c,x1,z,alpha,g,g1,g2,g3,g4")
+    lines.append(",".join(_BOUNDARY_COLUMNS))
     z_caps = {"bottom": geom.slab_bottom, "top": geom.slab_top}
     for face in FACE_ORDER:
         trace = bds.g[face]
@@ -180,9 +206,7 @@ def write_boundary(bds, path, meta=None):
 
 def read_boundary(path):
     """Rebuild a :class:`BoundaryDataSet` from :func:`write_boundary` output."""
-    meta, header, rows = _read_rows(path)
-    if header[:3] != ["face", "r", "c"]:
-        raise UsageError(f"{path}: unexpected boundary columns {header}")
+    meta, rows = _read_rows(path, _BOUNDARY_COLUMNS)
     _require(meta, ("delta", "seed", "neumann_sign", "attenuation_trace"), path)
     if meta["neumann_sign"] != _NEUMANN_SIGN:
         raise UsageError(
@@ -197,18 +221,15 @@ def read_boundary(path):
     g2 = {f: np.full(s, np.nan) for f, s in shapes.items()}
     g3 = np.full((n1, nk), np.nan)
     g4 = np.full((n1, nk), np.nan)
-    col = {name: i for i, name in enumerate(header)}
     for row in rows:
-        face = row[col["face"]]
+        face = row[0]
         if face not in shapes:
             raise UsageError(f"{path}: unknown face {face!r}")
-        r, c = int(row[col["r"]]), int(row[col["c"]])
-        g[face][r, c] = float(row[col["g"]])
-        g1[face][r, c] = float(row[col["g1"]])
-        g2[face][r, c] = float(row[col["g2"]])
+        r = parse_value(path, row[1], int, shapes[face][0])
+        c = parse_value(path, row[2], int, nk)
+        g[face][r, c], g1[face][r, c], g2[face][r, c] = (parse_value(path, v) for v in row[6:9])
         if face == "top":
-            g3[r, c] = float(row[col["g3"]])
-            g4[r, c] = float(row[col["g4"]])
+            g3[r, c], g4[r, c] = (parse_value(path, v) for v in row[9:])
     for dct in (g, g1, g2):
         for face, arr in dct.items():
             if np.any(np.isnan(arr)):
@@ -217,15 +238,15 @@ def read_boundary(path):
         raise UsageError(f"{path}: top-face normal data incomplete")
     return BoundaryDataSet(
         grid=grid, g=g, g1=g1, g2=g2, g3=g3, g4=g4,
-        delta=float(meta["delta"]), seed=int(meta["seed"]),
-        attenuation_trace=float(meta["attenuation_trace"]),
+        delta=parse_value(path, meta["delta"]), seed=parse_value(path, meta["seed"], int),
+        attenuation_trace=parse_value(path, meta["attenuation_trace"]),
     )
 
 
 def write_iterations(history, path, meta=None):
     """Descent history rows (iteration, objective, grad max-norm, step)."""
     lines = _meta_lines(meta)
-    lines.append("iteration,objective,grad_inf,step")
+    lines.append(",".join(_ITERATION_COLUMNS))
     for it, jval, ginf, step in np.asarray(history):
         lines.append(f"{int(it)},{fnum(jval)},{fnum(ginf)},{fnum(step)}")
     _write(path, lines)
@@ -233,10 +254,8 @@ def write_iterations(history, path, meta=None):
 
 def read_iterations(path):
     """History back as a float array of shape (n, 4)."""
-    _, header, rows = _read_rows(path)
-    if header != ["iteration", "objective", "grad_inf", "step"]:
-        raise UsageError(f"{path}: unexpected iteration columns {header}")
-    return np.array([[float(v) for v in row] for row in rows])
+    _, rows = _read_rows(path, _ITERATION_COLUMNS)
+    return np.array([[parse_value(path, v) for v in row] for row in rows])
 
 
 def write_pair(pair, path, meta=None):
@@ -245,7 +264,7 @@ def write_pair(pair, path, meta=None):
     head = _geometry_meta(g)
     head.update({k: str(v) for k, v in (meta or {}).items()})
     lines = _meta_lines(head)
-    lines.append("i,j,k,x1,z,alpha,p,q")
+    lines.append(",".join(_PAIR_COLUMNS))
     n1, nz, nk = g.shape_medium
     for i in range(n1):
         for j in range(nz):
@@ -259,17 +278,13 @@ def write_pair(pair, path, meta=None):
 
 def read_pair(path):
     """Rebuild a :class:`PairField` from :func:`write_pair` output."""
-    meta, header, rows = _read_rows(path)
-    if header[:3] != ["i", "j", "k"]:
-        raise UsageError(f"{path}: unexpected pair columns {header}")
+    meta, rows = _read_rows(path, _PAIR_COLUMNS)
     grid = _rebuild_grid(meta, path)
     p = np.full(grid.shape_medium, np.nan)
     q = np.full(grid.shape_medium, np.nan)
-    col = {name: i for i, name in enumerate(header)}
     for row in rows:
-        i, j, k = int(row[col["i"]]), int(row[col["j"]]), int(row[col["k"]])
-        p[i, j, k] = float(row[col["p"]])
-        q[i, j, k] = float(row[col["q"]])
+        i, j, k = (parse_value(path, v, int, n) for v, n in zip(row[:3], grid.shape_medium))
+        p[i, j, k], q[i, j, k] = (parse_value(path, v) for v in row[6:])
     if np.any(np.isnan(p)) or np.any(np.isnan(q)):
         raise UsageError(f"{path}: pair file has missing nodes")
     return PairField(p, q, grid)
@@ -282,7 +297,7 @@ def write_reconstruction(rec, path, meta=None):
     head["mu_s"] = fnum(rec.mu_s_value)
     head.update({k: str(v) for k, v in (meta or {}).items()})
     lines = _meta_lines(head)
-    lines.append("i,j,x1,z,attenuation,absorber")
+    lines.append(",".join(_RECONSTRUCTION_COLUMNS))
     n1, nz = rec.attenuation.shape
     for i in range(n1):
         for j in range(nz):
@@ -295,24 +310,20 @@ def write_reconstruction(rec, path, meta=None):
 
 def read_reconstruction(path):
     """Rebuild a :class:`Reconstruction` from its CSV."""
-    meta, header, rows = _read_rows(path)
-    if header[:2] != ["i", "j"]:
-        raise UsageError(f"{path}: unexpected reconstruction columns {header}")
+    meta, rows = _read_rows(path, _RECONSTRUCTION_COLUMNS)
     _require(meta, ("mu_s",), path)
     grid = _rebuild_grid(meta, path)
     shape = (grid.x1.size, grid.z.size)
     atten = np.full(shape, np.nan)
     absorber = np.full(shape, np.nan)
-    col = {name: i for i, name in enumerate(header)}
     for row in rows:
-        i, j = int(row[col["i"]]), int(row[col["j"]])
-        atten[i, j] = float(row[col["attenuation"]])
-        absorber[i, j] = float(row[col["absorber"]])
+        i, j = (parse_value(path, v, int, n) for v, n in zip(row[:2], shape))
+        atten[i, j], absorber[i, j] = (parse_value(path, v) for v in row[4:])
     if np.any(np.isnan(atten)) or np.any(np.isnan(absorber)):
         raise UsageError(f"{path}: reconstruction file has missing nodes")
     return Reconstruction(
         attenuation=atten, absorber=absorber,
-        mu_s_value=float(meta["mu_s"]), grid=grid,
+        mu_s_value=parse_value(path, meta["mu_s"]), grid=grid,
     )
 
 

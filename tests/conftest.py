@@ -117,6 +117,20 @@ def truth_pair20(field20, grid20):
     from rtetomo.inverse import PairField
     from rtetomo.stencils import diff_axis
 
-    p = np.log(field20.medium_view())
+    p = np.log(field20.values)
     q = diff_axis(p, grid20.h_alpha, axis=2)
     return PairField(p, q, grid20)
+
+
+@pytest.fixture(scope="session")
+def desk_run(tmp_path_factory):
+    """Artifacts of a desk forward + invert run at h = 0.1 with 5% noise.
+    Shared: copy the directory before changing anything in it."""
+    from rtetomo.cli import main
+
+    out = tmp_path_factory.mktemp("desk")
+    cfg = out / "desk.cfg"
+    cfg.write_text("h_forward=0.1\nh_inverse=0.1\ndelta=0.05\nseed=3\n")
+    for command in ("forward", "invert"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return out

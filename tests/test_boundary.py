@@ -19,7 +19,7 @@ def test_extract_boundary_shapes_and_values(field10, grid10):
     n1, nz, nk = grid10.shape_medium
     assert faces["bottom"].shape == faces["top"].shape == (n1, nk)
     assert faces["left"].shape == faces["right"].shape == (nz - 2, nk)
-    u = field10.medium_view()
+    u = field10.values
     np.testing.assert_array_equal(faces["top"], u[:, -1, :])
     np.testing.assert_array_equal(faces["left"], u[0, 1:-1, :])
 
@@ -60,7 +60,7 @@ def test_derive_applies_the_requested_noise(field10, grid10, kernel):
 
 
 def test_log_data_and_alpha_quotient(boundary10, field10, grid10):
-    u = field10.medium_view()
+    u = field10.values
     np.testing.assert_allclose(boundary10.g1["top"], np.log(u[:, -1, :]), atol=1e-14)
     # d_alpha ln g and (d_alpha g) / g agree up to the O(h^2) stencil error
     gap = boundary10.g2["top"] - diff_axis(boundary10.g1["top"], grid10.h_alpha, axis=1)
@@ -70,7 +70,7 @@ def test_log_data_and_alpha_quotient(boundary10, field10, grid10):
 def test_normal_derivative_median_converges(field10, field20, grid10, grid20, kernel):
     def median_error(field, grid):
         bds = derive_boundary_data(extract_boundary(field), grid, kernel)
-        lnu = np.log(field.medium_view())
+        lnu = np.log(field.values)
         oracle = onesided_first_end(lnu, grid.h_z, axis=1)
         return float(np.median(np.abs(bds.g3 - oracle)))
 

@@ -1,5 +1,6 @@
 """Configuration handling and the four subcommands end to end."""
 
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -166,6 +167,31 @@ def test_forward_invert_score_flow(tmp_path, capsys):
     assert "contrast=" in printed
     rescored, _ = read_keyvalues(out / "metrics.txt")
     assert rescored["contrast"] == metrics["contrast"]
+
+
+@pytest.mark.parametrize(
+    "command, name, old, new",
+    [
+        ("invert", "boundary.csv", "bottom,0,0,", "bottom,0,"),
+        ("invert", "boundary.csv", "bottom,0,0,", "bottom,99,0,"),
+        ("invert", "boundary.csv", "bottom,0,0,", "bottom,x,0,"),
+        ("score", "manifest.txt", "c_a=5\n", "c_a=five\n"),
+        ("score", "reconstruction.csv", "\n0,0,", "\n0,"),
+    ],
+    ids=["truncated-row", "index-99", "index-x", "c_a-five", "truncated-reconstruction"],
+)
+def test_malformed_artifacts_exit_one(desk_run, tmp_path, capsys, command, name, old, new):
+    out = tmp_path / "run"
+    shutil.copytree(desk_run, out)
+    cfg_file = desk_config(tmp_path)
+    text = (out / name).read_text()
+    assert old in text
+    (out / name).write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    argv = ["--config", str(cfg_file), "--out", str(out)] if command == "invert" else ["--run", str(out)]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
 
 
 def test_invert_checks_the_acquisition_step(tmp_path):

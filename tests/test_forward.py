@@ -5,6 +5,7 @@ import pytest
 
 from rtetomo import (
     ForwardConvergenceError,
+    Geometry,
     KernelModel,
     SourceModel,
     UsageError,
@@ -110,7 +111,7 @@ def test_scatter_matrices_fold_in_weights(kernel):
 
 
 def test_attenuation_integral_below_floor(grid10):
-    atten = make_phantom("A", 5.0, grid10).medium_block("attenuation")
+    atten = make_phantom("A", 5.0, grid10).attenuation
     vsrc = np.ones(grid10.shape_medium)
     scat, c = _march(np.array([0.0, 0.2]), np.array([0.5, 0.0]), atten, vsrc, grid10, 0.05)
     np.testing.assert_array_equal(scat, 0.0)
@@ -126,7 +127,7 @@ def test_targets_below_the_floor_are_transparent(grid10):
 
 
 def test_attenuation_integral_constant_medium(grid10):
-    atten = make_phantom(None, 0.0, grid10).medium_block("attenuation")
+    atten = make_phantom(None, 0.0, grid10).attenuation
     tx = np.array([0.0, 0.3])
     tz = np.array([2.0, 2.0])
     _, c = _march(tx, tz, atten, np.zeros(grid10.shape_medium), grid10, default_ds(grid10))
@@ -166,13 +167,21 @@ def test_forward_diverges_for_supercritical_scattering(grid10, source, kernel):
         solve_forward(phantom, source, kernel, grid10, max_iters=60)
 
 
-def test_direct_solver_matches_sweeps_on_a_coarse_grid(geometry, source, kernel):
+@pytest.mark.parametrize(
+    "source_half_width, letter, c_a",
+    [(0.5, "SZ", 3.0), (0.75, "A", 5.0)],
+    ids=["default", "wide-source"],
+)
+def test_direct_solver_matches_sweeps_on_a_coarse_grid(source, source_half_width, letter, c_a):
     # h = 1/4 leaves the aperture quadrature too coarse and the discrete
     # scattering operator supercritical; 1/8 is the coarsest sane step.
     # The absorber keeps the sweep contraction fast enough for a tight match
-    # (a pure scatterer converges too slowly here).
-    grid = GridSet.uniform(geometry, 0.125)
-    phantom = make_phantom("SZ", 3.0, grid)
+    # (a pure scatterer converges too slowly here).  With the wider source
+    # segment some rays enter the slab beside the medium, where both solvers
+    # must read the media as zero.
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), 0.125)
+    kernel = KernelModel(aperture_half_width=source_half_width)
+    phantom = make_phantom(letter, c_a, grid)
     swept = solve_forward(phantom, source, kernel, grid, tol=1e-14)
     dense, info = solve_forward_direct(phantom, source, kernel, grid, return_info=True)
     assert info["residual"] < 1e-10

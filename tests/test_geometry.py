@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from rtetomo import Geometry, GridSet, UsageError, carleman_weight
 from rtetomo.geometry import (
     DegenerateDirectionError,
-    alpha_quadrature,
     direction_alpha_derivative,
     direction_tables,
     direction_vector,
-    line_quadrature,
     trapezoid_weights,
 )
 
@@ -33,9 +31,6 @@ def test_geometry_rejects_bad_extents():
 def test_uniform_grid_shapes_and_offsets(grid10):
     assert grid10.shape_medium == (11, 11, 11)
     assert grid10.shape_hull == (11, 21, 11)
-    assert grid10.ix0 == 0
-    assert grid10.jz0 == 10
-    np.testing.assert_allclose(grid10.z_hull[grid10.jz0 :], grid10.z, atol=1e-12)
 
 
 def test_uniform_grid_rejects_misfit_step(geometry):
@@ -49,8 +44,8 @@ def test_wide_source_segment_grows_the_hull():
     geom = Geometry(source_half_width=0.75)
     grid = GridSet.uniform(geom, 0.25)
     assert geom.reach == 0.75
-    assert grid.x1_hull[0] == -0.75
-    assert grid.ix0 == 1
+    assert grid.shape_hull == (7, 9, 7)
+    assert grid.shape_medium == (5, 5, 7)
 
 
 def test_direction_vectors_are_unit(grid10):
@@ -97,25 +92,11 @@ def test_trapezoid_weights_sum_to_span():
 def test_trapezoid_rule_exact_on_affine_integrands(c0, c1):
     t = np.linspace(-0.5, 0.5, 21)
     values = c0 + c1 * t
-    integral = alpha_quadrature(values, t[1] - t[0])
+    integral = values @ trapezoid_weights(t.size, t[1] - t[0])
     np.testing.assert_allclose(integral, c0, atol=1e-12)
-
-
-def test_alpha_quadrature_contracts_last_axis(grid10):
-    values = np.ones(grid10.shape_medium)
-    out = alpha_quadrature(values, grid10.h_alpha)
-    assert out.shape == grid10.shape_medium[:2]
-    np.testing.assert_allclose(out, 1.0, atol=1e-14)
 
 
 def test_carleman_weight_normalization():
     assert carleman_weight(0.0, 7.0) == 1.0
     w = carleman_weight(np.array([1.0, 2.0]), 5.0)
     np.testing.assert_allclose(w, [np.exp(10.0), np.exp(40.0)], rtol=1e-15)
-
-
-def test_line_quadrature_weights_sum_to_length():
-    points, weights = line_quadrature((0.3, 2.0), -0.1, 33)
-    np.testing.assert_allclose(weights.sum(), np.hypot(0.4, 2.0), atol=1e-12)
-    np.testing.assert_allclose(points[0], [-0.1, 0.0], atol=1e-15)
-    np.testing.assert_allclose(points[-1], [0.3, 2.0], atol=1e-15)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rtetomo import RunConfig, UsageError, config_hash, recover_attenuation
 from rtetomo.boundary import FACE_ORDER
@@ -155,3 +155,62 @@ def test_probe_tables_are_parseable(objective10, tmp_path):
     assert len(rows) - 1 == 3
     gaps = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
     np.testing.assert_array_equal(gaps, sweep.gaps)
+
+
+@pytest.fixture(scope="module")
+def corrupted_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupted")
+
+
+# Reader and index columns of each CSV artifact.
+ARTIFACTS = {
+    "boundary.csv": (read_boundary, (1, 2)),
+    "iterations.csv": (read_iterations, ()),
+    "pair.csv": (read_pair, (0, 1, 2)),
+    "reconstruction.csv": (read_reconstruction, (0, 1)),
+}
+
+# Any text that stays within one cell of one line.
+CELL_TEXT = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters=",")
+)
+
+
+def _axis_size(rows, cells, col):
+    """One past the largest index in column ``col``; boundary rows only
+    count rows of the same face."""
+    face = None if cells[0].isdigit() else cells[0]
+    return 1 + max(int(r[col]) for r in rows if face is None or r[0] == face)
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_corrupted_artifacts_read_or_raise_usage_errors(desk_run, corrupted_dir, name, data):
+    reader, index_cols = ARTIFACTS[name]
+    lines = (desk_run / name).read_text().splitlines()
+    body = [n for n, line in enumerate(lines) if not line.startswith("#")][1:]
+    rows = [lines[n].split(",") for n in body]
+    kinds = ["truncate", "replace", "drop"] + (["index"] if index_cols else [])
+    kind = data.draw(st.sampled_from(kinds), label="corruption")
+    if kind == "drop":
+        del lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
+    else:
+        n = data.draw(st.sampled_from(body), label="row")
+        cells = lines[n].split(",")
+        if kind == "truncate":
+            lines[n] = lines[n][: data.draw(st.integers(0, len(lines[n]) - 1), label="length")]
+        elif kind == "replace":
+            col = data.draw(st.integers(0, len(cells) - 1), label="cell")
+            cells[col] = data.draw(CELL_TEXT, label="text")
+            lines[n] = ",".join(cells)
+        else:
+            col = data.draw(st.sampled_from(index_cols), label="cell")
+            cells[col] = str(data.draw(st.sampled_from([-1, _axis_size(rows, cells, col)])))
+            lines[n] = ",".join(cells)
+    path = corrupted_dir / name
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        reader(path)
+    except UsageError as exc:
+        assert str(path) in str(exc)
