@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 
 from .errors import ForwardConvergenceError, UsageError
-from .geometry import RadianceField, _uniform_span, trapezoid_weights
+from .geometry import RadianceField, _ray_lattice, trapezoid_weights
 
 _PROFILE_TABLE_N = 8193
 
@@ -289,12 +289,7 @@ def _ballistic_targets(grid):
     ray: marching to ``grid.z`` instead moves u0 by up to 1% at h = 0.1, so
     the synthetic data depend on these exact coordinates.
     """
-    g = grid.geometry
-    n1, nz = grid.x1.size, grid.z.size
-    ix0 = round((g.reach - g.half_width) / grid.h_x1)
-    x1 = _uniform_span(-g.reach, g.reach, grid.h_x1, "ray x1")[ix0 : ix0 + n1]
-    z = _uniform_span(0.0, g.slab_top, grid.h_z, "ray z")[-nz:]
-    x, z = np.meshgrid(x1, z, indexing="ij")
+    x, z = np.meshgrid(*_ray_lattice(grid), indexing="ij")
     return x.ravel(), z.ravel()
 
 

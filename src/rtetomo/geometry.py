@@ -49,6 +49,24 @@ def _uniform_span(lo, hi, h, label):
     return np.linspace(lo, hi, round(n) + 1)
 
 
+def _ray_lattice(grid):
+    """The medium's x1 and z nodes as a uniform grid over P with the same
+    steps places them.
+
+    They equal ``grid.x1`` / ``grid.z`` up to round-off; a medium whose nodes
+    are not on that lattice (say, offset from it by half a step) is refused.
+    """
+    g = grid.geometry
+    n1, nz = grid.x1.size, grid.z.size
+    ix0 = round((g.reach - g.half_width) / grid.h_x1)
+    x1 = _uniform_span(-g.reach, g.reach, grid.h_x1, "ray x1")[ix0 : ix0 + n1]
+    z = _uniform_span(0.0, g.slab_top, grid.h_z, "ray z")[-nz:]
+    for name, lattice, nodes in (("x1", x1, grid.x1), ("z", z, grid.z)):
+        if lattice.size != nodes.size or not np.allclose(lattice, nodes, rtol=0, atol=1e-9):
+            raise UsageError(f"medium {name} nodes are off the rays' lattice over P")
+    return x1, z
+
+
 @dataclass(frozen=True, eq=False)
 class GridSet:
     """Closed uniform tensor grids over Omega and the source segment.
@@ -88,6 +106,7 @@ class GridSet:
                 raise UsageError(f"{name} nodes must be a 1D array with >= 2 entries")
             if not np.allclose(np.diff(nodes), step, rtol=0, atol=1e-9):
                 raise UsageError(f"{name} nodes are not uniform with the declared step")
+        _ray_lattice(self)
 
     @property
     def shape_medium(self):

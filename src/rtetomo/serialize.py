@@ -227,7 +227,7 @@ def read_boundary(path):
             raise UsageError(f"{path}: unknown face {face!r}")
         r = parse_value(path, row[1], int, shapes[face][0])
         c = parse_value(path, row[2], int, nk)
-        g[face][r, c], g1[face][r, c], g2[face][r, c] = (parse_value(path, v) for v in row[6:9])
+        *_, g[face][r, c], g1[face][r, c], g2[face][r, c] = (parse_value(path, v) for v in row[3:9])
         if face == "top":
             g3[r, c], g4[r, c] = (parse_value(path, v) for v in row[9:])
     for dct in (g, g1, g2):
@@ -284,7 +284,7 @@ def read_pair(path):
     q = np.full(grid.shape_medium, np.nan)
     for row in rows:
         i, j, k = (parse_value(path, v, int, n) for v, n in zip(row[:3], grid.shape_medium))
-        p[i, j, k], q[i, j, k] = (parse_value(path, v) for v in row[6:])
+        *_, p[i, j, k], q[i, j, k] = (parse_value(path, v) for v in row[3:])
     if np.any(np.isnan(p)) or np.any(np.isnan(q)):
         raise UsageError(f"{path}: pair file has missing nodes")
     return PairField(p, q, grid)
@@ -318,7 +318,7 @@ def read_reconstruction(path):
     absorber = np.full(shape, np.nan)
     for row in rows:
         i, j = (parse_value(path, v, int, n) for v, n in zip(row[:2], shape))
-        atten[i, j], absorber[i, j] = (parse_value(path, v) for v in row[4:])
+        *_, atten[i, j], absorber[i, j] = (parse_value(path, v) for v in row[2:])
     if np.any(np.isnan(atten)) or np.any(np.isnan(absorber)):
         raise UsageError(f"{path}: reconstruction file has missing nodes")
     return Reconstruction(

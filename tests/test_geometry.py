@@ -40,6 +40,15 @@ def test_uniform_grid_rejects_misfit_step(geometry):
         GridSet.uniform(geometry, -0.1)
 
 
+def test_uniform_grid_rejects_medium_off_the_ray_lattice():
+    # Every span is a multiple of h, but the medium nodes sit half a step
+    # off the lattice the rays are marched on.
+    with pytest.raises(UsageError, match="x1 nodes"):
+        GridSet.uniform(Geometry(source_half_width=0.55), 0.1)
+    with pytest.raises(UsageError):
+        GridSet.uniform(Geometry(slab_bottom=1.05, slab_top=2.05), 0.1)
+
+
 def test_wide_source_segment_grows_the_hull():
     geom = Geometry(source_half_width=0.75)
     grid = GridSet.uniform(geom, 0.25)

@@ -214,3 +214,18 @@ def test_corrupted_artifacts_read_or_raise_usage_errors(desk_run, corrupted_dir,
         reader(path)
     except UsageError as exc:
         assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize(
+    "name, col", [("boundary.csv", 3), ("pair.csv", 4), ("reconstruction.csv", 2)]
+)
+def test_unparsable_coordinate_cell_is_refused(desk_run, tmp_path, name, col):
+    lines = (desk_run / name).read_text().splitlines()
+    n = [n for n, line in enumerate(lines) if not line.startswith("#")][1]
+    cells = lines[n].split(",")
+    cells[col] = "garbage"
+    lines[n] = ",".join(cells)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match="garbage"):
+        ARTIFACTS[name][0](path)
