@@ -40,6 +40,7 @@ from .serialize import (
     write_manifest,
     write_pair,
     write_reconstruction,
+    write_sweeps,
 )
 
 VERIFY_STEP = 0.1
@@ -115,10 +116,13 @@ def cmd_forward(args):
     bds = derive_boundary_data(
         faces, grid, kernel, mu_s_value=cfg.mu_s, delta=cfg.delta, seed=cfg.seed
     )
-    write_boundary(bds, out / "boundary.csv", meta={"config_hash": config_hash(cfg)})
+    meta = {"config_hash": config_hash(cfg)}
+    write_boundary(bds, out / "boundary.csv", meta=meta)
+    write_sweeps(info["diffs"], out / "forward.csv", meta=meta)
     write_manifest(cfg, out / "manifest.txt")
     print(
         f"forward: {info['sweeps']} sweeps on {grid.shape_medium} nodes, "
+        f"operator {info['nnz']} nonzeros ({info['operator_mb']:.1f} MB), "
         f"wrote {out / 'boundary.csv'}"
     )
     return 0

@@ -76,7 +76,7 @@ class RunConfig:
         if self.h_forward <= 0 or self.h_inverse <= 0:
             raise UsageError("grid steps must be positive")
         ratio = self.h_inverse / self.h_forward
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise UsageError("inversion step must be an integer multiple of the forward step")
         if self.lam <= 0:
             raise UsageError("weight exponent lambda must be positive")
@@ -133,14 +133,14 @@ def with_overrides(config, **overrides):
 def load_config(path):
     """Parse a flat key=value file into a :class:`RunConfig`.
 
-    Blank lines and '#' comments are skipped; unknown keys, repeated
-    keys, and unparsable values are usage errors.  Keys not present keep
-    their defaults.
+    The file is UTF-8 text.  Blank lines and '#' comments are skipped;
+    unknown keys, repeated keys, and unparsable values are usage errors.
+    Keys not present keep their defaults.
     """
     known = {_file_key(f.name) for f in fields(RunConfig)}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

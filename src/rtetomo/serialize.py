@@ -243,6 +243,20 @@ def read_boundary(path):
     )
 
 
+def write_sweeps(diffs, path, meta=None):
+    """Forward sweep history rows (sweep, max update, contraction ratio to
+    the previous sweep's update; nan for the first sweep or after a zero
+    update)."""
+    lines = _meta_lines(meta)
+    lines.append("sweep,update,ratio")
+    previous = float("nan")
+    for i, diff in enumerate(diffs, 1):
+        ratio = diff / previous if previous else float("nan")
+        lines.append(f"{i},{fnum(diff)},{fnum(ratio)}")
+        previous = diff
+    _write(path, lines)
+
+
 def write_iterations(history, path, meta=None):
     """Descent history rows (iteration, objective, grad max-norm, step)."""
     lines = _meta_lines(meta)

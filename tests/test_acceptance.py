@@ -184,7 +184,9 @@ def test_criterion_10_reproducibility(tmp_path, acceptance_report):
         out = str(tmp_path / name)
         assert main(["forward", "--config", str(cfg), "--out", out]) == 0
         assert main(["invert", "--config", str(cfg), "--out", out]) == 0
-    files = ["boundary.csv", "iterations.csv", "pair.csv", "reconstruction.csv", "metrics.txt"]
+    files = [
+        "boundary.csv", "forward.csv", "iterations.csv", "pair.csv", "reconstruction.csv", "metrics.txt",
+    ]
     mismatches = [
         (other, name)
         for other in ("b", "c")

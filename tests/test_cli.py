@@ -5,10 +5,23 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rtetomo import RunConfig, UsageError, config_hash, load_config, with_overrides
+from rtetomo import (
+    GridSet,
+    KernelModel,
+    RunConfig,
+    SourceModel,
+    UsageError,
+    config_hash,
+    load_config,
+    make_phantom,
+    solve_forward,
+    with_overrides,
+)
 from rtetomo.cli import build_parser, main
-from rtetomo.config import config_lines
+from rtetomo.config import config_lines, geometry_of
 from rtetomo.serialize import read_boundary, read_keyvalues, read_manifest
 
 
@@ -95,6 +108,54 @@ def test_non_finite_values_are_usage_errors(tmp_path, capsys, key, value):
     assert f"{key} must be finite" in capsys.readouterr().err
 
 
+CONFIG_KEYS = ["lambda" if f.name == "lam" else f.name for f in fields(RunConfig)]
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_VALUES = st.one_of(
+    _TEXT,
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["", "none", "A", "1e308", "1e-308", "5e-324", "-0", "0x10", "1_0", "9" * 5000]),
+)
+_LINES = st.one_of(
+    st.tuples(st.one_of(st.sampled_from(CONFIG_KEYS), _TEXT), _VALUES).map("=".join),
+    _TEXT,
+)
+_CONFIG_BYTES = st.one_of(
+    st.lists(_LINES, max_size=6).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=_CONFIG_BYTES)
+def test_any_config_text_loads_or_is_a_usage_error(tmp_path, blob):
+    path = tmp_path / "any.cfg"
+    path.write_bytes(blob)
+    try:
+        cfg = load_config(path)
+    except UsageError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["h_forward=5e-324\nh_inverse=1\n", "h_forward=1e-300\nh_inverse=1e300\n"],
+)
+def test_step_ratio_overflow_is_a_usage_error(tmp_path, text):
+    path = tmp_path / "steps.cfg"
+    path.write_text(text)
+    with pytest.raises(UsageError, match="integer multiple"):
+        load_config(path)
+
+
+def test_undecodable_config_is_a_usage_error(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes("letter=\u00c5\n".encode("latin-1"))
+    with pytest.raises(UsageError, match="cannot read config"):
+        load_config(path)
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path):
     with pytest.raises(UsageError):
         load_config(tmp_path / "absent.cfg")
@@ -167,6 +228,29 @@ def test_forward_invert_score_flow(tmp_path, capsys):
     assert "contrast=" in printed
     rescored, _ = read_keyvalues(out / "metrics.txt")
     assert rescored["contrast"] == metrics["contrast"]
+
+
+def test_forward_writes_its_sweep_history(desk_run, capsys):
+    cfg = load_config(desk_run / "desk.cfg")
+    grid = GridSet.uniform(geometry_of(cfg), cfg.h_forward)
+    phantom = make_phantom(cfg.letter, cfg.c_a, grid, cfg.mu_s)
+    _, info = solve_forward(phantom, SourceModel.build(cfg.sigma), KernelModel(), grid, return_info=True)
+    lines = (desk_run / "forward.csv").read_text().splitlines()
+    assert lines[0] == f"# config_hash={config_hash(cfg)}"
+    assert lines[1] == "sweep,update,ratio"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r[0]) for r in rows] == list(range(1, info["sweeps"] + 1))
+    updates = [float(r[1]) for r in rows]
+    assert updates == info["diffs"]
+    assert rows[0][2] == "nan"
+    assert [float(r[2]) for r in rows[1:]] == [b / a for a, b in zip(updates, updates[1:])]
+
+    out = desk_run.parent / f"{desk_run.name}-again"
+    capsys.readouterr()
+    assert main(["forward", "--config", str(desk_run / "desk.cfg"), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert f"operator {info['nnz']} nonzeros ({info['operator_mb']:.1f} MB)" in printed
+    shutil.rmtree(out)
 
 
 @pytest.mark.parametrize(

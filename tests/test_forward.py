@@ -15,7 +15,10 @@ from rtetomo import (
     u0_field,
 )
 from rtetomo.forward import (
-    _march,
+    ScatterOperator,
+    _bilinear_medium,
+    _path_attenuation,
+    _ray_samples,
     default_ds,
     kernel_alpha_derivative,
     kernel_matrix,
@@ -110,18 +113,22 @@ def test_scatter_matrices_fold_in_weights(kernel):
     )
 
 
+def _below_floor(atten, grid):
+    """Scatter and c of two targets below the floor (z = 0.5 and 0)."""
+    tx, tz = np.array([0.0, 0.2]), np.array([0.5, 0.0])
+    op = ScatterOperator(tx, tz, atten, grid, 0.05)
+    assert op.nnz == 0
+    return op.apply(np.ones(grid.shape_medium)), _path_attenuation(tx, tz, atten, grid, 0.05)
+
+
 def test_attenuation_integral_below_floor(grid10):
-    atten = make_phantom("A", 5.0, grid10).attenuation
-    vsrc = np.ones(grid10.shape_medium)
-    scat, c = _march(np.array([0.0, 0.2]), np.array([0.5, 0.0]), atten, vsrc, grid10, 0.05)
+    scat, c = _below_floor(make_phantom("A", 5.0, grid10).attenuation, grid10)
     np.testing.assert_array_equal(scat, 0.0)
     np.testing.assert_array_equal(c, 1.0)
 
 
 def test_targets_below_the_floor_are_transparent(grid10):
-    atten = np.full(grid10.shape_medium[:2], 5.0)
-    vsrc = np.ones(grid10.shape_medium)
-    scat, c = _march(np.array([0.0, 0.2]), np.array([0.5, 0.0]), atten, vsrc, grid10, 0.05)
+    scat, c = _below_floor(np.full(grid10.shape_medium[:2], 5.0), grid10)
     np.testing.assert_array_equal(scat, 0.0)
     np.testing.assert_array_equal(c, 1.0)
 
@@ -130,7 +137,7 @@ def test_attenuation_integral_constant_medium(grid10):
     atten = make_phantom(None, 0.0, grid10).attenuation
     tx = np.array([0.0, 0.3])
     tz = np.array([2.0, 2.0])
-    _, c = _march(tx, tz, atten, np.zeros(grid10.shape_medium), grid10, default_ds(grid10))
+    c = _path_attenuation(tx, tz, atten, grid10, default_ds(grid10))
     # Every ray crosses the unit-thick slab inside the medium, so half of
     # its length lies in the constant attenuation 5.
     ell = np.hypot(tx[:, None] - grid10.alpha[None, :], 2.0)
@@ -138,11 +145,60 @@ def test_attenuation_integral_constant_medium(grid10):
 
 
 def test_march_shape_guard(grid10):
+    tx, tz = grid10.x1, np.full_like(grid10.x1, 1.5)
     with pytest.raises(UsageError):
-        _march(
-            grid10.x1, np.full_like(grid10.x1, 1.5),
-            np.zeros((3, 3)), np.zeros((4, 4, grid10.alpha.size)), grid10, 0.05,
-        )
+        ScatterOperator(tx, tz, np.zeros((3, 3)), grid10, 0.05)
+    with pytest.raises(UsageError):
+        _path_attenuation(tx, tz, np.zeros((3, 3)), grid10, 0.05)
+    op = ScatterOperator(tx, tz, np.zeros(grid10.shape_medium[:2]), grid10, 0.05)
+    with pytest.raises(UsageError):
+        op.apply(np.zeros((4, 4, grid10.alpha.size)))
+
+
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.1, 0.5), (0.125, 0.75)], ids=["grid10", "wide-source"]
+)
+def test_operator_matches_the_row_by_row_quadrature(h, source_half_width):
+    # With the wider source segment some samples lie beside the medium,
+    # where the media read as zero.
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    atten = make_phantom("A", 5.0, grid).attenuation
+    ds = default_ds(grid)
+    xm, zm = grid.spatial_mesh()
+    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid, ds)
+    assert all(np.all(d > 0.0) for d in op.data)
+    vsrc = np.random.default_rng(5).uniform(0.0, 1.0, grid.shape_medium)
+    swept = op.apply(vsrc).reshape(grid.shape_medium)
+
+    oracle = np.zeros(grid.shape_medium)
+    for (i, j, k), _ in np.ndenumerate(oracle):
+        s, px, pz, step = _ray_samples(grid.x1[i], grid.z[j], grid.alpha[k], grid, ds)
+        if s.size == 0:
+            continue
+        a_s = _bilinear_medium(px, pz, atten, grid)
+        c_s = np.exp(np.concatenate([[0.0], np.cumsum(0.5 * step * (a_s[1:] + a_s[:-1]))]))
+        cv = c_s * _bilinear_medium(px, pz, vsrc[:, :, k], grid)
+        oracle[i, j, k] = np.sum(0.5 * step * (cv[1:] + cv[:-1])) / c_s[-1]
+    assert np.count_nonzero(oracle) == oracle.size - grid.x1.size * grid.alpha.size
+    np.testing.assert_allclose(swept, oracle, rtol=1e-12, atol=0.0)
+
+
+def _array_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sum(_array_bytes(v) for v in value)
+    return 0
+
+
+def test_operator_costs_about_ten_bytes_per_nonzero(grid20):
+    atten = make_phantom("A", 5.0, grid20).attenuation
+    xm, zm = grid20.spatial_mesh()
+    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid20, default_ds(grid20))
+    rows = grid20.alpha.size * (xm.size + 1)
+    held = sum(_array_bytes(v) for v in vars(op).values())
+    assert held == op.nbytes
+    assert op.nbytes <= 10.5 * op.nnz + 8 * rows
 
 
 def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
@@ -159,6 +215,7 @@ def test_forward_info_reports_contracting_sweeps(grid10, source, kernel):
     assert info["sweeps"] >= 2
     assert info["diffs"][-1] < info["diffs"][0]
     assert np.all(field.values >= 0.0)
+    assert info["nnz"] > 0 and 0.0 < info["operator_mb"] <= 10.5e-6 * info["nnz"] + 0.01
 
 
 def test_forward_diverges_for_supercritical_scattering(grid10, source, kernel):
