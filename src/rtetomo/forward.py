@@ -336,8 +336,6 @@ class ScatterOperator:
         vt = np.ascontiguousarray(vsrc.reshape(-1, vsrc.shape[2]).T)
         out = np.zeros((vt.shape[0], self.indptr.shape[1] - 1))
         for k, ptr in enumerate(self.indptr):
-            if ptr[-1] == 0:
-                continue
             filled = ptr[1:] > ptr[:-1]
             g = vt[k].take(self.nodes[k])
             g *= self.data[k]
