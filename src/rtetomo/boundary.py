@@ -131,7 +131,7 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0,
         if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
             raise UsageError(f"non-positive or non-finite radiance on face {name!r}")
         g1[name] = np.log(g)
-        g2[name] = diff_axis(g, grid.h_alpha, axis=1) / g
+        g2[name] = diff_axis(g, grid.h, axis=1) / g
 
     top = faces["top"]
     zb = grid.geometry.slab_top
@@ -139,11 +139,11 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0,
     r = np.hypot(dx, zb)
     nu1 = dx / r
     nu_n = zb / r
-    w_x1 = diff_axis(g1["top"], grid.h_x1, axis=0)
-    smat = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
+    w_x1 = diff_axis(g1["top"], grid.h, axis=0)
+    smat = scatter_matrix(kernel, grid.alpha, grid.h)
     scattering = mu_s_value * (top @ smat.T) / top
     g3 = (-nu1 * w_x1 + scattering - attenuation_trace) / nu_n
-    g4 = diff_axis(g3, grid.h_alpha, axis=1)
+    g4 = diff_axis(g3, grid.h, axis=1)
     return BoundaryDataSet(
         grid=grid, g={k: faces[k].copy() for k in FACE_ORDER}, g1=g1, g2=g2,
         g3=g3, g4=g4, delta=float(delta), seed=int(seed),
@@ -168,7 +168,7 @@ def downsample_boundary(bds, factor):
     for n in (g.x1.size, g.z.size, g.alpha.size):
         if (n - 1) % factor:
             raise UsageError(f"{n} nodes cannot be downsampled by {factor}")
-    coarse = GridSet.uniform(g.geometry, g.h_x1 * factor)
+    coarse = GridSet.uniform(g.geometry, g.h * factor)
 
     def pick(dct):
         return {

@@ -18,18 +18,20 @@ from .geometry import Geometry, GridSet, carleman_weight, trapezoid_weights
 from .seeding import stream
 from .stencils import diff_axis, onesided_first_end, second_diff_axis, smooth_pass
 
+SAMPLE_PASSES = 5
+BALL_PASSES = 2
+GRADIENT_CHECK_STEP = 1e-2
+
 
 @dataclass(eq=False)
 class TestFunctionSample:
     """A spatial field vanishing on the bottom and side faces.
 
-    ``values`` has shape (n_x1, n_z); ``smoothness`` counts the averaging
-    passes applied to the white-noise draw; ``seed`` records the run seed
-    when the sample came from a named stream.
+    ``values`` has shape (n_x1, n_z); ``seed`` records the run seed when
+    the sample came from a named stream.
     """
 
     values: np.ndarray
-    smoothness: int
     seed: "int | None" = None
 
     def __post_init__(self):
@@ -40,10 +42,10 @@ class TestFunctionSample:
             raise UsageError("test function must vanish on the bottom and side faces")
 
 
-def sample_test_function(grid, rng, passes=5, top_margin=0.2, seed=None):
+def sample_test_function(grid, rng, top_margin=0.2, seed=None):
     """Smoothed white noise on the medium rectangle, zeroed where required.
 
-    ``passes`` five-point averaging sweeps bound the discrete second
+    ``SAMPLE_PASSES`` five-point averaging sweeps bound the discrete second
     derivatives, then the draw is zeroed on the bottom and side faces and
     on a band of height ``top_margin`` below the top face.  The band is
     there because a live top trace enters the estimate through the factor
@@ -53,7 +55,7 @@ def sample_test_function(grid, rng, passes=5, top_margin=0.2, seed=None):
     with live traces (they exercise the exclusion rule instead).
     """
     u = rng.standard_normal((grid.x1.size, grid.z.size))
-    for _ in range(int(passes)):
+    for _ in range(SAMPLE_PASSES):
         u = smooth_pass(u)
     u[0, :] = 0.0
     u[-1, :] = 0.0
@@ -61,7 +63,7 @@ def sample_test_function(grid, rng, passes=5, top_margin=0.2, seed=None):
     if top_margin > 0.0:
         cut = grid.geometry.slab_top - float(top_margin)
         u[:, grid.z >= cut - 1e-9] = 0.0
-    return TestFunctionSample(values=u, smoothness=int(passes), seed=seed)
+    return TestFunctionSample(values=u, seed=seed)
 
 
 def carleman_sides(u, lam, grid):
@@ -83,18 +85,18 @@ def carleman_sides(u, lam, grid):
     v = np.asarray(getattr(u, "values", u), dtype=float)
     if v.shape != (grid.x1.size, grid.z.size):
         raise UsageError(f"sample shape {v.shape} does not match the spatial grid")
-    h1, hz = grid.h_x1, grid.h_z
+    h = grid.h
     w = carleman_weight(grid.z, lam)[None, :]
-    quad = trapezoid_weights(grid.x1.size, h1)[:, None] * trapezoid_weights(grid.z.size, hz)[None, :]
-    lap = second_diff_axis(v, h1, 0) + second_diff_axis(v, hz, 1)
+    quad = trapezoid_weights(grid.x1.size, h)[:, None] * trapezoid_weights(grid.z.size, h)[None, :]
+    lap = second_diff_axis(v, h, 0) + second_diff_axis(v, h, 1)
     lhs = float(np.sum(quad * w * lap * lap))
-    gx = diff_axis(v, h1, 0)
-    gz = diff_axis(v, hz, 1)
+    gx = diff_axis(v, h, 0)
+    gz = diff_axis(v, h, 1)
     interior = float(np.sum(quad * w * (lam * (gx * gx + gz * gz) + lam**3 * v * v)))
     top = v[:, -1]
-    dtop = diff_axis(top, h1, 0)
-    dn = onesided_first_end(v, hz, 1)
-    wx = trapezoid_weights(grid.x1.size, h1)
+    dtop = diff_axis(top, h, 0)
+    dn = onesided_first_end(v, h, 1)
+    wx = trapezoid_weights(grid.x1.size, h)
     w_top = float(carleman_weight(grid.geometry.slab_top, lam))
     boundary = lam**3 * w_top * float(np.sum(wx * (top * top + dtop * dtop + dn * dn)))
     return lhs, interior, boundary
@@ -125,7 +127,7 @@ class CarlemanReport:
         ]
 
 
-def empirical_carleman_constant(samples, lambda_list, seed, grid=None, passes=5, top_margin=0.2):
+def empirical_carleman_constant(samples, lambda_list, seed, grid=None, top_margin=0.2):
     """Minimum positive-denominator ratio over smoothed random samples.
 
     The same sample set (drawn once from the 'carleman-samples' stream)
@@ -149,7 +151,7 @@ def empirical_carleman_constant(samples, lambda_list, seed, grid=None, passes=5,
         grid = GridSet.uniform(Geometry(), 1.0 / 40.0)
     rng = stream(seed, "carleman-samples")
     draws = [
-        sample_test_function(grid, rng, passes=passes, top_margin=top_margin, seed=seed)
+        sample_test_function(grid, rng, top_margin=top_margin, seed=seed)
         for _ in range(samples)
     ]
     rows = []
@@ -215,10 +217,11 @@ def convexity_gap(objective, v1, v2):
     return float(gap), float(bound)
 
 
-def sample_in_ball(objective, rng, radius=10.0, passes=2):
+def sample_in_ball(objective, rng, radius=10.0):
     """Free vector at a uniform data-norm distance from the first guess.
 
-    The perturbation is smoothed noise on the free block; the data norm
+    The perturbation is noise on the free block, smoothed by
+    ``BALL_PASSES`` averaging sweeps per abscissa; the data norm
     is quadratic, so one exact rescale puts the full pair difference at
     a radius drawn uniformly from (0, ``radius``].
     """
@@ -228,7 +231,7 @@ def sample_in_ball(objective, rng, radius=10.0, passes=2):
     blocks = []
     for _ in range(2):
         d = rng.standard_normal(objective.free_shape)
-        for _ in range(int(passes)):
+        for _ in range(BALL_PASSES):
             for k in range(d.shape[2]):
                 d[:, :, k] = smooth_pass(d[:, :, k])
         blocks.append(d.ravel())
@@ -265,7 +268,7 @@ class ConvexityReport:
         return float(np.max(self.lipschitz))
 
 
-def convexity_sweep(objective, count=100, seed=0, radius=10.0, passes=2):
+def convexity_sweep(objective, count=100, seed=0, radius=10.0):
     """Check gap >= bound over seeded random couples in the sampling ball.
 
     Each couple is two independent draws around the first guess; both
@@ -280,8 +283,8 @@ def convexity_sweep(objective, count=100, seed=0, radius=10.0, passes=2):
     bounds = np.empty(count)
     lips = np.empty(count)
     for i in range(count):
-        f1 = sample_in_ball(objective, rng, radius, passes)
-        f2 = sample_in_ball(objective, rng, radius, passes)
+        f1 = sample_in_ball(objective, rng, radius)
+        f2 = sample_in_ball(objective, rng, radius)
         j1, g1 = objective.value_and_grad(f1)
         j2, g2 = objective.value_and_grad(f2)
         d = f2 - f1
@@ -297,24 +300,33 @@ def convexity_sweep(objective, count=100, seed=0, radius=10.0, passes=2):
     )
 
 
-def gradient_check(objective, directions=20, seed=0, step=1e-5, base=None):
-    """Relative errors of central differences against the analytic gradient.
+def gradient_check(objective, directions=20, seed=0):
+    """Relative errors of difference quotients against the analytic gradient.
 
     Directions are unit white-noise vectors from the 'gradient-check'
-    stream, evaluated at ``base`` (default: the first guess).  Errors are
-    measured against max(|analytic derivative|, 1e-12) so near-orthogonal
-    draws cannot divide by zero.
+    stream, evaluated at the first guess x.  Each directional derivative is
+    the fourth-order quotient
+
+        (8 [J(x + t d) - J(x - t d)] - [J(x + 2t d) - J(x - 2t d)]) / 12 t
+
+    at t = ``GRADIENT_CHECK_STEP``: round-off in J, magnified by
+    near-orthogonal draws (tiny |grad . d|), grows as t shrinks, and the
+    O(t^4) truncation error lets t stay large.  Errors are measured against
+    max(|analytic derivative|, 1e-12) so such draws cannot divide by zero.
     """
     if directions < 1:
         raise UsageError("need at least one direction")
     rng = stream(seed, "gradient-check")
-    free = objective.initial_guess() if base is None else np.asarray(base, dtype=float)
+    free = objective.initial_guess()
     _, grad = objective.value_and_grad(free)
+    t = GRADIENT_CHECK_STEP
     errors = np.empty(directions)
     for i in range(directions):
         d = rng.standard_normal(free.shape)
         d /= np.linalg.norm(d)
-        fd = (objective.value(free + step * d) - objective.value(free - step * d)) / (2.0 * step)
+        near = objective.value(free + t * d) - objective.value(free - t * d)
+        far = objective.value(free + 2.0 * t * d) - objective.value(free - 2.0 * t * d)
+        fd = (8.0 * near - far) / (12.0 * t)
         analytic = float(grad @ d)
         errors[i] = abs(fd - analytic) / max(abs(analytic), 1e-12)
     return errors

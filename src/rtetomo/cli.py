@@ -134,9 +134,9 @@ def cmd_invert(args):
     data_dir = Path(args.data) if args.data else out
     bds = read_boundary(data_dir / "boundary.csv")
     fine = bds.grid
-    if abs(fine.h_x1 - cfg.h_forward) > 1e-12:
+    if abs(fine.h - cfg.h_forward) > 1e-12:
         raise UsageError(
-            f"boundary data were acquired at step {fine.h_x1!r}, "
+            f"boundary data were acquired at step {fine.h!r}, "
             f"but the configuration says h_forward={cfg.h_forward!r}"
         )
     if geometry_of(cfg) != fine.geometry:
@@ -171,6 +171,8 @@ def cmd_invert(args):
         f"J={state.value:.6e}, grad={state.grad_norm:.3e}, "
         f"contrast={metrics['contrast']:.3f}"
     )
+    if not state.converged:
+        raise NumericalError(f"descent stopped after {state.iterations} iteration(s) without converging")
     return 0
 
 

@@ -19,7 +19,7 @@ cell).  Marching accumulates
 
 with trapezoid rule in arclength and bilinear interpolation of the nodal
 attenuation and scattering-density fields; the pair kept per (node,
-source) is (T / c, c).
+source) is (T / c, c).  The step is about ``default_ds(grid)`` = h / 2.
 
 The attenuation is fixed during a solve, so the quadrature is marched
 once: the ballistic term takes c from it, and K is built into a
@@ -29,9 +29,11 @@ abscissae and one sparse product per source.  The operator costs about 10
 bytes per nonzero, and the nonzeros grow as h^-4 (3.3 million, 33 MB, at
 h = 1/40; about 0.5 GB at h = 1/80).
 
-Two solvers are provided: damped-free fixed-point sweeps (production) and
-a dense collocation solve of the same discretization (oracle for small
-grids), which rebuilds the quadrature ray by ray.
+Two solvers are provided: damped-free fixed-point sweeps (production),
+which give up after ``MAX_SWEEPS`` sweeps, and a dense collocation solve of
+the same discretization (oracle for small grids, at most
+``DIRECT_MAX_UNKNOWNS`` unknowns), which rebuilds the quadrature ray by
+ray.
 """
 
 import mmap
@@ -47,6 +49,10 @@ _PROFILE_TABLE_N = 8193
 # The stored double is the adaptive Gauss-Kronrod value (5e-15 below) that
 # every synthetic dataset and reference trace was made with.
 _BUMP_RADIAL_MASS = 0.20182631883840194
+
+MAX_SWEEPS = 200
+# The dense oracle's (n x n) float64 matrix is 0.8 GB at this cap.
+DIRECT_MAX_UNKNOWNS = 10000
 
 
 def _bump(t):
@@ -160,11 +166,11 @@ def scatter_alpha_derivative_matrix(kernel, alpha_nodes, h_alpha):
 
 
 def default_ds(grid):
-    """Default ray-march step: half the smaller spatial grid step."""
-    return 0.5 * min(grid.h_x1, grid.h_z)
+    """The ray-march step every solver uses: half the grid step."""
+    return 0.5 * grid.h
 
 
-def _ray_samples(x1t, zt, alpha, grid, ds_target):
+def _ray_samples(x1t, zt, alpha, grid):
     """Sample arclengths and positions for one ray, as :func:`_ray_blocks`
     marches them.
 
@@ -178,7 +184,7 @@ def _ray_samples(x1t, zt, alpha, grid, ds_target):
     ell = float(np.hypot(dxr, zt))
     s_a = ell * (floor / zt)
     seg = ell - s_a
-    m_cnt = max(int(np.ceil(seg / ds_target)) + 1, 2)
+    m_cnt = max(int(np.ceil(seg / default_ds(grid))) + 1, 2)
     ds = seg / (m_cnt - 1)
     s = s_a + ds * np.arange(m_cnt)
     tpar = s / ell
@@ -190,11 +196,11 @@ def _bilinear_corners(px, pz, grid):
     the medium grid; weights vanish outside the medium x-range (where all
     media vanish)."""
     n1, nz = grid.x1.size, grid.z.size
-    fx = (px - grid.x1[0]) / grid.h_x1
+    fx = (px - grid.x1[0]) / grid.h
     inside = (fx >= -1e-9) & (fx <= (n1 - 1) + 1e-9)
     ix = np.clip(np.floor(fx).astype(np.int64), 0, n1 - 2)
     wx = np.clip(fx - ix, 0.0, 1.0)
-    fz = (pz - grid.z[0]) / grid.h_z
+    fz = (pz - grid.z[0]) / grid.h
     iz = np.clip(np.floor(fz).astype(np.int64), 0, nz - 2)
     wz = np.clip(fz - iz, 0.0, 1.0)
     return (
@@ -215,14 +221,14 @@ def _bilinear_medium(px, pz, values, grid):
 _BLOCK = 64
 
 
-def _ray_blocks(tx, tz, atten, grid, ds_target, k):
+def _ray_blocks(tx, tz, atten, grid, k):
     """March the rays from source abscissa ``k`` to every target; see the
     module docstring.
 
     ``tx``, ``tz`` are flat target coordinates and ``atten`` (n1, nz) the
     nodal attenuation on the medium grid.  Targets above the medium floor
     are marched in blocks of ``_BLOCK``, each ray with the closest step to
-    ``ds_target`` that divides its marched segment evenly.  Yields (rows,
+    :func:`default_ds` that divides its marched segment evenly.  Yields (rows,
     trap, c_s, corners) per block: the block's target indices, the
     trapezoid weights (B, M) of the samples (zero past the end of a shorter
     ray), c at every sample and the samples' bilinear corners.
@@ -239,7 +245,7 @@ def _ray_blocks(tx, tz, atten, grid, ds_target, k):
         ell = np.hypot(dxr, az)
         s_a = ell * (floor_z / az)
         seg = ell - s_a
-        m_cnt = np.maximum(np.ceil(seg / ds_target).astype(np.int64) + 1, 2)
+        m_cnt = np.maximum(np.ceil(seg / default_ds(grid)).astype(np.int64) + 1, 2)
         ds = seg / (m_cnt - 1)
         m = np.arange(int(m_cnt.max()))
         live = m[None, :] < m_cnt[:, None]
@@ -255,12 +261,12 @@ def _ray_blocks(tx, tz, atten, grid, ds_target, k):
         yield rows, trap, c_s, corners
 
 
-def _path_attenuation(tx, tz, atten, grid, ds_target):
+def _path_attenuation(tx, tz, atten, grid):
     """c = exp(attenuation integral) of every (target, source) ray as an
     (n_targets, n_alpha) array; targets at or below the floor read 1."""
     c = np.ones((tx.size, grid.alpha.size))
     for k in range(grid.alpha.size):
-        for rows, _, c_s, _ in _ray_blocks(tx, tz, atten, grid, ds_target, k):
+        for rows, _, c_s, _ in _ray_blocks(tx, tz, atten, grid, k):
             c[rows, k] = c_s[:, -1]
     return c
 
@@ -291,7 +297,7 @@ class ScatterOperator:
     attenuation and ``tx``, ``tz`` the flat target coordinates.
     """
 
-    def __init__(self, tx, tz, atten, grid, ds_target):
+    def __init__(self, tx, tz, atten, grid):
         n_nodes = grid.x1.size * grid.z.size
         node_type = np.min_scalar_type(n_nodes - 1)
         self.grid = grid
@@ -299,7 +305,7 @@ class ScatterOperator:
         self.data, self.nodes = [], []
         for k in range(grid.alpha.size):
             weights, nodes = [], []
-            for rows, trap, c_s, corners in _ray_blocks(tx, tz, atten, grid, ds_target, k):
+            for rows, trap, c_s, corners in _ray_blocks(tx, tz, atten, grid, k):
                 # Sum the sample weights per (target, node) in a dense
                 # accumulator over the block's node window; its nonzero
                 # entries come out row by row, sorted by node.
@@ -357,50 +363,40 @@ def _ballistic_targets(grid):
     return x.ravel(), z.ravel()
 
 
-def _ballistic(phantom, source, grid, ds_target):
+def _ballistic(phantom, source, grid):
     """u0 on the medium nodes as a flat (n_nodes, n_alpha) array."""
     tx, tz = _ballistic_targets(grid)
-    c = _path_attenuation(tx, tz, phantom.attenuation, grid, ds_target)
+    c = _path_attenuation(tx, tz, phantom.attenuation, grid)
     ell = np.hypot(tx[:, None] - grid.alpha[None, :], tz[:, None])
     amplitude = partial_profile_integral(np.minimum(ell, source.sigma), source)
     return amplitude / c
 
 
-def u0_field(phantom, source, grid, ds_target=None):
+def u0_field(phantom, source, grid):
     """Ballistic (unscattered) radiance on the medium grid."""
-    ds_target = ds_target or default_ds(grid)
-    return RadianceField(_ballistic(phantom, source, grid, ds_target).reshape(grid.shape_medium), grid)
+    return RadianceField(_ballistic(phantom, source, grid).reshape(grid.shape_medium), grid)
 
 
-def solve_forward(
-    phantom,
-    source,
-    kernel,
-    grid,
-    tol=1e-10,
-    max_iters=200,
-    ds_target=None,
-    return_info=False,
-):
+def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
     """Iterate u <- u0 + K u on the medium nodes until the sweep update
     falls below ``tol`` (relative to the field's max).
 
     The operator K is monotone, so the iterates increase pointwise from u0
     and converge whenever the scattering albedo stays subcritical; a
-    non-contracting tail raises :class:`ForwardConvergenceError`.  Returns
-    the medium-grid radiance, and with ``return_info`` an info dict: the
-    sweep count, the per-sweep max updates ``diffs``, the march step and
-    the operator's nonzeros ``nnz`` and size ``operator_mb``.
+    non-contracting tail, or no convergence within ``MAX_SWEEPS`` sweeps,
+    raises :class:`ForwardConvergenceError`.  Returns the medium-grid
+    radiance, and with ``return_info`` an info dict: the sweep count, the
+    per-sweep max updates ``diffs`` and the operator's nonzeros ``nnz`` and
+    size ``operator_mb``.
     """
-    ds_target = ds_target or default_ds(grid)
-    u0 = _ballistic(phantom, source, grid, ds_target).reshape(grid.shape_medium)
+    u0 = _ballistic(phantom, source, grid).reshape(grid.shape_medium)
     u = u0
-    w = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
+    w = scatter_matrix(kernel, grid.alpha, grid.h)
     xm, zm = grid.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), phantom.attenuation, grid, ds_target)
+    op = ScatterOperator(xm.ravel(), zm.ravel(), phantom.attenuation, grid)
 
     diffs = []
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         vsrc = phantom.mu_s[:, :, None] * (u @ w.T)
         scat = op.apply(vsrc)
         new = u0 + scat.reshape(u0.shape)
@@ -413,41 +409,39 @@ def solve_forward(
             break
     else:
         raise ForwardConvergenceError(
-            f"no convergence in {max_iters} sweeps (last update {diffs[-1]:.3e})",
+            f"no convergence in {MAX_SWEEPS} sweeps (last update {diffs[-1]:.3e})",
             last_diff=diffs[-1],
         )
 
     field = RadianceField(u, grid)
     if return_info:
         return field, {
-            "sweeps": len(diffs), "diffs": diffs, "ds": ds_target,
-            "nnz": op.nnz, "operator_mb": op.nbytes / 1e6,
+            "sweeps": len(diffs), "diffs": diffs, "nnz": op.nnz, "operator_mb": op.nbytes / 1e6,
         }
     return field
 
 
-def solve_forward_direct(phantom, source, kernel, grid, cap=10000, ds_target=None, return_info=False):
+def solve_forward_direct(phantom, source, kernel, grid, return_info=False):
     """Dense collocation solve of the same discretization, for small grids.
 
     Assembles (I - S) u = u0 over all medium nodes and abscissae with S the
     exact matrix of one marching sweep, then solves with LAPACK.  Refuses
-    more than ``cap`` unknowns.
+    more than ``DIRECT_MAX_UNKNOWNS`` unknowns.
     """
-    ds_target = ds_target or default_ds(grid)
     n1, nz, nk = grid.shape_medium
     n_unknown = n1 * nz * nk
-    if n_unknown > cap:
-        raise UsageError(f"{n_unknown} unknowns exceed the dense-solver cap {cap}")
+    if n_unknown > DIRECT_MAX_UNKNOWNS:
+        raise UsageError(f"{n_unknown} unknowns exceed the dense-solver cap {DIRECT_MAX_UNKNOWNS}")
     atten, mu_s = phantom.attenuation, phantom.mu_s
-    w = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
-    rhs = _ballistic(phantom, source, grid, ds_target).reshape(n_unknown)
+    w = scatter_matrix(kernel, grid.alpha, grid.h)
+    rhs = _ballistic(phantom, source, grid).reshape(n_unknown)
 
     smat = np.zeros((n_unknown, n_unknown))
     for i in range(n1):
         for j in range(nz):
             for k in range(nk):
                 row = (i * nz + j) * nk + k
-                s, px, pz, ds = _ray_samples(grid.x1[i], grid.z[j], grid.alpha[k], grid, ds_target)
+                s, px, pz, ds = _ray_samples(grid.x1[i], grid.z[j], grid.alpha[k], grid)
                 if s.size == 0:
                     continue
                 a_s = _bilinear_medium(px, pz, atten, grid)

@@ -58,9 +58,9 @@ def _ray_lattice(grid):
     """
     g = grid.geometry
     n1, nz = grid.x1.size, grid.z.size
-    ix0 = round((g.reach - g.half_width) / grid.h_x1)
-    x1 = _uniform_span(-g.reach, g.reach, grid.h_x1, "ray x1")[ix0 : ix0 + n1]
-    z = _uniform_span(0.0, g.slab_top, grid.h_z, "ray z")[-nz:]
+    ix0 = round((g.reach - g.half_width) / grid.h)
+    x1 = _uniform_span(-g.reach, g.reach, grid.h, "ray x1")[ix0 : ix0 + n1]
+    z = _uniform_span(0.0, g.slab_top, grid.h, "ray z")[-nz:]
     for name, lattice, nodes in (("x1", x1, grid.x1), ("z", z, grid.z)):
         if lattice.size != nodes.size or not np.allclose(lattice, nodes, rtol=0, atol=1e-9):
             raise UsageError(f"medium {name} nodes are off the rays' lattice over P")
@@ -72,16 +72,14 @@ class GridSet:
     """Closed uniform tensor grids over Omega and the source segment.
 
     ``x1`` / ``z`` are the medium-rectangle nodes (both endpoints included)
-    and ``alpha`` the source abscissae.
+    and ``alpha`` the source abscissae, all spaced by the one step ``h``.
     """
 
     geometry: Geometry
     x1: np.ndarray
     z: np.ndarray
     alpha: np.ndarray
-    h_x1: float
-    h_z: float
-    h_alpha: float
+    h: float
 
     @classmethod
     def uniform(cls, geometry, h):
@@ -94,17 +92,15 @@ class GridSet:
             x1=_uniform_span(-g.half_width, g.half_width, h, "x1"),
             z=_uniform_span(g.slab_bottom, g.slab_top, h, "z"),
             alpha=_uniform_span(-g.source_half_width, g.source_half_width, h, "alpha"),
-            h_x1=h,
-            h_z=h,
-            h_alpha=h,
+            h=h,
         )
 
     def __post_init__(self):
-        for name, step in (("x1", self.h_x1), ("z", self.h_z), ("alpha", self.h_alpha)):
+        for name in ("x1", "z", "alpha"):
             nodes = getattr(self, name)
             if nodes.ndim != 1 or nodes.size < 2:
                 raise UsageError(f"{name} nodes must be a 1D array with >= 2 entries")
-            if not np.allclose(np.diff(nodes), step, rtol=0, atol=1e-9):
+            if not np.allclose(np.diff(nodes), self.h, rtol=0, atol=1e-9):
                 raise UsageError(f"{name} nodes are not uniform with the declared step")
         _ray_lattice(self)
 
@@ -118,8 +114,8 @@ class GridSet:
         is stored there, the tuple only sizes the rays' domain."""
         g = self.geometry
         return (
-            round(2.0 * g.reach / self.h_x1) + 1,
-            round(g.slab_top / self.h_z) + 1,
+            round(2.0 * g.reach / self.h) + 1,
+            round(g.slab_top / self.h) + 1,
             self.alpha.size,
         )
 

@@ -69,8 +69,8 @@ class CarlemanObjective:
         self.gamma = float(gamma)
         self.epsilon = float(epsilon)
 
-        self._smat = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
-        self._dmat = scatter_alpha_derivative_matrix(kernel, grid.alpha, grid.h_alpha)
+        self._smat = scatter_matrix(kernel, grid.alpha, grid.h)
+        self._dmat = scatter_alpha_derivative_matrix(kernel, grid.alpha, grid.h)
         nu1, nu2, dnu1, dnu2 = direction_tables(grid)
         core = (slice(1, -1), slice(1, -1))
         self._nu1 = np.ascontiguousarray(nu1[core])
@@ -79,17 +79,17 @@ class CarlemanObjective:
         self._dnu2 = np.ascontiguousarray(dnu2[core])
 
         top = grid.geometry.slab_top
-        wa = trapezoid_weights(nk, grid.h_alpha)
+        wa = trapezoid_weights(nk, grid.h)
         zint = grid.z[1:-1]
         self._wres = (
             np.exp(2.0 * self.lam * (zint[:, None] ** 2 - top * top))
             * wa[None, :]
-            * (grid.h_x1 * grid.h_z)
+            * (grid.h * grid.h)
         )
         self._wres3 = self._wres[None, :, :]
 
-        self._wx = trapezoid_weights(n1, grid.h_x1)
-        self._wz = trapezoid_weights(nz, grid.h_z)
+        self._wx = trapezoid_weights(n1, grid.h)
+        self._wz = trapezoid_weights(nz, grid.h)
         self._wa = wa
         self._wxyz = self._wx[:, None, None] * self._wz[None, :, None] * self._wa[None, None, :]
         self._wzk = self._wz[None, :, None] * self._wa[None, None, :]
@@ -127,7 +127,7 @@ class CarlemanObjective:
 
     def _assemble(self, free_block, faces, top_normal):
         n1, nz, nk = self.grid.shape_medium
-        hz = self.grid.h_z
+        h = self.grid.h
         f = np.empty((n1, nz, nk))
         f[:, 0, :] = faces["bottom"]
         f[:, -1, :] = faces["top"]
@@ -135,7 +135,7 @@ class CarlemanObjective:
         f[-1] = faces["right"]
         f[1:-1, 1 : nz - 2, :] = free_block
         f[1:-1, nz - 2, :] = (
-            3.0 * faces["top"][1:-1] + f[1:-1, nz - 3, :] - 2.0 * hz * top_normal[1:-1]
+            3.0 * faces["top"][1:-1] + f[1:-1, nz - 3, :] - 2.0 * h * top_normal[1:-1]
         ) / 4.0
         return f
 
@@ -181,13 +181,13 @@ class CarlemanObjective:
 
     def _residuals(self, p, q):
         g = self.grid
-        h1, hz = g.h_x1, g.h_z
-        lap_p = laplacian_interior(p, h1, hz)
-        lap_q = laplacian_interior(q, h1, hz)
-        dq1 = (q[2:, 1:-1] - q[:-2, 1:-1]) / (2.0 * h1)
-        dqz = (q[1:-1, 2:] - q[1:-1, :-2]) / (2.0 * hz)
-        dp1 = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h1)
-        dpz = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * hz)
+        h = g.h
+        lap_p = laplacian_interior(p, h)
+        lap_q = laplacian_interior(q, h)
+        dq1 = (q[2:, 1:-1] - q[:-2, 1:-1]) / (2.0 * h)
+        dqz = (q[1:-1, 2:] - q[1:-1, :-2]) / (2.0 * h)
+        dp1 = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h)
+        dpz = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
         ep = np.exp(p)
         acoef = ep @ self._smat.T
         bcoef = ep @ self._dmat.T
@@ -222,39 +222,39 @@ class CarlemanObjective:
         the measure of the medium-times-aperture box, exactly 1.
         """
         g = self.grid
-        h1, hz = g.h_x1, g.h_z
+        h = g.h
         total = 0.0
         for f in (p, q):
             total += np.einsum("i,j,k,ijk->", self._wx, self._wz, self._wa, f * f)
-            d = np.diff(f, axis=0) / h1
-            total += h1 * np.einsum("j,k,ijk->", self._wz, self._wa, d * d)
-            d = np.diff(f, axis=1) / hz
-            total += hz * np.einsum("i,k,ijk->", self._wx, self._wa, d * d)
+            d = np.diff(f, axis=0) / h
+            total += h * np.einsum("j,k,ijk->", self._wz, self._wa, d * d)
+            d = np.diff(f, axis=1) / h
+            total += h * np.einsum("i,k,ijk->", self._wx, self._wa, d * d)
             d = f[2:] - 2.0 * f[1:-1] + f[:-2]
-            total += h1 * np.einsum("j,k,ijk->", self._wz, self._wa, d * d)
+            total += h * np.einsum("j,k,ijk->", self._wz, self._wa, d * d)
             d = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
-            total += hz * np.einsum("i,k,ijk->", self._wx, self._wa, d * d)
+            total += h * np.einsum("i,k,ijk->", self._wx, self._wa, d * d)
         return float(total)
 
     def _snorm_grad_into(self, f, out, scale):
         g = self.grid
-        h1, hz = g.h_x1, g.h_z
+        h = g.h
         out += (2.0 * scale) * self._wxyz * f
-        d = np.diff(f, axis=0) / h1
+        d = np.diff(f, axis=0) / h
         t = (2.0 * scale) * self._wzk * d
         out[1:] += t
         out[:-1] -= t
-        d = np.diff(f, axis=1) / hz
+        d = np.diff(f, axis=1) / h
         t = (2.0 * scale) * self._wxk * d
         out[:, 1:] += t
         out[:, :-1] -= t
         d = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        t = (2.0 * scale * h1) * self._wzk * d
+        t = (2.0 * scale * h) * self._wzk * d
         out[2:] += t
         out[1:-1] -= 2.0 * t
         out[:-2] += t
         d = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
-        t = (2.0 * scale * hz) * self._wxk * d
+        t = (2.0 * scale * h) * self._wxk * d
         out[:, 2:] += t
         out[:, 1:-1] -= 2.0 * t
         out[:, :-2] += t
@@ -276,7 +276,7 @@ class CarlemanObjective:
         pair = self.apply_constraints(free)
         p, q = pair.p, pair.q
         g = self.grid
-        h1, hz = g.h_x1, g.h_z
+        h = g.h
         r1, r2, cache = self._residuals(p, q)
         jres = np.einsum("ijk,jk->", r1 * r1 + r2 * r2, self._wres)
         jval = jres + self.gamma * self.s_norm_sq_arrays(p, q)
@@ -288,16 +288,16 @@ class CarlemanObjective:
         gq = np.zeros_like(q)
 
         tmp = np.zeros_like(p)
-        laplacian_scatter(w1, h1, hz, tmp)
+        laplacian_scatter(w1, h, tmp)
         gp -= self.epsilon * tmp
         tmp[:] = 0.0
-        laplacian_scatter(w2, h1, hz, tmp)
+        laplacian_scatter(w2, h, tmp)
         gq -= self.epsilon * tmp
 
-        central_scatter(self._nu1 * wc, h1, 0, gq)
-        central_scatter(self._nu2 * wc, hz, 1, gq)
-        central_scatter(self._dnu1 * wc, h1, 0, gp)
-        central_scatter(self._dnu2 * wc, hz, 1, gp)
+        central_scatter(self._nu1 * wc, h, 0, gq)
+        central_scatter(self._nu2 * wc, h, 1, gq)
+        central_scatter(self._dnu1 * wc, h, 0, gp)
+        central_scatter(self._dnu2 * wc, h, 1, gp)
 
         em = cache["em"]
         acoef = cache["acoef"]
@@ -331,43 +331,43 @@ class InversionState:
     converged: bool
 
 
-def minimize(
-    objective,
-    free0=None,
-    grad_tol=1e-2,
-    max_iters=20000,
-    rho_init=1.0,
-    armijo=1e-4,
-    shrink=0.5,
-    grow=2.0,
-    max_backtracks=60,
-):
+STEP_INIT = 1.0
+ARMIJO = 1e-4
+SHRINK = 0.5
+GROW = 2.0
+MAX_BACKTRACKS = 60
+
+
+def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     """Gradient descent with Armijo backtracking on the free vector.
 
     Stops when the max-norm of the gradient drops below ``grad_tol``
-    (``converged`` True) or after ``max_iters`` accepted steps.  The step
-    is halved until the sufficient-decrease test passes and doubled after
-    each accepted iteration, so the schedule adapts without tuning.  J is
-    strictly non-increasing along the returned history, whose rows are
-    (iteration, J, grad max-norm, step).
+    (``converged`` True) or after ``max_iters`` accepted steps.  The first
+    trial step is ``STEP_INIT``; a trial is accepted once J falls by at least
+    ``ARMIJO`` times the step times |grad|^2.  The step is multiplied by
+    ``SHRINK`` after each rejected trial and by ``GROW`` after each accepted
+    iteration, so the schedule adapts without tuning; ``MAX_BACKTRACKS``
+    rejected trials in a row raise :class:`StagnationError`.  J is strictly
+    non-increasing along the returned history, whose rows are (iteration,
+    J, grad max-norm, step).
     """
     obj = objective
     free = obj.initial_guess() if free0 is None else np.array(free0, dtype=float)
     jval, grad = obj.value_and_grad(free)
     ginf = float(np.max(np.abs(grad)))
-    rho = float(rho_init)
+    rho = STEP_INIT
     rows = [(0, jval, ginf, 0.0)]
     it = 0
     while ginf >= grad_tol and it < max_iters:
         gsq = float(grad @ grad)
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = free - rho * grad
             jtrial = obj.value(trial)
-            if np.isfinite(jtrial) and jtrial <= jval - armijo * rho * gsq:
+            if np.isfinite(jtrial) and jtrial <= jval - ARMIJO * rho * gsq:
                 accepted = True
                 break
-            rho *= shrink
+            rho *= SHRINK
         if not accepted:
             raise StagnationError(
                 f"line search stalled at iteration {it} (J = {jval:.6e}, step {rho:.3e})"
@@ -377,7 +377,7 @@ def minimize(
         ginf = float(np.max(np.abs(grad)))
         it += 1
         rows.append((it, jval, ginf, rho))
-        rho *= grow
+        rho *= GROW
     return InversionState(
         free=free,
         pair=obj.apply_constraints(free),

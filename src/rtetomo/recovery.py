@@ -44,12 +44,12 @@ def recover_attenuation(pair, kernel, mu_s_value=5.0, smooth_passes=1):
     grid = pair.grid
     p = pair.p
     nu1, nu2, _, _ = direction_tables(grid)
-    dp1 = diff_axis(p, grid.h_x1, axis=0)
-    dpz = diff_axis(p, grid.h_z, axis=1)
-    smat = scatter_matrix(kernel, grid.alpha, grid.h_alpha)
+    dp1 = diff_axis(p, grid.h, axis=0)
+    dpz = diff_axis(p, grid.h, axis=1)
+    smat = scatter_matrix(kernel, grid.alpha, grid.h)
     acoef = np.exp(p) @ smat.T
     integrand = -(nu1 * dp1 + nu2 * dpz) + mu_s_value * np.exp(-p) * acoef
-    wa = trapezoid_weights(grid.alpha.size, grid.h_alpha)
+    wa = trapezoid_weights(grid.alpha.size, grid.h)
     span = grid.alpha[-1] - grid.alpha[0]
     atten = (integrand @ wa) / span
     for _ in range(int(smooth_passes)):
@@ -69,18 +69,14 @@ def computed_contrast(absorber, mu_s_value=5.0):
     return 1.0 + max(0.0, float(np.max(absorber))) / mu_s_value
 
 
-def support_centroid(values, grid, threshold=None):
+def support_centroid(values, grid):
     """Unweighted centroid of the nodes where ``values`` reaches at least
-    ``threshold`` (default: half the max).  None when nothing clears it."""
+    half its max.  None when the max is not positive."""
     values = np.asarray(values, dtype=float)
-    if threshold is None:
-        peak = float(np.max(values))
-        if peak <= 0:
-            return None
-        threshold = 0.5 * peak
-    sel = values >= threshold
-    if not np.any(sel):
+    peak = float(np.max(values))
+    if not peak > 0:
         return None
+    sel = values >= 0.5 * peak
     x1, z = grid.spatial_mesh("medium")
     return float(x1[sel].mean()), float(z[sel].mean())
 
@@ -104,8 +100,8 @@ def score(reconstruction, truth_mask, c_a, mu_s_value=5.0):
     grid = reconstruction.grid
     comp = reconstruction.absorber
     truth = np.where(truth_mask, float(c_a), 0.0)
-    wx = trapezoid_weights(grid.x1.size, grid.h_x1)
-    wz = trapezoid_weights(grid.z.size, grid.h_z)
+    wx = trapezoid_weights(grid.x1.size, grid.h)
+    wz = trapezoid_weights(grid.z.size, grid.h)
     wxy = wx[:, None] * wz[None, :]
     diff_sq = float(np.sum(wxy * (comp - truth) ** 2))
     truth_sq = float(np.sum(wxy * truth * truth))
@@ -119,11 +115,10 @@ def score(reconstruction, truth_mask, c_a, mu_s_value=5.0):
         offset = np.nan
     else:
         offset = float(np.hypot(c_comp[0] - c_true[0], c_comp[1] - c_true[1]))
-    cell = max(grid.h_x1, grid.h_z)
     return {
         "l2_rel": float(l2_rel),
         "contrast": computed_contrast(comp, mu_s_value),
         "true_contrast": true_contrast(c_a, mu_s_value),
         "centroid_offset": offset,
-        "centroid_offset_cells": offset / cell if np.isfinite(offset) else np.nan,
+        "centroid_offset_cells": offset / grid.h if np.isfinite(offset) else np.nan,
     }

@@ -109,7 +109,7 @@ def _geometry_meta(grid):
         "slab_bottom": fnum(g.slab_bottom),
         "slab_top": fnum(g.slab_top),
         "source_half_width": fnum(g.source_half_width),
-        "h": fnum(grid.h_x1),
+        "h": fnum(grid.h),
     }
 
 

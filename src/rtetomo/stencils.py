@@ -46,27 +46,26 @@ def onesided_first_end(f, h, axis):
     return (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
 
 
-def laplacian_interior(f, h1, hz):
+def laplacian_interior(f, h):
     """Five-point Laplacian of a spatial-by-angle array on interior spatial
-    nodes; returns shape (n1 - 2, nz - 2, ...)."""
+    nodes of step ``h``; returns shape (n1 - 2, nz - 2, ...)."""
     core = f[1:-1, 1:-1]
-    d11 = (f[2:, 1:-1] - 2.0 * core + f[:-2, 1:-1]) / (h1 * h1)
-    dzz = (f[1:-1, 2:] - 2.0 * core + f[1:-1, :-2]) / (hz * hz)
+    d11 = (f[2:, 1:-1] - 2.0 * core + f[:-2, 1:-1]) / (h * h)
+    dzz = (f[1:-1, 2:] - 2.0 * core + f[1:-1, :-2]) / (h * h)
     return d11 + dzz
 
 
-def laplacian_scatter(w, h1, hz, out):
+def laplacian_scatter(w, h, out):
     """Adjoint of ``laplacian_interior``: scatter interior-node weights ``w``
     through the five-point stencil into the full-grid array ``out`` (added
     in place, boundary rows included)."""
-    c1 = 1.0 / (h1 * h1)
-    cz = 1.0 / (hz * hz)
-    core = w * (-2.0 * (c1 + cz))
+    c = 1.0 / (h * h)
+    core = w * (-4.0 * c)
     out[1:-1, 1:-1] += core
-    out[2:, 1:-1] += w * c1
-    out[:-2, 1:-1] += w * c1
-    out[1:-1, 2:] += w * cz
-    out[1:-1, :-2] += w * cz
+    out[2:, 1:-1] += w * c
+    out[:-2, 1:-1] += w * c
+    out[1:-1, 2:] += w * c
+    out[1:-1, :-2] += w * c
     return out
 
 

@@ -118,7 +118,7 @@ def truth_pair20(field20, grid20):
     from rtetomo.stencils import diff_axis
 
     p = np.log(field20.values)
-    q = diff_axis(p, grid20.h_alpha, axis=2)
+    q = diff_axis(p, grid20.h, axis=2)
     return PairField(p, q, grid20)
 
 

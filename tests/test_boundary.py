@@ -63,7 +63,7 @@ def test_log_data_and_alpha_quotient(boundary10, field10, grid10):
     u = field10.values
     np.testing.assert_allclose(boundary10.g1["top"], np.log(u[:, -1, :]), atol=1e-14)
     # d_alpha ln g and (d_alpha g) / g agree up to the O(h^2) stencil error
-    gap = boundary10.g2["top"] - diff_axis(boundary10.g1["top"], grid10.h_alpha, axis=1)
+    gap = boundary10.g2["top"] - diff_axis(boundary10.g1["top"], grid10.h, axis=1)
     assert np.max(np.abs(gap)) < 0.05
 
 
@@ -71,7 +71,7 @@ def test_normal_derivative_median_converges(field10, field20, grid10, grid20, ke
     def median_error(field, grid):
         bds = derive_boundary_data(extract_boundary(field), grid, kernel)
         lnu = np.log(field.values)
-        oracle = onesided_first_end(lnu, grid.h_z, axis=1)
+        oracle = onesided_first_end(lnu, grid.h, axis=1)
         return float(np.median(np.abs(bds.g3 - oracle)))
 
     coarse = median_error(field10, grid10)
@@ -113,7 +113,7 @@ def test_full_side_includes_corners(boundary10, grid10):
 
 def test_downsample_restricts_without_recomputing(boundary20, grid10):
     coarse = downsample_boundary(boundary20, 2)
-    assert coarse.grid.h_x1 == grid10.h_x1
+    assert coarse.grid.h == grid10.h
     np.testing.assert_array_equal(coarse.g["top"], boundary20.g["top"][::2, ::2])
     np.testing.assert_array_equal(coarse.g1["left"], boundary20.g1["left"][1::2, ::2])
     np.testing.assert_array_equal(coarse.g3, boundary20.g3[::2, ::2])

@@ -80,7 +80,6 @@ def test_sampler_honors_the_vanishing_faces():
     assert not v[0].any() and not v[-1].any() and not v[:, 0].any()
     assert not v[:, grid.z >= grid.geometry.slab_top - 0.2 - 1e-9].any()
     assert np.abs(v).max() > 0.0
-    assert draw.smoothness == 5
 
 
 def test_sample_invariant_is_enforced():
@@ -89,9 +88,9 @@ def test_sample_invariant_is_enforced():
 
     values = np.ones((6, 6))
     with pytest.raises(UsageError):
-        TestFunctionSample(values=values, smoothness=0)
+        TestFunctionSample(values=values)
     with pytest.raises(UsageError):
-        TestFunctionSample(values=np.zeros((3, 8)), smoothness=0)
+        TestFunctionSample(values=np.zeros((3, 8)))
 
 
 def test_constant_sweep_is_deterministic():
@@ -184,10 +183,18 @@ def test_small_convexity_sweep(objective10):
         convexity_sweep(objective10, count=0)
 
 
-def test_gradient_check_respects_base_and_validation(objective10):
-    base = objective10.initial_guess()
-    errors = gradient_check(objective10, directions=2, seed=5, base=base)
+def test_gradient_check_catches_a_perturbed_gradient(objective10):
+    class Perturbed:
+        initial_guess = objective10.initial_guess
+        value = objective10.value
+
+        def value_and_grad(self, free):
+            jval, grad = objective10.value_and_grad(free)
+            return jval, grad * (1.0 + 1e-4)
+
+    errors = gradient_check(objective10, directions=2, seed=5)
     assert errors.shape == (2,)
     assert errors.max() < 1e-5
+    assert gradient_check(Perturbed(), seed=5).min() >= 1e-5
     with pytest.raises(UsageError):
         gradient_check(objective10, directions=0)

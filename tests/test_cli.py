@@ -308,6 +308,23 @@ def test_supercritical_scattering_exits_two(tmp_path):
     assert main(["forward", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 2
 
 
+def test_unconverged_descent_writes_its_artifacts_and_exits_two(desk_run, tmp_path, monkeypatch, capsys):
+    import rtetomo.cli as cli
+
+    original = cli.minimize
+    monkeypatch.setattr(cli, "minimize", lambda objective: original(objective, grad_tol=0.0, max_iters=1))
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(desk_run / "boundary.csv", out)
+    capsys.readouterr()
+    assert main(["invert", "--config", str(desk_run / "desk.cfg"), "--out", str(out)]) == 2
+    assert "descent stopped after 1 iteration(s)" in capsys.readouterr().err
+    for name in ("iterations.csv", "pair.csv", "reconstruction.csv", "metrics.txt", "manifest.txt"):
+        assert (out / name).is_file()
+    metrics, _ = read_keyvalues(out / "metrics.txt")
+    assert (metrics["converged"], metrics["iterations"]) == ("false", "1")
+
+
 def test_verify_writes_a_report_and_passes(tmp_path):
     out = tmp_path / "lab"
     code = main(["verify", "--samples", "5", "--pairs", "5", "--out", str(out)])

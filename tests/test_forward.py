@@ -19,7 +19,6 @@ from rtetomo.forward import (
     _bilinear_medium,
     _path_attenuation,
     _ray_samples,
-    default_ds,
     kernel_alpha_derivative,
     kernel_matrix,
     kernel_value,
@@ -116,9 +115,9 @@ def test_scatter_matrices_fold_in_weights(kernel):
 def _below_floor(atten, grid):
     """Scatter and c of two targets below the floor (z = 0.5 and 0)."""
     tx, tz = np.array([0.0, 0.2]), np.array([0.5, 0.0])
-    op = ScatterOperator(tx, tz, atten, grid, 0.05)
+    op = ScatterOperator(tx, tz, atten, grid)
     assert op.nnz == 0
-    return op.apply(np.ones(grid.shape_medium)), _path_attenuation(tx, tz, atten, grid, 0.05)
+    return op.apply(np.ones(grid.shape_medium)), _path_attenuation(tx, tz, atten, grid)
 
 
 def test_attenuation_integral_below_floor(grid10):
@@ -137,7 +136,7 @@ def test_attenuation_integral_constant_medium(grid10):
     atten = make_phantom(None, 0.0, grid10).attenuation
     tx = np.array([0.0, 0.3])
     tz = np.array([2.0, 2.0])
-    c = _path_attenuation(tx, tz, atten, grid10, default_ds(grid10))
+    c = _path_attenuation(tx, tz, atten, grid10)
     # Every ray crosses the unit-thick slab inside the medium, so half of
     # its length lies in the constant attenuation 5.
     ell = np.hypot(tx[:, None] - grid10.alpha[None, :], 2.0)
@@ -147,10 +146,10 @@ def test_attenuation_integral_constant_medium(grid10):
 def test_march_shape_guard(grid10):
     tx, tz = grid10.x1, np.full_like(grid10.x1, 1.5)
     with pytest.raises(UsageError):
-        ScatterOperator(tx, tz, np.zeros((3, 3)), grid10, 0.05)
+        ScatterOperator(tx, tz, np.zeros((3, 3)), grid10)
     with pytest.raises(UsageError):
-        _path_attenuation(tx, tz, np.zeros((3, 3)), grid10, 0.05)
-    op = ScatterOperator(tx, tz, np.zeros(grid10.shape_medium[:2]), grid10, 0.05)
+        _path_attenuation(tx, tz, np.zeros((3, 3)), grid10)
+    op = ScatterOperator(tx, tz, np.zeros(grid10.shape_medium[:2]), grid10)
     with pytest.raises(UsageError):
         op.apply(np.zeros((4, 4, grid10.alpha.size)))
 
@@ -163,16 +162,15 @@ def test_operator_matches_the_row_by_row_quadrature(h, source_half_width):
     # where the media read as zero.
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     atten = make_phantom("A", 5.0, grid).attenuation
-    ds = default_ds(grid)
     xm, zm = grid.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid, ds)
+    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid)
     assert all(np.all(d > 0.0) for d in op.data)
     vsrc = np.random.default_rng(5).uniform(0.0, 1.0, grid.shape_medium)
     swept = op.apply(vsrc).reshape(grid.shape_medium)
 
     oracle = np.zeros(grid.shape_medium)
     for (i, j, k), _ in np.ndenumerate(oracle):
-        s, px, pz, step = _ray_samples(grid.x1[i], grid.z[j], grid.alpha[k], grid, ds)
+        s, px, pz, step = _ray_samples(grid.x1[i], grid.z[j], grid.alpha[k], grid)
         if s.size == 0:
             continue
         a_s = _bilinear_medium(px, pz, atten, grid)
@@ -194,7 +192,7 @@ def _array_bytes(value):
 def test_operator_costs_about_ten_bytes_per_nonzero(grid20):
     atten = make_phantom("A", 5.0, grid20).attenuation
     xm, zm = grid20.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid20, default_ds(grid20))
+    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid20)
     rows = grid20.alpha.size * (xm.size + 1)
     held = sum(_array_bytes(v) for v in vars(op).values())
     assert held == op.nbytes
@@ -221,7 +219,7 @@ def test_forward_info_reports_contracting_sweeps(grid10, source, kernel):
 def test_forward_diverges_for_supercritical_scattering(grid10, source, kernel):
     phantom = make_phantom(None, 0.0, grid10, mu_s_value=25.0)
     with pytest.raises(ForwardConvergenceError):
-        solve_forward(phantom, source, kernel, grid10, max_iters=60)
+        solve_forward(phantom, source, kernel, grid10)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +244,9 @@ def test_direct_solver_matches_sweeps_on_a_coarse_grid(source, source_half_width
     assert gap < 1e-8
 
 
-def test_direct_solver_refuses_large_grids(grid10, source, kernel):
-    phantom = make_phantom(None, 0.0, grid10)
+def test_direct_solver_refuses_large_grids(geometry, source, kernel):
+    # 41 * 41 * 41 unknowns, far above the cap; refused before any assembly
+    grid = GridSet.uniform(geometry, 1.0 / 40.0)
+    phantom = make_phantom(None, 0.0, grid)
     with pytest.raises(UsageError):
-        solve_forward_direct(phantom, source, kernel, grid10, cap=100)
+        solve_forward_direct(phantom, source, kernel, grid)

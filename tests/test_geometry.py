@@ -33,6 +33,12 @@ def test_uniform_grid_shapes_and_offsets(grid10):
     assert grid10.shape_hull == (11, 21, 11)
 
 
+def test_every_axis_shares_the_grid_step(grid10):
+    alpha = np.linspace(-0.5, 0.5, 6)
+    with pytest.raises(UsageError, match="alpha"):
+        GridSet(grid10.geometry, grid10.x1, grid10.z, alpha, grid10.h)
+
+
 def test_uniform_grid_rejects_misfit_step(geometry):
     with pytest.raises(UsageError):
         GridSet.uniform(geometry, 0.3)

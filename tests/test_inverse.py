@@ -79,8 +79,8 @@ def test_residual_weights_normalized_to_the_top(objective10, grid10):
     from rtetomo.geometry import trapezoid_weights
 
     w = objective10.residual_weights
-    wa = trapezoid_weights(grid10.alpha.size, grid10.h_alpha)
-    cell = grid10.h_x1 * grid10.h_z
+    wa = trapezoid_weights(grid10.alpha.size, grid10.h)
+    cell = grid10.h * grid10.h
     exp_factor = w / (wa[None, :] * cell)
     zint = grid10.z[1:-1]
     top = grid10.geometry.slab_top
@@ -109,11 +109,10 @@ def test_expanded_pair_interpolates_the_data(objective10, boundary10):
 def test_eliminated_layer_obeys_the_normal_identity(objective10, boundary10, grid10):
     pair = objective10.apply_constraints(objective10.initial_guess())
     nz = grid10.z.size
-    hz = grid10.h_z
     expected = (
         3.0 * boundary10.g1["top"][1:-1]
         + pair.p[1:-1, nz - 3, :]
-        - 2.0 * hz * boundary10.g3[1:-1]
+        - 2.0 * grid10.h * boundary10.g3[1:-1]
     ) / 4.0
     np.testing.assert_allclose(pair.p[1:-1, nz - 2, :], expected, atol=1e-14)
 
@@ -182,4 +181,4 @@ def test_minimize_raises_when_no_descent_exists():
             return None
 
     with pytest.raises(StagnationError):
-        minimize(Flat(), max_backtracks=8)
+        minimize(Flat())

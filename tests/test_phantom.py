@@ -9,8 +9,8 @@ from rtetomo.phantom import LETTER_BOX, LETTER_STROKES
 
 
 def _node(grid, x1, z):
-    i = int(round((x1 - grid.x1[0]) / grid.h_x1))
-    j = int(round((z - grid.z[0]) / grid.h_z))
+    i = int(round((x1 - grid.x1[0]) / grid.h))
+    j = int(round((z - grid.z[0]) / grid.h))
     return i, j
 
 

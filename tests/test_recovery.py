@@ -65,7 +65,6 @@ def test_support_centroid_and_mask_centroid(grid20):
     np.testing.assert_allclose(c_sup, c_mask, atol=1e-14)
     assert support_centroid(np.zeros_like(values), grid20) is None
     assert mask_centroid(np.zeros_like(mask, dtype=bool), grid20) is None
-    assert support_centroid(values, grid20, threshold=3.0) is None
 
 
 def test_score_of_the_exact_absorber_is_zero(grid20):

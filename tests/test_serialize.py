@@ -78,7 +78,7 @@ def test_boundary_round_trip_is_bit_exact(boundary10, tmp_path):
     assert back.delta == boundary10.delta
     assert back.seed == boundary10.seed
     assert back.attenuation_trace == boundary10.attenuation_trace
-    assert back.grid.h_x1 == boundary10.grid.h_x1
+    assert back.grid.h == boundary10.grid.h
 
 
 def test_truncated_boundary_file_is_rejected(boundary10, tmp_path):
