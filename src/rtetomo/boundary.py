@@ -27,20 +27,31 @@ from .stencils import diff_axis
 
 FACE_ORDER = ("bottom", "top", "left", "right")
 
+# Where each face lies in the medium's (x1, z) node plane: the bottom and
+# top rows keep the corner nodes, the side columns interior z rows only.
+_FACE_NODES = {
+    "bottom": np.s_[:, 0],
+    "top": np.s_[:, -1],
+    "left": np.s_[0, 1:-1],
+    "right": np.s_[-1, 1:-1],
+}
+
+
+def face_nodes(grid):
+    """(x1, z) coordinates of each face's rows, in :data:`FACE_ORDER`."""
+    x1, z = grid.spatial_mesh()
+    return {name: (x1[_FACE_NODES[name]], z[_FACE_NODES[name]]) for name in FACE_ORDER}
+
+
+def face_shapes(grid):
+    """Shape (rows, n_alpha) of each face's arrays, in :data:`FACE_ORDER`."""
+    return {name: (x1.size, grid.alpha.size) for name, (x1, _) in face_nodes(grid).items()}
+
 
 def extract_boundary(field):
-    """Radiance traces on the four medium faces.
-
-    Bottom/top faces keep the corner nodes, shape (n_x1, n_alpha); the
-    side faces carry interior z rows only, shape (n_z - 2, n_alpha).
-    """
+    """Radiance traces on the four medium faces, shaped as :func:`face_shapes`."""
     u = field.values
-    return {
-        "bottom": u[:, 0, :].copy(),
-        "top": u[:, -1, :].copy(),
-        "left": u[0, 1:-1, :].copy(),
-        "right": u[-1, 1:-1, :].copy(),
-    }
+    return {name: u[_FACE_NODES[name]].copy() for name in FACE_ORDER}
 
 
 def add_noise(faces, delta, seed):
@@ -65,9 +76,9 @@ def add_noise(faces, delta, seed):
 class BoundaryDataSet:
     """All boundary quantities on one acquisition grid.
 
-    ``g``, ``g1``, ``g2`` are per-face dicts (see
-    :func:`extract_boundary` for shapes); ``g3``/``g4`` live on the top
-    face only.  ``delta``/``seed`` record the noise that produced ``g``.
+    ``g``, ``g1``, ``g2`` are per-face dicts (see :func:`face_shapes`);
+    ``g3``/``g4`` live on the top face only.  ``delta``/``seed`` record
+    the noise that produced ``g``.
     """
 
     grid: GridSet
@@ -81,15 +92,12 @@ class BoundaryDataSet:
     attenuation_trace: float = 5.0
 
     def __post_init__(self):
-        n1 = self.grid.x1.size
-        nz = self.grid.z.size
-        nk = self.grid.alpha.size
-        shapes = {"bottom": (n1, nk), "top": (n1, nk), "left": (nz - 2, nk), "right": (nz - 2, nk)}
+        shapes = face_shapes(self.grid)
         for dct in (self.g, self.g1, self.g2):
             for name in FACE_ORDER:
                 if dct[name].shape != shapes[name]:
                     raise UsageError(f"face {name!r} has shape {dct[name].shape}, want {shapes[name]}")
-        if self.g3.shape != (n1, nk) or self.g4.shape != (n1, nk):
+        if self.g3.shape != shapes["top"] or self.g4.shape != shapes["top"]:
             raise UsageError("top-face normal data shape mismatch")
 
     def full_side(self, quantity, side):

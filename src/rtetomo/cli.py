@@ -105,23 +105,29 @@ def _models(cfg):
     return source, kernel
 
 
-def cmd_forward(args):
-    cfg = _configure(args)
-    out = Path(cfg.out)
-    grid = GridSet.uniform(geometry_of(cfg), cfg.h_forward)
+def _synthesize(cfg, h):
+    """Boundary data of the configured phantom, solved on the grid of step
+    ``h``; returns (data, kernel, solver info)."""
+    grid = GridSet.uniform(geometry_of(cfg), h)
     phantom = make_phantom(cfg.letter, cfg.c_a, grid, cfg.mu_s)
     source, kernel = _models(cfg)
     field, info = solve_forward(phantom, source, kernel, grid, return_info=True)
-    faces = extract_boundary(field)
     bds = derive_boundary_data(
-        faces, grid, kernel, mu_s_value=cfg.mu_s, delta=cfg.delta, seed=cfg.seed
+        extract_boundary(field), grid, kernel, mu_s_value=cfg.mu_s, delta=cfg.delta, seed=cfg.seed
     )
+    return bds, kernel, info
+
+
+def cmd_forward(args):
+    cfg = _configure(args)
+    out = Path(cfg.out)
+    bds, _, info = _synthesize(cfg, cfg.h_forward)
     meta = {"config_hash": config_hash(cfg)}
     write_boundary(bds, out / "boundary.csv", meta=meta)
     write_sweeps(info["diffs"], out / "forward.csv", meta=meta)
     write_manifest(cfg, out / "manifest.txt")
     print(
-        f"forward: {info['sweeps']} sweeps on {grid.shape_medium} nodes, "
+        f"forward: {info['sweeps']} sweeps on {bds.grid.shape_medium} nodes, "
         f"operator {info['nnz']} nonzeros ({info['operator_mb']:.1f} MB), "
         f"wrote {out / 'boundary.csv'}"
     )
@@ -179,14 +185,7 @@ def cmd_invert(args):
 def cmd_verify(args):
     cfg = _configure(args)
     out = Path(cfg.out)
-    grid = GridSet.uniform(geometry_of(cfg), VERIFY_STEP)
-    phantom = make_phantom(cfg.letter, cfg.c_a, grid, cfg.mu_s)
-    source, kernel = _models(cfg)
-    field = solve_forward(phantom, source, kernel, grid)
-    bds = derive_boundary_data(
-        extract_boundary(field), grid, kernel,
-        mu_s_value=cfg.mu_s, delta=cfg.delta, seed=cfg.seed,
-    )
+    bds, kernel, _ = _synthesize(cfg, VERIFY_STEP)
     objective = CarlemanObjective(
         bds, kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
     )

@@ -64,16 +64,13 @@ class SourceModel:
     """Radially symmetric bump source of radius ``sigma``, unit total mass.
 
     ``profile_integral`` is the line integral of the bump through its
-    center (the un-attenuated on-axis ballistic amplitude); ``s_nodes`` /
-    ``cumulative`` tabulate the partial line integral used for evaluation
-    points inside the support.
+    center: the un-attenuated ballistic amplitude at every medium node,
+    since the bump lies below the medium (see :func:`_ballistic`).
     """
 
     sigma: float
     norm_constant: float
     profile_integral: float
-    s_nodes: np.ndarray
-    cumulative: np.ndarray
 
     @classmethod
     def build(cls, sigma):
@@ -84,13 +81,11 @@ class SourceModel:
         profile = np.zeros_like(t)
         profile[:-1] = norm * _bump(t[:-1])
         s = sigma * t
-        cum = np.concatenate([[0.0], np.cumsum(np.diff(s) * (profile[1:] + profile[:-1]) / 2.0)])
+        cum = np.cumsum(np.diff(s) * (profile[1:] + profile[:-1]) / 2.0)
         return cls(
             sigma=float(sigma),
             norm_constant=float(norm),
             profile_integral=float(cum[-1]),
-            s_nodes=s,
-            cumulative=cum,
         )
 
 
@@ -105,12 +100,6 @@ def source_value(x, alpha, source):
     m = r2 < s2
     out[m] = source.norm_constant * np.exp(r2[m] / (r2[m] - s2))
     return out
-
-
-def partial_profile_integral(ell, source):
-    """Line integral of the bump profile over [0, ell]; saturates at
-    ``profile_integral`` once ell covers the support."""
-    return np.interp(ell, source.s_nodes, source.cumulative)
 
 
 @dataclass(frozen=True)
@@ -364,12 +353,17 @@ def _ballistic_targets(grid):
 
 
 def _ballistic(phantom, source, grid):
-    """u0 on the medium nodes as a flat (n_nodes, n_alpha) array."""
+    """u0 on the medium nodes as a flat (n_nodes, n_alpha) array.
+
+    The bump must lie in the source-free gap below the medium, so every
+    ray from a source to a medium node crosses the whole bump and carries
+    ``profile_integral``; a radius reaching the medium is a usage error.
+    """
+    floor = grid.geometry.slab_bottom
+    if source.sigma >= floor:
+        raise UsageError(f"source radius {source.sigma!r} must stay below the medium floor z = {floor!r}")
     tx, tz = _ballistic_targets(grid)
-    c = _path_attenuation(tx, tz, phantom.attenuation, grid)
-    ell = np.hypot(tx[:, None] - grid.alpha[None, :], tz[:, None])
-    amplitude = partial_profile_integral(np.minimum(ell, source.sigma), source)
-    return amplitude / c
+    return source.profile_integral / _path_attenuation(tx, tz, phantom.attenuation, grid)
 
 
 def u0_field(phantom, source, grid):

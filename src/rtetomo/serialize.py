@@ -1,18 +1,22 @@
-"""Plain-text artifacts: headered CSV fields and key=value reports.
+"""Plain-text artifacts: headered CSV tables and key=value reports.
 
-Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so rereading any file reproduces the arrays bit for
-bit.  Headers are '#'-prefixed key=value lines; writers take a ``meta``
-mapping that lands there and readers hand it back as strings.  Grids are
-never stored wholesale: headers carry the geometry and the step, and
-readers rebuild the node arrays, which are deterministic.
+Every CSV artifact is one table format: '#'-prefixed key=value meta
+lines, one row of column names, then one comma-separated row per entry.
+Writers take a ``meta`` mapping that lands in the meta lines, and readers
+hand it back as strings.  Floats are written with 17 significant digits,
+which round-trips IEEE doubles exactly, so rereading any file reproduces
+the arrays bit for bit; int and str cells are written as ``str`` gives
+them.  Tables that a reader rebuilds arrays from lead with index columns,
+and each index row must appear exactly once.  Grids are never stored
+wholesale: meta lines carry the geometry and the step, and readers
+rebuild the node arrays, which are deterministic.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from .boundary import FACE_ORDER, BoundaryDataSet
+from .boundary import BoundaryDataSet, face_nodes, face_shapes
 from .config import config_hash, config_lines
 from .errors import UsageError
 from .geometry import Geometry, GridSet
@@ -20,9 +24,13 @@ from .inverse import PairField
 from .recovery import Reconstruction
 
 
+# 17 significant digits round-trip every IEEE double.
+_FLOAT = "%.17g"
+
+
 def fnum(x):
     """Canonical decimal form of a float: 17 significant digits."""
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
 def _write(path, lines):
@@ -35,6 +43,22 @@ def _meta_lines(meta):
     return [f"# {k}={v}" for k, v in (meta or {}).items()]
 
 
+def _write_table(path, head, columns, cells):
+    """Meta lines from ``head``, the ``columns`` row, then one row per entry
+    of the equal-length ``cells`` arrays (one per column).  Float cells are
+    written as :func:`fnum` writes them, int and str cells as ``str`` does."""
+    cells = [np.asarray(col) for col in cells]
+    row = ",".join(_FLOAT if col.dtype.kind == "f" else "%s" for col in cells)
+    _write(path, [*_meta_lines(head), ",".join(columns), *(row % entry for entry in zip(*cells))])
+
+
+def _read_text(path):
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
 def _read_rows(path, columns):
     """Split a headered CSV into (meta dict, row lists).
 
@@ -44,11 +68,7 @@ def _read_rows(path, columns):
     meta = {}
     header = None
     rows = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    for raw in text.splitlines():
+    for raw in _read_text(path).splitlines():
         if not raw.strip():
             continue
         if raw.startswith("#"):
@@ -81,6 +101,36 @@ def parse_value(path, text, kind=float, size=None):
     if size is not None and not 0 <= value < size:
         raise UsageError(f"{path}: index {value} outside 0..{size - 1}")
     return value
+
+
+def _parse(path, rows, sizes):
+    """(index, values) of split rows: the leading ``len(sizes)`` cells as an
+    (n, d) int array, each index checked against its axis size, and the
+    remaining cells as floats, flat in row order."""
+    d = len(sizes)
+    index = np.fromiter((parse_value(path, v, int, n) for row in rows for v, n in zip(row, sizes)), np.int64)
+    values = np.fromiter((parse_value(path, v) for row in rows for v in row[d:]), float)
+    return index.reshape(-1, d), values
+
+
+def _fill(path, index, values, shape, what="table"):
+    """Each value column scattered into an array of ``shape``, stacked along
+    a new first axis.  Every index must occur exactly once and every value
+    must be a number: a repeated or missing row, or a 'nan' cell, is a
+    usage error."""
+    flat = np.ravel_multi_index(tuple(index.T), shape)
+    count = np.bincount(flat, minlength=int(np.prod(shape)))
+    if np.any(count > 1):
+        repeated = tuple(int(i) for i in np.unravel_index(np.argmax(count), shape))
+        raise UsageError(f"{path}: {what} has more than one row for index {repeated}")
+    if not count.size or not count.all():
+        raise UsageError(f"{path}: {what} has missing rows")
+    if np.isnan(values).any():
+        raise UsageError(f"{path}: {what} has a nan value")
+    values = values.reshape(count.size, -1)
+    out = np.empty((values.shape[1], count.size))
+    out[:, flat] = values.T
+    return out.reshape((-1, *shape))
 
 
 def _require(meta, keys, path):
@@ -132,11 +182,7 @@ def write_keyvalues(path, mapping, meta=None):
 def read_keyvalues(path):
     """Read a key=value report; returns (body, meta), both str -> str."""
     meta, body = {}, {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    for raw in text.splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -161,47 +207,30 @@ def read_manifest(path):
 
 
 def write_boundary(bds, path, meta=None):
-    """One row per (face, node, source); shapes follow the face layout.
+    """One row per (face, node, source), faces as :func:`face_shapes` lays
+    them out.
 
-    Bottom/top faces carry corner nodes, side faces interior rows only;
-    the normal-derivative columns are 'nan' off the top face.  ``r`` and
-    ``c`` are the in-face indices the reader fills arrays by, so the
-    coordinate columns are documentation, not addressing.
+    ``r`` and ``c`` are the in-face indices the reader fills arrays by, so
+    the coordinate columns are documentation, not addressing; the
+    normal-derivative columns are 'nan' off the top face.
     """
     g = bds.grid
-    geom = g.geometry
-    head = _geometry_meta(g)
-    head.update(
-        {
-            "delta": fnum(bds.delta),
-            "seed": str(bds.seed),
-            "neumann_sign": _NEUMANN_SIGN,
-            "attenuation_trace": fnum(bds.attenuation_trace),
-        }
-    )
-    head.update({k: str(v) for k, v in (meta or {}).items()})
-    lines = _meta_lines(head)
-    lines.append(",".join(_BOUNDARY_COLUMNS))
-    z_caps = {"bottom": geom.slab_bottom, "top": geom.slab_top}
-    for face in FACE_ORDER:
-        trace = bds.g[face]
-        logs = bds.g1[face]
-        slopes = bds.g2[face]
-        for r in range(trace.shape[0]):
-            if face in z_caps:
-                x1, z = g.x1[r], z_caps[face]
-            else:
-                x1 = -geom.half_width if face == "left" else geom.half_width
-                z = g.z[r + 1]
-            for c in range(trace.shape[1]):
-                cells = [face, str(r), str(c), fnum(x1), fnum(z), fnum(g.alpha[c]),
-                         fnum(trace[r, c]), fnum(logs[r, c]), fnum(slopes[r, c])]
-                if face == "top":
-                    cells += [fnum(bds.g3[r, c]), fnum(bds.g4[r, c])]
-                else:
-                    cells += ["nan", "nan"]
-                lines.append(",".join(cells))
-    _write(path, lines)
+    head = {
+        **_geometry_meta(g),
+        "delta": fnum(bds.delta),
+        "seed": str(bds.seed),
+        "neumann_sign": _NEUMANN_SIGN,
+        "attenuation_trace": fnum(bds.attenuation_trace),
+        **(meta or {}),
+    }
+    faces = []
+    for face, (x1, z) in face_nodes(g).items():
+        r, c = np.indices(bds.g[face].shape)
+        normal = (bds.g3, bds.g4) if face == "top" else (np.full(r.shape, np.nan),) * 2
+        faces.append((np.full(r.shape, face), r, c, x1[r], z[r], g.alpha[c],
+                      bds.g[face], bds.g1[face], bds.g2[face], *normal))
+    cells = [np.concatenate([np.ravel(part) for part in col]) for col in zip(*faces)]
+    _write_table(path, head, _BOUNDARY_COLUMNS, cells)
 
 
 def read_boundary(path):
@@ -214,30 +243,19 @@ def read_boundary(path):
             f"(only {_NEUMANN_SIGN})"
         )
     grid = _rebuild_grid(meta, path)
-    n1, nz, nk = grid.shape_medium
-    shapes = {"bottom": (n1, nk), "top": (n1, nk), "left": (nz - 2, nk), "right": (nz - 2, nk)}
-    g = {f: np.full(s, np.nan) for f, s in shapes.items()}
-    g1 = {f: np.full(s, np.nan) for f, s in shapes.items()}
-    g2 = {f: np.full(s, np.nan) for f, s in shapes.items()}
-    g3 = np.full((n1, nk), np.nan)
-    g4 = np.full((n1, nk), np.nan)
-    for row in rows:
-        face = row[0]
-        if face not in shapes:
-            raise UsageError(f"{path}: unknown face {face!r}")
-        r = parse_value(path, row[1], int, shapes[face][0])
-        c = parse_value(path, row[2], int, nk)
-        *_, g[face][r, c], g1[face][r, c], g2[face][r, c] = (parse_value(path, v) for v in row[3:9])
-        if face == "top":
-            g3[r, c], g4[r, c] = (parse_value(path, v) for v in row[9:])
-    for dct in (g, g1, g2):
-        for face, arr in dct.items():
-            if np.any(np.isnan(arr)):
-                raise UsageError(f"{path}: face {face!r} has missing rows")
-    if np.any(np.isnan(g3)) or np.any(np.isnan(g4)):
-        raise UsageError(f"{path}: top-face normal data incomplete")
+    shapes = face_shapes(grid)
+    unknown = {row[0] for row in rows} - shapes.keys()
+    if unknown:
+        raise UsageError(f"{path}: unknown face {min(unknown)!r}")
+    faces = {}
+    for face, shape in shapes.items():
+        # The g3, g4 cells off the top face are 'nan' placeholders.
+        face_rows = [row[1:] if face == "top" else row[1:-2] for row in rows if row[0] == face]
+        # x1, z, alpha, g, g1, g2 (and g3, g4 on top) arrays of the face's shape
+        faces[face] = _fill(path, *_parse(path, face_rows, shape), shape, f"face {face!r}")
+    g, g1, g2 = ({face: cols[n] for face, cols in faces.items()} for n in (3, 4, 5))
     return BoundaryDataSet(
-        grid=grid, g=g, g1=g1, g2=g2, g3=g3, g4=g4,
+        grid=grid, g=g, g1=g1, g2=g2, g3=faces["top"][6], g4=faces["top"][7],
         delta=parse_value(path, meta["delta"]), seed=parse_value(path, meta["seed"], int),
         attenuation_trace=parse_value(path, meta["attenuation_trace"]),
     )
@@ -247,79 +265,49 @@ def write_sweeps(diffs, path, meta=None):
     """Forward sweep history rows (sweep, max update, contraction ratio to
     the previous sweep's update; nan for the first sweep or after a zero
     update)."""
-    lines = _meta_lines(meta)
-    lines.append("sweep,update,ratio")
-    previous = float("nan")
-    for i, diff in enumerate(diffs, 1):
-        ratio = diff / previous if previous else float("nan")
-        lines.append(f"{i},{fnum(diff)},{fnum(ratio)}")
-        previous = diff
-    _write(path, lines)
+    diffs = np.asarray(diffs, dtype=float)
+    ratio = np.full(diffs.shape, np.nan)
+    np.divide(diffs[1:], diffs[:-1], out=ratio[1:], where=diffs[:-1] != 0.0)
+    _write_table(path, meta, ("sweep", "update", "ratio"), [np.arange(1, diffs.size + 1), diffs, ratio])
 
 
 def write_iterations(history, path, meta=None):
     """Descent history rows (iteration, objective, grad max-norm, step)."""
-    lines = _meta_lines(meta)
-    lines.append(",".join(_ITERATION_COLUMNS))
-    for it, jval, ginf, step in np.asarray(history):
-        lines.append(f"{int(it)},{fnum(jval)},{fnum(ginf)},{fnum(step)}")
-    _write(path, lines)
+    history = np.asarray(history)
+    _write_table(path, meta, _ITERATION_COLUMNS, [history[:, 0].astype(int), *history[:, 1:].T])
 
 
 def read_iterations(path):
     """History back as a float array of shape (n, 4)."""
     _, rows = _read_rows(path, _ITERATION_COLUMNS)
-    return np.array([[parse_value(path, v) for v in row] for row in rows])
+    shape = (len(rows),)
+    return np.column_stack((np.arange(len(rows)), *_fill(path, *_parse(path, rows, shape), shape)))
 
 
 def write_pair(pair, path, meta=None):
     """Nodal log-field pair on the inversion grid, one row per node."""
     g = pair.grid
-    head = _geometry_meta(g)
-    head.update({k: str(v) for k, v in (meta or {}).items()})
-    lines = _meta_lines(head)
-    lines.append(",".join(_PAIR_COLUMNS))
-    n1, nz, nk = g.shape_medium
-    for i in range(n1):
-        for j in range(nz):
-            for k in range(nk):
-                lines.append(
-                    f"{i},{j},{k},{fnum(g.x1[i])},{fnum(g.z[j])},{fnum(g.alpha[k])},"
-                    f"{fnum(pair.p[i, j, k])},{fnum(pair.q[i, j, k])}"
-                )
-    _write(path, lines)
+    i, j, k = np.indices(g.shape_medium)
+    cells = [i, j, k, g.x1[i], g.z[j], g.alpha[k], pair.p, pair.q]
+    _write_table(path, {**_geometry_meta(g), **(meta or {})}, _PAIR_COLUMNS, [c.ravel() for c in cells])
 
 
 def read_pair(path):
     """Rebuild a :class:`PairField` from :func:`write_pair` output."""
     meta, rows = _read_rows(path, _PAIR_COLUMNS)
     grid = _rebuild_grid(meta, path)
-    p = np.full(grid.shape_medium, np.nan)
-    q = np.full(grid.shape_medium, np.nan)
-    for row in rows:
-        i, j, k = (parse_value(path, v, int, n) for v, n in zip(row[:3], grid.shape_medium))
-        *_, p[i, j, k], q[i, j, k] = (parse_value(path, v) for v in row[3:])
-    if np.any(np.isnan(p)) or np.any(np.isnan(q)):
-        raise UsageError(f"{path}: pair file has missing nodes")
+    shape = grid.shape_medium
+    *_, p, q = _fill(path, *_parse(path, rows, shape), shape)
     return PairField(p, q, grid)
 
 
 def write_reconstruction(rec, path, meta=None):
     """Recovered attenuation and absorber maps, one row per spatial node."""
     g = rec.grid
-    head = _geometry_meta(g)
-    head["mu_s"] = fnum(rec.mu_s_value)
-    head.update({k: str(v) for k, v in (meta or {}).items()})
-    lines = _meta_lines(head)
-    lines.append(",".join(_RECONSTRUCTION_COLUMNS))
-    n1, nz = rec.attenuation.shape
-    for i in range(n1):
-        for j in range(nz):
-            lines.append(
-                f"{i},{j},{fnum(g.x1[i])},{fnum(g.z[j])},"
-                f"{fnum(rec.attenuation[i, j])},{fnum(rec.absorber[i, j])}"
-            )
-    _write(path, lines)
+    head = {**_geometry_meta(g), "mu_s": fnum(rec.mu_s_value), **(meta or {})}
+    i, j = np.indices(rec.attenuation.shape)
+    cells = [i, j, g.x1[i], g.z[j], rec.attenuation, rec.absorber]
+    _write_table(path, head, _RECONSTRUCTION_COLUMNS, [c.ravel() for c in cells])
 
 
 def read_reconstruction(path):
@@ -327,14 +315,8 @@ def read_reconstruction(path):
     meta, rows = _read_rows(path, _RECONSTRUCTION_COLUMNS)
     _require(meta, ("mu_s",), path)
     grid = _rebuild_grid(meta, path)
-    shape = (grid.x1.size, grid.z.size)
-    atten = np.full(shape, np.nan)
-    absorber = np.full(shape, np.nan)
-    for row in rows:
-        i, j = (parse_value(path, v, int, n) for v, n in zip(row[:2], shape))
-        *_, atten[i, j], absorber[i, j] = (parse_value(path, v) for v in row[2:])
-    if np.any(np.isnan(atten)) or np.any(np.isnan(absorber)):
-        raise UsageError(f"{path}: reconstruction file has missing nodes")
+    shape = grid.shape_medium[:2]
+    *_, atten, absorber = _fill(path, *_parse(path, rows, shape), shape)
     return Reconstruction(
         attenuation=atten, absorber=absorber,
         mu_s_value=parse_value(path, meta["mu_s"]), grid=grid,
@@ -343,27 +325,14 @@ def read_reconstruction(path):
 
 def write_carleman_table(report, path, meta=None):
     """Per-sample estimate quadratures; excluded samples keep NaN ratios."""
-    head = {"samples": str(report.samples), "seed": str(report.seed)}
-    head.update({k: str(v) for k, v in (meta or {}).items()})
-    lines = _meta_lines(head)
-    lines.append("lam,sample,lhs,interior,boundary,ratio")
-    for lam, idx, lhs, interior, boundary, ratio in report.table:
-        lines.append(
-            f"{fnum(lam)},{int(idx)},{fnum(lhs)},{fnum(interior)},"
-            f"{fnum(boundary)},{fnum(ratio)}"
-        )
-    _write(path, lines)
+    head = {"samples": str(report.samples), "seed": str(report.seed), **(meta or {})}
+    lam, idx, *sides = np.asarray(report.table).T
+    _write_table(path, head, ("lam", "sample", "lhs", "interior", "boundary", "ratio"),
+                 [lam, idx.astype(int), *sides])
 
 
 def write_convexity_table(report, path, meta=None):
     """Per-couple gaps, shared bound, and gradient-variation ratio."""
-    head = {"radius": fnum(report.radius), "seed": str(report.seed)}
-    head.update({k: str(v) for k, v in (meta or {}).items()})
-    lines = _meta_lines(head)
-    lines.append("couple,gap_forward,gap_reverse,bound,gradient_ratio")
-    for i in range(report.gaps.shape[0]):
-        lines.append(
-            f"{i},{fnum(report.gaps[i, 0])},{fnum(report.gaps[i, 1])},"
-            f"{fnum(report.bounds[i])},{fnum(report.lipschitz[i])}"
-        )
-    _write(path, lines)
+    head = {"radius": fnum(report.radius), "seed": str(report.seed), **(meta or {})}
+    _write_table(path, head, ("couple", "gap_forward", "gap_reverse", "bound", "gradient_ratio"),
+                 [np.arange(report.gaps.shape[0]), *report.gaps.T, report.bounds, report.lipschitz])

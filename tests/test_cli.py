@@ -1,13 +1,18 @@
 """Configuration handling and the four subcommands end to end."""
 
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rtetomo
 from rtetomo import (
     GridSet,
     KernelModel,
@@ -306,6 +311,23 @@ def test_supercritical_scattering_exits_two(tmp_path):
     cfg_file = tmp_path / "hot.cfg"
     cfg_file.write_text("h_forward=0.1\nh_inverse=0.1\nmu_s=25\nletter=none\nc_a=0\n")
     assert main(["forward", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 2
+
+
+@pytest.mark.parametrize("command", ["forward", "verify"])
+@pytest.mark.parametrize("sigma", ["1.5", "1"])
+def test_source_radius_reaching_the_medium_exits_one(tmp_path, capsys, command, sigma):
+    cfg_file = desk_config(tmp_path, f"sigma={sigma}\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
+    assert "source radius" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    """Start-up pays for numpy only; scipy serves the tests."""
+    paths = [str(Path(rtetomo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import sys, rtetomo.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unconverged_descent_writes_its_artifacts_and_exits_two(desk_run, tmp_path, monkeypatch, capsys):

@@ -22,7 +22,6 @@ from rtetomo.forward import (
     kernel_alpha_derivative,
     kernel_matrix,
     kernel_value,
-    partial_profile_integral,
     scatter_alpha_derivative_matrix,
     scatter_matrix,
     source_value,
@@ -59,14 +58,6 @@ def test_source_density_support(source):
     assert source_value(np.array([0.05, 0.001]), 0.0, source) == 0.0
     assert source_value(np.array([0.0, 0.0]), 0.0, source) == source.norm_constant
     assert source_value(np.array([0.02, 0.03]), 0.0, source) > 0.0
-
-
-def test_partial_profile_integral_saturates(source):
-    assert partial_profile_integral(0.0, source) == 0.0
-    full = partial_profile_integral(10.0 * source.sigma, source)
-    assert full == source.profile_integral
-    ell = np.linspace(0.0, 2.0 * source.sigma, 50)
-    assert np.all(np.diff(partial_profile_integral(ell, source)) >= 0.0)
 
 
 def test_kernel_validation():

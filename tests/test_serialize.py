@@ -229,3 +229,30 @@ def test_unparsable_coordinate_cell_is_refused(desk_run, tmp_path, name, col):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(UsageError, match="garbage"):
         ARTIFACTS[name][0](path)
+
+
+@pytest.mark.parametrize(
+    "name, col",
+    [("boundary.csv", 6), ("iterations.csv", 1), ("pair.csv", 6), ("reconstruction.csv", 4)],
+)
+def test_repeated_row_is_refused(desk_run, tmp_path, name, col):
+    lines = (desk_run / name).read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[col] = "123.5"
+    path = tmp_path / name
+    path.write_text("\n".join(lines + [",".join(cells)]) + "\n")
+    with pytest.raises(UsageError, match="more than one row") as exc:
+        ARTIFACTS[name][0](path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("name, col", [("boundary.csv", 7), ("pair.csv", 6), ("reconstruction.csv", 4)])
+def test_nan_value_cell_is_refused(desk_run, tmp_path, name, col):
+    lines = (desk_run / name).read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[col] = "nan"
+    path = tmp_path / name
+    path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+    with pytest.raises(UsageError, match="nan value") as exc:
+        ARTIFACTS[name][0](path)
+    assert str(path) in str(exc.value)
