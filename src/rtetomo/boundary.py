@@ -179,12 +179,13 @@ def downsample_boundary(bds, factor):
     coarse = GridSet.uniform(g.geometry, g.h * factor)
 
     def pick(dct):
-        return {
-            "bottom": dct["bottom"][::factor, ::factor].copy(),
-            "top": dct["top"][::factor, ::factor].copy(),
-            "left": dct["left"][factor - 1 :: factor, ::factor].copy(),
-            "right": dct["right"][factor - 1 :: factor, ::factor].copy(),
-        }
+        # The faces of the restricted field: lay the traces back on the
+        # grid, restrict, and read the faces off again.
+        full = np.zeros(g.shape_medium)
+        for name in FACE_ORDER:
+            full[_FACE_NODES[name]] = dct[name]
+        full = full[::factor, ::factor, ::factor]
+        return {name: full[_FACE_NODES[name]].copy() for name in FACE_ORDER}
 
     return BoundaryDataSet(
         grid=coarse,

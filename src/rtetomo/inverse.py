@@ -15,16 +15,35 @@ one-sided normal-derivative identity, which eliminates that layer in
 favor of the last free one.  For lam large enough the weight makes J
 strongly convex on bounded sets, so plain gradient descent with a
 backtracking line search converges from the data-interpolating guess.
+
+Each point the descent visits costs one residual pass.  The objective
+keeps a one-entry memo of the last point evaluated: a copy of its free
+vector (compared by content, so changing a vector in place is seen), its
+J, and the arrays of its residual pass.  ``value`` and ``value_and_grad``
+both go through it, so the gradient at the trial the line search has just
+accepted reuses that trial's pass and adds only the adjoint sweep.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import StagnationError, UsageError
 from .forward import scatter_alpha_derivative_matrix, scatter_matrix
 from .geometry import direction_tables, trapezoid_weights
-from .stencils import central_scatter, laplacian_interior, laplacian_scatter
+
+
+def _aligned(size):
+    """Zeroed float64 vector whose data start on a 64-byte boundary.
+
+    malloc aligns only to 16 bytes, and on CPUs with 64-byte vector stores
+    (AVX-512) an elementwise kernel writing to an unaligned output runs up
+    to twice as slow.
+    """
+    raw = np.zeros(size + 7)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + size]
 
 
 @dataclass(eq=False)
@@ -48,6 +67,15 @@ class CarlemanObjective:
     packed as one flat vector (p block then q block).  All public methods
     take and return such vectors; ``apply_constraints`` expands one into
     a full :class:`PairField`.
+
+    Internally the pair is one stacked array of shape (2, N), N the number
+    of medium nodes in C order, so a neighbor along x1 or z is a flat
+    shift by ``nz * nk`` or ``nk``.  Residuals live on the band of x1-rows
+    1..n1-2 (every z row); its first and last z rows wrap across x1-rows
+    and carry residual weight 0.  The memo and the scratch of an
+    evaluation are work arrays allocated once, 64-byte aligned, so the hot
+    loop allocates nothing large: no page faults from malloc returning
+    freed temporaries to the system, and no unaligned vector stores.
     """
 
     def __init__(self, data, kernel, mu_s_value=5.0, lam=5.0, gamma=1e-3, epsilon=1e-2):
@@ -68,48 +96,70 @@ class CarlemanObjective:
         self.lam = float(lam)
         self.gamma = float(gamma)
         self.epsilon = float(epsilon)
+        h = grid.h
+        n = n1 * nz * nk
+        self._sx, self._sz = nz * nk, nk
+        band = slice(self._sx, n - self._sx)
 
-        self._smat = scatter_matrix(kernel, grid.alpha, grid.h)
-        self._dmat = scatter_alpha_derivative_matrix(kernel, grid.alpha, grid.h)
+        self._smat = scatter_matrix(kernel, grid.alpha, h)
+        self._dmat = scatter_alpha_derivative_matrix(kernel, grid.alpha, h)
         nu1, nu2, dnu1, dnu2 = direction_tables(grid)
-        core = (slice(1, -1), slice(1, -1))
-        self._nu1 = np.ascontiguousarray(nu1[core])
-        self._nu2 = np.ascontiguousarray(nu2[core])
-        self._dnu1 = np.ascontiguousarray(dnu1[core])
-        self._dnu2 = np.ascontiguousarray(dnu2[core])
+        # Central-difference coefficients with 1/2h folded in, p row then q row.
+        self._cx = np.stack([dnu1.ravel()[band], nu1.ravel()[band]]) / (2.0 * h)
+        self._cz = np.stack([dnu2.ravel()[band], nu2.ravel()[band]]) / (2.0 * h)
+        self._ce = self.epsilon / (h * h)
 
         top = grid.geometry.slab_top
-        wa = trapezoid_weights(nk, grid.h)
+        wx, wz, wa = (trapezoid_weights(k, h) for k in (n1, nz, nk))
         zint = grid.z[1:-1]
-        self._wres = (
-            np.exp(2.0 * self.lam * (zint[:, None] ** 2 - top * top))
-            * wa[None, :]
-            * (grid.h * grid.h)
+        self._wres = np.exp(2.0 * self.lam * (zint[:, None] ** 2 - top * top)) * wa[None, :] * (h * h)
+        # One x1-row's weights, 0 on the wrapping z rows, for every band row.
+        self._wband = np.tile(np.pad(self._wres, ((1, 1), (0, 0))).ravel(), n1 - 2)
+
+        # S-norm weights: the L2 term's, then per flat shift (x1, z) the first
+        # and second differences', with the quotient's 1/h^2 and the h folded
+        # in.  A z difference that would wrap across x1-rows gets weight 0.
+        wzk = wz[:, None] * wa
+        wxk = wx[:, None, None] * wa
+        self._s_l2 = (wx[:, None, None] * wzk).ravel()
+        self._s_axes = []
+        for axis, (shift, w) in enumerate(((self._sx, wzk), (self._sz, wxk))):
+            weights = []
+            for order, scaled in ((1, w / h), (2, h * w)):
+                full = np.zeros((n1, nz, nk))
+                full[(slice(None),) * axis + (slice(0, -order),)] = scaled
+                weights.append(full.ravel()[: n - order * shift])
+            self._s_axes.append((shift, *weights))
+
+        self._p_faces, self._q_faces = (
+            {"bottom": getattr(data, g)["bottom"], "top": getattr(data, g)["top"],
+             "left": data.full_side(g, "left"), "right": data.full_side(g, "right")}
+            for g in ("g1", "g2")
         )
-        self._wres3 = self._wres[None, :, :]
-
-        self._wx = trapezoid_weights(n1, grid.h)
-        self._wz = trapezoid_weights(nz, grid.h)
-        self._wa = wa
-        self._wxyz = self._wx[:, None, None] * self._wz[None, :, None] * self._wa[None, None, :]
-        self._wzk = self._wz[None, :, None] * self._wa[None, None, :]
-        self._wxk = self._wx[:, None, None] * self._wa[None, None, :]
-
-        self._p_faces = {
-            "bottom": data.g1["bottom"],
-            "top": data.g1["top"],
-            "left": data.full_side("g1", "left"),
-            "right": data.full_side("g1", "right"),
-        }
-        self._q_faces = {
-            "bottom": data.g2["bottom"],
-            "top": data.g2["top"],
-            "left": data.full_side("g2", "left"),
-            "right": data.full_side("g2", "right"),
-        }
+        self._top3 = 3.0 * np.stack([self._p_faces["top"][1:-1], self._q_faces["top"][1:-1]])
+        self._normal2h = 2.0 * h * np.stack([data.g3[1:-1], data.g4[1:-1]])
         self.free_shape = (n1 - 2, nz - 3, nk)
         self.n_free_field = int(np.prod(self.free_shape))
         self.n_free = 2 * self.n_free_field
+
+        # Memo: the field, its residual r (row 0 R1, row 1 R2) and exp(p),
+        # the scattering coefficient and the nonlinear term on the band.
+        # Scratch: the gradient, S-norm differences and band temporaries.
+        nb = n - 2 * self._sx
+        self._shape = (2, n1, nz, nk)
+        self._w = SimpleNamespace(
+            **{k: _aligned(2 * n).reshape(2, n) for k in ("field", "grad")},
+            **{k: _aligned(2 * n) for k in ("d1", "d2", "wd")},
+            **{k: _aligned(2 * nb).reshape(2, nb) for k in ("r", "a", "b")},
+            **{k: _aligned(nb) for k in ("ep", "acoef", "nonlin", "c")},
+        )
+        for f, faces in zip(self._w.field.reshape(self._shape), (self._p_faces, self._q_faces)):
+            f[:, 0, :] = faces["bottom"]
+            f[:, -1, :] = faces["top"]
+            f[0] = faces["left"]
+            f[-1] = faces["right"]
+        self._key = np.empty(self.n_free)
+        self._value = None
 
     @property
     def residual_weights(self):
@@ -117,42 +167,29 @@ class CarlemanObjective:
         the cell measure and quadrature factors."""
         return self._wres.copy()
 
-    def _split(self, free):
+    def _expand(self, free, f):
+        """Complete ``f``, a stacked (2, n1, nz, nk) pair holding the face
+        data, with the free block of a free vector and the eliminated layer
+        from the one-sided normal-derivative identity at the top."""
         free = np.asarray(free, dtype=float)
         if free.shape != (self.n_free,):
             raise UsageError(f"free vector has shape {free.shape}, want ({self.n_free},)")
-        fp = free[: self.n_free_field].reshape(self.free_shape)
-        fq = free[self.n_free_field :].reshape(self.free_shape)
-        return fp, fq
-
-    def _assemble(self, free_block, faces, top_normal):
-        n1, nz, nk = self.grid.shape_medium
-        h = self.grid.h
-        f = np.empty((n1, nz, nk))
-        f[:, 0, :] = faces["bottom"]
-        f[:, -1, :] = faces["top"]
-        f[0] = faces["left"]
-        f[-1] = faces["right"]
-        f[1:-1, 1 : nz - 2, :] = free_block
-        f[1:-1, nz - 2, :] = (
-            3.0 * faces["top"][1:-1] + f[1:-1, nz - 3, :] - 2.0 * h * top_normal[1:-1]
-        ) / 4.0
+        nz = self.grid.z.size
+        f[:, 1:-1, 1 : nz - 2] = free.reshape(2, *self.free_shape)
+        f[:, 1:-1, nz - 2] = (self._top3 + f[:, 1:-1, nz - 3] - self._normal2h) / 4.0
         return f
 
     def apply_constraints(self, free):
         """Expand a free vector into the full pair satisfying the Dirichlet
         data and the one-sided normal-derivative identity at the top."""
-        fp, fq = self._split(free)
-        p = self._assemble(fp, self._p_faces, self.data.g3)
-        q = self._assemble(fq, self._q_faces, self.data.g4)
-        return PairField(p, q, self.grid)
+        # The faces of the work field hold the data; everything else is rewritten.
+        f = self._expand(free, self._w.field.reshape(self._shape).copy())
+        return PairField(f[0], f[1], self.grid)
 
     def extract_free(self, pair):
         """Free vector of a pair (drops faces and the eliminated layer)."""
         nz = self.grid.z.size
-        return np.concatenate(
-            [pair.p[1:-1, 1 : nz - 2, :].ravel(), pair.q[1:-1, 1 : nz - 2, :].ravel()]
-        )
+        return np.stack([pair.p, pair.q])[:, 1:-1, 1 : nz - 2].ravel()
 
     def initial_guess(self):
         """Free vector of the data-interpolating first guess.
@@ -179,36 +216,76 @@ class CarlemanObjective:
         pair = PairField(guess[0], guess[1], g)
         return self.extract_free(pair)
 
-    def _residuals(self, p, q):
-        g = self.grid
-        h = g.h
-        lap_p = laplacian_interior(p, h)
-        lap_q = laplacian_interior(q, h)
-        dq1 = (q[2:, 1:-1] - q[:-2, 1:-1]) / (2.0 * h)
-        dqz = (q[1:-1, 2:] - q[1:-1, :-2]) / (2.0 * h)
-        dp1 = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h)
-        dpz = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
-        ep = np.exp(p)
-        acoef = ep @ self._smat.T
-        bcoef = ep @ self._dmat.T
-        em = np.exp(-p[1:-1, 1:-1])
-        q_int = q[1:-1, 1:-1]
-        nonlin = self.mu_s * em * (q_int * acoef[1:-1, 1:-1] - bcoef[1:-1, 1:-1])
-        common = (
-            self._nu1 * dq1 + self._nu2 * dqz + self._dnu1 * dp1 + self._dnu2 * dpz + nonlin
-        )
-        r1 = common - self.epsilon * lap_p
-        r2 = common - self.epsilon * lap_q
-        cache = {
-            "ep": ep, "acoef": acoef, "em": em, "q_int": q_int, "nonlin": nonlin,
-        }
-        return r1, r2, cache
+    def _shifted(self, f, shift):
+        """View of the band of a stacked (2, N) array moved by ``shift`` nodes."""
+        return f[:, self._sx + shift : f.shape[1] - self._sx + shift]
+
+    def _s_terms(self, f):
+        """Per flat shift s of the S-norm, for a stacked (2, N) pair: s and
+        the (weight, difference) of the first and the second difference,
+        the differences held in the heads of the flat scratch arrays.  The
+        second difference is the first difference of the first one."""
+        for s, w1, w2 in self._s_axes:
+            d1 = np.subtract(f[:, s:], f[:, :-s], out=self._w.d1[: f.size - 2 * s].reshape(2, -1))
+            d2 = np.subtract(d1[:, s:], d1[:, :-s], out=self._w.d2[: d1.size - 2 * s].reshape(2, -1))
+            yield s, (w1, d1), (w2, d2)
+
+    def _s_norm(self, f):
+        """Sum of w * d^2 over the S-norm terms of a stacked (2, N) pair."""
+        wd = self._w.wd
+        total = np.vdot(np.multiply(self._s_l2, f, out=wd.reshape(f.shape)), f)
+        for _, *terms in self._s_terms(f):
+            for w, d in terms:
+                total += np.vdot(np.multiply(w, d, out=wd[: d.size].reshape(d.shape)), d)
+        return total
+
+    def _residuals(self, f):
+        """One residual pass over the stacked (2, N) pair ``f``; returns J
+        and leaves in the memo arrays what the gradient reuses."""
+        w = self._w
+        sx, sz = self._sx, self._sz
+        xp, xm, zp, zm, core = (self._shifted(f, s) for s in (sx, -sx, sz, -sz, 0))
+        slope, lap, r = w.a, w.b, w.r
+        np.subtract(xp, xm, out=slope)
+        slope *= self._cx
+        np.subtract(zp, zm, out=lap)
+        lap *= self._cz
+        slope += lap
+        np.add(xp, xm, out=lap)
+        lap += zp
+        lap += zm
+        lap -= np.multiply(core, 4.0, out=r)
+        lap *= self._ce
+        rows = np.exp(core[0], out=w.ep).reshape(-1, sz)
+        np.matmul(rows, self._smat.T, out=w.acoef.reshape(-1, sz))
+        bcoef = np.matmul(rows, self._dmat.T, out=w.c.reshape(-1, sz)).reshape(-1)
+        nonlin = np.multiply(core[1], w.acoef, out=w.nonlin)
+        nonlin -= bcoef
+        nonlin *= np.divide(self.mu_s, w.ep, out=bcoef)
+        common = np.add(slope[0], slope[1], out=w.c)
+        common += nonlin
+        np.subtract(common, lap, out=r)
+        jres = np.vdot(np.multiply(self._wband, r, out=slope), r)
+        return float(jres + self.gamma * self._s_norm(f))
+
+    def _evaluate(self, free):
+        """J at ``free``, from the memo when ``free`` is the last point
+        evaluated; afterwards the memo arrays hold that point's pass."""
+        if self._value is not None and np.array_equal(self._key, free):
+            return self._value
+        self._value = None
+        self._expand(free, self._w.field.reshape(self._shape))
+        value = self._residuals(self._w.field)
+        self._key[:] = free
+        self._value = value
+        return value
 
     def residuals(self, free):
         """Interior residual arrays (R1, R2) of the expanded pair."""
-        pair = self.apply_constraints(free)
-        r1, r2, _ = self._residuals(pair.p, pair.q)
-        return r1, r2
+        n1, nz, nk = self.grid.shape_medium
+        self._evaluate(free)
+        r = self._w.r.reshape(2, n1 - 2, nz, nk)[:, :, 1:-1]
+        return r[0].copy(), r[1].copy()
 
     def s_norm_sq_arrays(self, p, q):
         """Squared data-fit norm: trapezoid L2 plus first forward
@@ -221,49 +298,11 @@ class CarlemanObjective:
         constant pair p = 1, q = 0 on the default geometry the value is
         the measure of the medium-times-aperture box, exactly 1.
         """
-        g = self.grid
-        h = g.h
-        total = 0.0
-        for f in (p, q):
-            total += np.einsum("i,j,k,ijk->", self._wx, self._wz, self._wa, f * f)
-            d = np.diff(f, axis=0) / h
-            total += h * np.einsum("j,k,ijk->", self._wz, self._wa, d * d)
-            d = np.diff(f, axis=1) / h
-            total += h * np.einsum("i,k,ijk->", self._wx, self._wa, d * d)
-            d = f[2:] - 2.0 * f[1:-1] + f[:-2]
-            total += h * np.einsum("j,k,ijk->", self._wz, self._wa, d * d)
-            d = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
-            total += h * np.einsum("i,k,ijk->", self._wx, self._wa, d * d)
-        return float(total)
-
-    def _snorm_grad_into(self, f, out, scale):
-        g = self.grid
-        h = g.h
-        out += (2.0 * scale) * self._wxyz * f
-        d = np.diff(f, axis=0) / h
-        t = (2.0 * scale) * self._wzk * d
-        out[1:] += t
-        out[:-1] -= t
-        d = np.diff(f, axis=1) / h
-        t = (2.0 * scale) * self._wxk * d
-        out[:, 1:] += t
-        out[:, :-1] -= t
-        d = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        t = (2.0 * scale * h) * self._wzk * d
-        out[2:] += t
-        out[1:-1] -= 2.0 * t
-        out[:-2] += t
-        d = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
-        t = (2.0 * scale * h) * self._wxk * d
-        out[:, 2:] += t
-        out[:, 1:-1] -= 2.0 * t
-        out[:, :-2] += t
+        f = np.stack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)])
+        return float(self._s_norm(f.reshape(2, -1)))
 
     def value(self, free):
-        pair = self.apply_constraints(free)
-        r1, r2, _ = self._residuals(pair.p, pair.q)
-        jres = np.einsum("ijk,jk->", r1 * r1 + r2 * r2, self._wres)
-        return float(jres + self.gamma * self.s_norm_sq_arrays(pair.p, pair.q))
+        return self._evaluate(free)
 
     def value_and_grad(self, free):
         """J and its exact gradient with respect to the free vector.
@@ -272,50 +311,51 @@ class CarlemanObjective:
         back through every stencil (adjoint of the linearized residual),
         then folding the eliminated layer's entries into the last free
         layer with the 1/4 chain factor from the elimination formula.
+        Every term carries J's factor 2, which is applied once at the end.
         """
-        pair = self.apply_constraints(free)
-        p, q = pair.p, pair.q
-        g = self.grid
-        h = g.h
-        r1, r2, cache = self._residuals(p, q)
-        jres = np.einsum("ijk,jk->", r1 * r1 + r2 * r2, self._wres)
-        jval = jres + self.gamma * self.s_norm_sq_arrays(p, q)
+        value = self._evaluate(free)
+        w = self._w
+        sx, sz = self._sx, self._sz
+        g = np.multiply(self._s_l2, w.field, out=w.grad)
+        for s, (w1, d1), (w2, d2) in self._s_terms(w.field):
+            d1 *= w1
+            d2 *= w2
+            d1[:, s:] += d2
+            d1[:, :-s] -= d2
+            g[:, s:] += d1
+            g[:, :-s] -= d1
+        g *= self.gamma
 
-        w1 = 2.0 * self._wres3 * r1
-        w2 = 2.0 * self._wres3 * r2
-        wc = w1 + w2
-        gp = np.zeros_like(p)
-        gq = np.zeros_like(q)
+        t = np.multiply(self._wband, w.r, out=w.a)
+        tc = np.add(t[0], t[1], out=w.c)
+        u, v = t, w.b
+        u *= self._ce
+        core = self._shifted(g, 0)
+        core += np.multiply(u, 4.0, out=v)
+        for s, c in ((sx, self._cx), (sz, self._cz)):
+            np.multiply(c, tc, out=v)
+            ahead, behind = self._shifted(g, s), self._shifted(g, -s)
+            ahead += v
+            ahead -= u
+            behind -= v
+            behind -= u
+        # u and v are spent; their rows hold the nonlinear term's temporaries.
+        x, xq = u
+        y, z = v
+        np.divide(tc, w.ep, out=x)
+        x *= self.mu_s
+        core[1] += np.multiply(x, w.acoef, out=y)
+        np.multiply(x, self._shifted(w.field, 0)[1], out=xq)
+        np.matmul(xq.reshape(-1, sz), self._smat, out=y.reshape(-1, sz))
+        y -= np.matmul(x.reshape(-1, sz), self._dmat, out=z.reshape(-1, sz)).reshape(-1)
+        y *= w.ep
+        y -= np.multiply(tc, w.nonlin, out=z)
+        core[0] += y
 
-        tmp = np.zeros_like(p)
-        laplacian_scatter(w1, h, tmp)
-        gp -= self.epsilon * tmp
-        tmp[:] = 0.0
-        laplacian_scatter(w2, h, tmp)
-        gq -= self.epsilon * tmp
-
-        central_scatter(self._nu1 * wc, h, 0, gq)
-        central_scatter(self._nu2 * wc, h, 1, gq)
-        central_scatter(self._dnu1 * wc, h, 0, gp)
-        central_scatter(self._dnu2 * wc, h, 1, gp)
-
-        em = cache["em"]
-        acoef = cache["acoef"]
-        gq[1:-1, 1:-1] += wc * em * self.mu_s * acoef[1:-1, 1:-1]
-        gp[1:-1, 1:-1] -= wc * cache["nonlin"]
-        x = wc * em
-        y = (x * cache["q_int"]) @ self._smat - x @ self._dmat
-        gp[1:-1, 1:-1] += self.mu_s * cache["ep"][1:-1, 1:-1] * y
-
-        self._snorm_grad_into(p, gp, self.gamma)
-        self._snorm_grad_into(q, gq, self.gamma)
-
-        nz = g.z.size
-        packed = []
-        for grad in (gp, gq):
-            grad[1:-1, nz - 3, :] += 0.25 * grad[1:-1, nz - 2, :]
-            packed.append(grad[1:-1, 1 : nz - 2, :].ravel())
-        return float(jval), np.concatenate(packed)
+        nz = self.grid.z.size
+        g4 = g.reshape(self._shape)
+        g4[:, 1:-1, nz - 3] += 0.25 * g4[:, 1:-1, nz - 2]
+        return value, 2.0 * g4[:, 1:-1, 1 : nz - 2].ravel()
 
 
 @dataclass(eq=False)
@@ -350,6 +390,10 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     rejected trials in a row raise :class:`StagnationError`.  J is strictly
     non-increasing along the returned history, whose rows are (iteration,
     J, grad max-norm, step).
+
+    Every trial costs one ``value`` call; the accepted one's
+    ``value_and_grad`` is served from the objective's memo of that trial,
+    so each distinct point gets exactly one residual pass.
     """
     obj = objective
     free = obj.initial_guess() if free0 is None else np.array(free0, dtype=float)

@@ -59,11 +59,20 @@ def _read_text(path):
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _store(path, target, key, value):
+    """``target[key] = value`` for a key read from ``path``; a key the file
+    has already given is a usage error, not a silent overwrite."""
+    key = key.strip()
+    if key in target:
+        raise UsageError(f"{path}: repeated key {key!r}")
+    target[key] = value.strip()
+
+
 def _read_rows(path, columns):
     """Split a headered CSV into (meta dict, row lists).
 
-    The column header must equal ``columns`` and every row must carry one
-    cell per column.
+    The column header must equal ``columns``, every row must carry one
+    cell per column, and no meta key may repeat.
     """
     meta = {}
     header = None
@@ -75,7 +84,7 @@ def _read_rows(path, columns):
             body = raw[1:].strip()
             if "=" in body:
                 key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
+                _store(path, meta, key, val)
             continue
         cells = raw.split(",")
         if header is None:
@@ -180,7 +189,8 @@ def write_keyvalues(path, mapping, meta=None):
 
 
 def read_keyvalues(path):
-    """Read a key=value report; returns (body, meta), both str -> str."""
+    """Read a key=value report; returns (body, meta), both str -> str.
+    A key repeated within the body or within the meta lines is refused."""
     meta, body = {}, {}
     for raw in _read_text(path).splitlines():
         line = raw.strip()
@@ -191,7 +201,7 @@ def read_keyvalues(path):
         if "=" not in line:
             raise UsageError(f"{path}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        target[key.strip()] = val.strip()
+        _store(path, target, key, val)
     return body, meta
 
 

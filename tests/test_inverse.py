@@ -12,6 +12,7 @@ from rtetomo import (
     gradient_check,
     minimize,
 )
+from rtetomo.geometry import trapezoid_weights
 
 
 def constant_log_dataset(grid, level=1.0):
@@ -142,9 +143,91 @@ def test_value_decomposes_into_residual_and_penalty(objective10):
 def test_value_and_grad_value_matches_value(objective10):
     free = objective10.initial_guess()
     jval, grad = objective10.value_and_grad(free)
-    np.testing.assert_allclose(jval, objective10.value(free), rtol=1e-14)
+    assert jval == objective10.value(free)
     assert grad.shape == (objective10.n_free,)
     assert np.all(np.isfinite(grad))
+
+
+def test_value_and_gradient_at_the_first_guess_are_pinned(objective10):
+    jval, grad = objective10.value_and_grad(objective10.initial_guess())
+    np.testing.assert_allclose(jval, 0.12111570581611314, rtol=1e-13)
+    np.testing.assert_allclose(np.linalg.norm(grad), 0.00480983860974593, rtol=1e-13)
+
+
+def einsum_s_norm(objective, p, q):
+    """Reference S-norm: one einsum contraction per term and field."""
+    h = objective.grid.h
+    wx, wz, wa = (trapezoid_weights(n, h) for n in objective.grid.shape_medium)
+    total = 0.0
+    for f in (p, q):
+        total += np.einsum("i,j,k,ijk->", wx, wz, wa, f * f)
+        d = np.diff(f, axis=0) / h
+        total += h * np.einsum("j,k,ijk->", wz, wa, d * d)
+        d = np.diff(f, axis=1) / h
+        total += h * np.einsum("i,k,ijk->", wx, wa, d * d)
+        d = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        total += h * np.einsum("j,k,ijk->", wz, wa, d * d)
+        d = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
+        total += h * np.einsum("i,k,ijk->", wx, wa, d * d)
+    return total
+
+
+@pytest.mark.parametrize("step", [0.1, 0.05])
+def test_s_norm_matches_the_einsum_reference(objective10, boundary20, kernel, step):
+    objective = objective10 if step == 0.1 else CarlemanObjective(boundary20, kernel)
+    shape = objective.grid.shape_medium
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        p, q = rng.standard_normal(shape), 1.0 + rng.random(shape)
+        np.testing.assert_allclose(
+            objective.s_norm_sq_arrays(p, q), einsum_s_norm(objective, p, q), rtol=1e-13
+        )
+
+
+def test_descent_evaluates_each_point_once(boundary10, kernel, monkeypatch):
+    """One residual pass per distinct point: the gradient at an accepted
+    trial reuses the pass its line search made, and a free vector changed
+    in place after an evaluation is evaluated afresh."""
+    objective = CarlemanObjective(boundary10, kernel)
+    fields = []
+    calls = {"value": 0, "value_and_grad": 0}
+    residuals = CarlemanObjective._residuals
+
+    def counted_residuals(self, f):
+        fields.append(f.tobytes())
+        return residuals(self, f)
+
+    def counted(name):
+        method = getattr(objective, name)
+
+        def call(free):
+            calls[name] += 1
+            return method(free)
+
+        return call
+
+    monkeypatch.setattr(CarlemanObjective, "_residuals", counted_residuals)
+    for name in calls:
+        monkeypatch.setattr(objective, name, counted(name))
+    state = minimize(objective, grad_tol=1e-3)
+    assert state.iterations > 0
+    assert calls["value_and_grad"] == state.iterations + 1
+    assert len(fields) == len(set(fields)) == calls["value"] + 1
+
+    free = objective.initial_guess()
+    objective.value(free)
+    free[::7] += 1e-3
+    fresh = CarlemanObjective(boundary10, kernel)
+    jval, grad = objective.value_and_grad(free)
+    jfresh, gfresh = fresh.value_and_grad(free.copy())
+    assert jval == jfresh
+    np.testing.assert_array_equal(grad, gfresh)
+    # The public S-norm shares the evaluation's scratch, not its memo.
+    pair = objective.apply_constraints(free)
+    objective.s_norm_sq_arrays(2.0 * pair.p, 3.0 * pair.q)
+    jagain, gagain = objective.value_and_grad(free)
+    assert jagain == jval
+    np.testing.assert_array_equal(gagain, grad)
 
 
 def test_gradient_matches_central_differences(objective10):

@@ -256,3 +256,18 @@ def test_nan_value_cell_is_refused(desk_run, tmp_path, name, col):
     with pytest.raises(UsageError, match="nan value") as exc:
         ARTIFACTS[name][0](path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name, extra, key",
+    [("boundary.csv", "# delta=0.5", "delta"), ("metrics.txt", "contrast=9", "contrast")],
+)
+def test_repeated_key_is_refused(desk_run, tmp_path, name, extra, key):
+    lines = (desk_run / name).read_text().splitlines()
+    at = 1 if extra.startswith("#") else len(lines)
+    path = tmp_path / name
+    path.write_text("\n".join(lines[:at] + [extra] + lines[at:]) + "\n")
+    reader = read_boundary if name == "boundary.csv" else read_keyvalues
+    with pytest.raises(UsageError, match=f"repeated key '{key}'") as exc:
+        reader(path)
+    assert str(path) in str(exc.value)
