@@ -15,9 +15,7 @@ from .boundary import (
 from .carleman import (
     CarlemanReport,
     ConvexityReport,
-    TestFunctionSample,
     carleman_sides,
-    convexity_gap,
     convexity_sweep,
     empirical_carleman_constant,
     gradient_check,
@@ -75,7 +73,6 @@ __all__ = [
     "RunConfig",
     "SourceModel",
     "StagnationError",
-    "TestFunctionSample",
     "UsageError",
     "VerificationError",
     "add_noise",
@@ -83,7 +80,6 @@ __all__ = [
     "carleman_weight",
     "computed_contrast",
     "config_hash",
-    "convexity_gap",
     "convexity_sweep",
     "derive_boundary_data",
     "downsample_boundary",

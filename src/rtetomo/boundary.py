@@ -48,6 +48,15 @@ def face_shapes(grid):
     return {name: (x1.size, grid.alpha.size) for name, (x1, _) in face_nodes(grid).items()}
 
 
+def face_field(faces, grid):
+    """Zero field on the medium grid with each face's rows of ``faces``
+    (a per-face dict shaped as :func:`face_shapes`) laid at its nodes."""
+    full = np.zeros(grid.shape_medium)
+    for name in FACE_ORDER:
+        full[_FACE_NODES[name]] = faces[name]
+    return full
+
+
 def extract_boundary(field):
     """Radiance traces on the four medium faces, shaped as :func:`face_shapes`."""
     u = field.values
@@ -99,18 +108,6 @@ class BoundaryDataSet:
                     raise UsageError(f"face {name!r} has shape {dct[name].shape}, want {shapes[name]}")
         if self.g3.shape != shapes["top"] or self.g4.shape != shapes["top"]:
             raise UsageError("top-face normal data shape mismatch")
-
-    def full_side(self, quantity, side):
-        """Side-face column of ``quantity`` ('g1' or 'g2') including the
-        corner values shared with the bottom/top faces; shape (n_z, n_alpha)."""
-        dct = getattr(self, quantity)
-        edge = 0 if side == "left" else -1
-        nz = self.grid.z.size
-        col = np.empty((nz, self.grid.alpha.size))
-        col[0] = dct["bottom"][edge]
-        col[1:-1] = dct[side]
-        col[-1] = dct["top"][edge]
-        return col
 
 
 def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0,
@@ -181,10 +178,7 @@ def downsample_boundary(bds, factor):
     def pick(dct):
         # The faces of the restricted field: lay the traces back on the
         # grid, restrict, and read the faces off again.
-        full = np.zeros(g.shape_medium)
-        for name in FACE_ORDER:
-            full[_FACE_NODES[name]] = dct[name]
-        full = full[::factor, ::factor, ::factor]
+        full = face_field(dct, g)[::factor, ::factor, ::factor]
         return {name: full[_FACE_NODES[name]].copy() for name in FACE_ORDER}
 
     return BoundaryDataSet(

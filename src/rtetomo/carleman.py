@@ -7,6 +7,10 @@ the objective beyond its explicit Tikhonov term.  Neither constant can be
 asserted pointwise, so this module measures instead of proving: it draws
 smoothed random samples, evaluates both sides of each inequality, and
 reports ratios, margins, and an empirical gradient-variation constant.
+
+Samples are plain arrays: :func:`sample_test_function` returns an
+(n_x1, n_z) field and :func:`sample_in_ball` a free vector of the
+objective.
 """
 
 from dataclasses import dataclass
@@ -14,45 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, UsageError
-from .geometry import Geometry, GridSet, carleman_weight, trapezoid_weights
+from .geometry import carleman_weight, trapezoid_weights
 from .seeding import stream
 from .stencils import diff_axis, onesided_first_end, second_diff_axis, smooth_pass
 
 SAMPLE_PASSES = 5
 BALL_PASSES = 2
+TOP_MARGIN = 0.2
 GRADIENT_CHECK_STEP = 1e-2
 
 
-@dataclass(eq=False)
-class TestFunctionSample:
-    """A spatial field vanishing on the bottom and side faces.
-
-    ``values`` has shape (n_x1, n_z); ``seed`` records the run seed when
-    the sample came from a named stream.
-    """
-
-    values: np.ndarray
-    seed: "int | None" = None
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 2 or min(v.shape) < 4:
-            raise UsageError("test function must be a 2D spatial array, >= 4 nodes per axis")
-        if np.any(v[0] != 0.0) or np.any(v[-1] != 0.0) or np.any(v[:, 0] != 0.0):
-            raise UsageError("test function must vanish on the bottom and side faces")
-
-
-def sample_test_function(grid, rng, top_margin=0.2, seed=None):
+def sample_test_function(grid, rng):
     """Smoothed white noise on the medium rectangle, zeroed where required.
 
     ``SAMPLE_PASSES`` five-point averaging sweeps bound the discrete second
     derivatives, then the draw is zeroed on the bottom and side faces and
-    on a band of height ``top_margin`` below the top face.  The band is
+    on a band of height ``TOP_MARGIN`` below the top face.  The band is
     there because a live top trace enters the estimate through the factor
     lam^3 exp(2 lam b^2), which swamps the interior integral for every
-    O(1) sample; with the default margin the trace terms vanish exactly
-    and all samples are usable.  Pass ``top_margin=0`` to draw samples
-    with live traces (they exercise the exclusion rule instead).
+    O(1) sample; with the band the trace terms vanish exactly and all
+    samples are usable.  A zero margin leaves the top trace live, and the
+    samples then exercise the exclusion rule instead.  Returns the
+    (n_x1, n_z) array.
     """
     u = rng.standard_normal((grid.x1.size, grid.z.size))
     for _ in range(SAMPLE_PASSES):
@@ -60,10 +47,9 @@ def sample_test_function(grid, rng, top_margin=0.2, seed=None):
     u[0, :] = 0.0
     u[-1, :] = 0.0
     u[:, 0] = 0.0
-    if top_margin > 0.0:
-        cut = grid.geometry.slab_top - float(top_margin)
-        u[:, grid.z >= cut - 1e-9] = 0.0
-    return TestFunctionSample(values=u, seed=seed)
+    if TOP_MARGIN > 0.0:
+        u[:, grid.z >= grid.geometry.slab_top - TOP_MARGIN - 1e-9] = 0.0
+    return u
 
 
 def carleman_sides(u, lam, grid):
@@ -82,7 +68,7 @@ def carleman_sides(u, lam, grid):
     """
     if lam < 1.0:
         raise UsageError("weight exponent must be >= 1 for the estimate probe")
-    v = np.asarray(getattr(u, "values", u), dtype=float)
+    v = np.asarray(u, dtype=float)
     if v.shape != (grid.x1.size, grid.z.size):
         raise UsageError(f"sample shape {v.shape} does not match the spatial grid")
     h = grid.h
@@ -104,30 +90,31 @@ def carleman_sides(u, lam, grid):
 
 @dataclass(eq=False)
 class CarlemanReport:
-    """Minimum lhs / (interior - boundary) ratios over a sample sweep.
+    """Per-sample quadratures of an estimate sweep.
 
-    ``table`` rows are (lam, sample, lhs, interior, boundary, ratio);
-    excluded samples (nonpositive denominator) carry a NaN ratio.  The
-    per-exponent dicts are keyed by the float exponents in sweep order.
+    ``table`` rows are (lam, sample, lhs, interior, boundary, ratio) in
+    sweep order; excluded samples (nonpositive denominator) carry a NaN
+    ratio.
     """
 
-    lambdas: tuple
-    min_ratio: dict
-    used: dict
-    excluded: dict
     table: np.ndarray
     samples: int
     seed: int
 
     def rows(self):
-        """(lam, min_ratio, used, excluded) per exponent, for reports."""
-        return [
-            (lam, self.min_ratio[lam], self.used[lam], self.excluded[lam])
-            for lam in self.lambdas
-        ]
+        """(lam, min_ratio, used, excluded) per exponent, in sweep order.
+
+        The minimum is over the used samples; it is NaN when none is used.
+        """
+        out = []
+        for lam in dict.fromkeys(self.table[:, 0].tolist()):
+            ratio = self.table[self.table[:, 0] == lam, 5]
+            used = int(np.count_nonzero(~np.isnan(ratio)))
+            out.append((lam, float(np.fmin.reduce(ratio)), used, ratio.size - used))
+        return out
 
 
-def empirical_carleman_constant(samples, lambda_list, seed, grid=None, top_margin=0.2):
+def empirical_carleman_constant(samples, lambda_list, seed, grid):
     """Minimum positive-denominator ratio over smoothed random samples.
 
     The same sample set (drawn once from the 'carleman-samples' stream)
@@ -147,81 +134,26 @@ def empirical_carleman_constant(samples, lambda_list, seed, grid=None, top_margi
         raise UsageError("weight exponents must be ascending")
     if samples < 1:
         raise UsageError("need at least one sample")
-    if grid is None:
-        grid = GridSet.uniform(Geometry(), 1.0 / 40.0)
     rng = stream(seed, "carleman-samples")
-    draws = [
-        sample_test_function(grid, rng, top_margin=top_margin, seed=seed)
-        for _ in range(samples)
-    ]
+    draws = [sample_test_function(grid, rng) for _ in range(samples)]
     rows = []
-    min_ratio, used, excluded = {}, {}, {}
     for lam in lams:
-        ratios = []
         for idx, draw in enumerate(draws):
             lhs, interior, boundary = carleman_sides(draw, lam, grid)
             den = interior - boundary
-            ratio = lhs / den if den > 0.0 else np.nan
-            rows.append((lam, idx, lhs, interior, boundary, ratio))
-            if den > 0.0:
-                ratios.append(ratio)
-        if not ratios:
+            rows.append((lam, idx, lhs, interior, boundary, lhs / den if den > 0.0 else np.nan))
+    report = CarlemanReport(table=np.array(rows), samples=int(samples), seed=int(seed))
+    for lam, _, used, _ in report.rows():
+        if not used:
             raise DegenerateSampleError(f"no sample kept a positive denominator at lam = {lam}")
-        min_ratio[lam] = float(min(ratios))
-        used[lam] = len(ratios)
-        excluded[lam] = samples - len(ratios)
-    return CarlemanReport(
-        lambdas=tuple(lams),
-        min_ratio=min_ratio,
-        used=used,
-        excluded=excluded,
-        table=np.array(rows),
-        samples=int(samples),
-        seed=int(seed),
-    )
-
-
-def _free_vector(objective, v):
-    """Free coordinates of ``v`` (a PairField or an already-free vector),
-    checking PairFields against the objective's boundary constraints."""
-    if isinstance(v, np.ndarray):
-        return np.asarray(v, dtype=float)
-    free = objective.extract_free(v)
-    rebuilt = objective.apply_constraints(free)
-    drift = max(
-        float(np.max(np.abs(rebuilt.p - v.p))),
-        float(np.max(np.abs(rebuilt.q - v.q))),
-    )
-    if drift > 1e-10:
-        raise UsageError("pair does not satisfy the objective's boundary data")
-    return free
-
-
-def convexity_gap(objective, v1, v2):
-    """Bregman gap of the objective between two admissible points.
-
-    Returns ``(gap, bound)`` with gap = J(v2) - J(v1) - <grad J(v1), d>
-    and bound = gamma * squared data norm of the full pair difference.
-    The Tikhonov term, being the quadratic form of that norm, contributes
-    exactly ``bound`` to ``gap``, so gap >= bound says the weighted
-    residual part is itself convex between the two points.
-    """
-    f1 = _free_vector(objective, v1)
-    f2 = _free_vector(objective, v2)
-    j1, g1 = objective.value_and_grad(f1)
-    j2 = objective.value(f2)
-    gap = j2 - j1 - float(g1 @ (f2 - f1))
-    p1 = objective.apply_constraints(f1)
-    p2 = objective.apply_constraints(f2)
-    bound = objective.gamma * objective.s_norm_sq_arrays(p2.p - p1.p, p2.q - p1.q)
-    return float(gap), float(bound)
+    return report
 
 
 def sample_in_ball(objective, rng, radius=10.0):
     """Free vector at a uniform data-norm distance from the first guess.
 
     The perturbation is noise on the free block, smoothed by
-    ``BALL_PASSES`` averaging sweeps per abscissa; the data norm
+    ``BALL_PASSES`` averaging sweeps over the spatial axes; the data norm
     is quadratic, so one exact rescale puts the full pair difference at
     a radius drawn uniformly from (0, ``radius``].
     """
@@ -232,8 +164,7 @@ def sample_in_ball(objective, rng, radius=10.0):
     for _ in range(2):
         d = rng.standard_normal(objective.free_shape)
         for _ in range(BALL_PASSES):
-            for k in range(d.shape[2]):
-                d[:, :, k] = smooth_pass(d[:, :, k])
+            d = smooth_pass(d)
         blocks.append(d.ravel())
     direction = np.concatenate(blocks)
     p0 = objective.apply_constraints(base)
@@ -271,9 +202,13 @@ class ConvexityReport:
 def convexity_sweep(objective, count=100, seed=0, radius=10.0):
     """Check gap >= bound over seeded random couples in the sampling ball.
 
-    Each couple is two independent draws around the first guess; both
-    Bregman gaps share one bound because the data norm of the difference
-    is symmetric.  Draws come from the 'convexity-pairs' stream, so the
+    Each couple (v1, v2) is two independent draws around the first guess.
+    Its forward Bregman gap is J(v2) - J(v1) - <grad J(v1), v2 - v1>, its
+    reverse gap the same with v1 and v2 swapped, and both share the bound
+    gamma * squared data norm of the full pair difference, which is
+    symmetric.  The Tikhonov term, being the quadratic form of that norm,
+    contributes exactly the bound to each gap, so gap >= bound says the
+    weighted residual part is itself convex between the two points.  Draws come from the 'convexity-pairs' stream, so the
     report depends only on (objective, count, seed, radius).
     """
     if count < 1:

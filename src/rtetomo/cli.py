@@ -28,7 +28,6 @@ from .inverse import CarlemanObjective, minimize
 from .phantom import make_phantom
 from .recovery import recover_attenuation, score
 from .serialize import (
-    parse_value,
     read_boundary,
     read_manifest,
     read_reconstruction,
@@ -44,6 +43,9 @@ from .serialize import (
 )
 
 VERIFY_STEP = 0.1
+# The estimate probe's grid step; every geometry the VERIFY_STEP grid
+# accepts is also a multiple of it.
+ESTIMATE_STEP = 1.0 / 40.0
 VERIFY_LAMBDAS = (2.0, 5.0, 10.0)
 
 
@@ -200,8 +202,10 @@ def cmd_verify(args):
     if sweep.min_margin < 0.0:
         failures.append(f"convexity: gap fell below the bound by {-sweep.min_margin:.3e}")
 
-    report = empirical_carleman_constant(args.samples, VERIFY_LAMBDAS, cfg.seed)
-    bad = [lam for lam, ratio, _, _ in report.rows() if not ratio > 0.0]
+    estimate_grid = GridSet.uniform(geometry_of(cfg), ESTIMATE_STEP)
+    report = empirical_carleman_constant(args.samples, VERIFY_LAMBDAS, cfg.seed, estimate_grid)
+    rows = report.rows()
+    bad = [lam for lam, ratio, _, _ in rows if not ratio > 0.0]
     if bad:
         failures.append(f"estimate sweep: nonpositive minimum ratio at lam in {bad}")
 
@@ -213,7 +217,7 @@ def cmd_verify(args):
         "convexity_max_gradient_ratio": sweep.max_lipschitz,
         "carleman_samples": str(args.samples),
     }
-    for lam, ratio, used, excluded in report.rows():
+    for lam, ratio, used, excluded in rows:
         tag = format(lam, "g")
         body[f"carleman_min_ratio_lam_{tag}"] = ratio
         body[f"carleman_used_lam_{tag}"] = str(used)
@@ -225,7 +229,7 @@ def cmd_verify(args):
     write_convexity_table(sweep, out / "convexity.csv", meta={"config_hash": config_hash(cfg)})
     print(
         f"verify: gradient {grad_max:.3e}, convexity margin {sweep.min_margin:.3e}, "
-        f"estimate minima {[round(report.min_ratio[lam], 2) for lam in report.lambdas]}, "
+        f"estimate minima {[round(ratio, 2) for _, ratio, _, _ in rows]}, "
         f"wrote {out / 'report.txt'}"
     )
     if failures:
@@ -237,15 +241,19 @@ def cmd_score(args):
     run = Path(args.run)
     path = run / "manifest.txt"
     manifest = read_manifest(path)
-    for key in ("letter", "c_a", "mu_s"):
+    keys = ("letter", "c_a", "mu_s")
+    for key in keys:
         if key not in manifest:
             raise UsageError(f"{path}: missing {key}")
-    letter = None if manifest["letter"] == "none" else manifest["letter"]
-    c_a = parse_value(path, manifest["c_a"])
-    mu_s = parse_value(path, manifest["mu_s"])
+    # The run's configuration rules apply: a non-finite or out-of-range
+    # value is refused here, not scored.
+    try:
+        cfg = with_overrides(RunConfig(), **{key: manifest[key] for key in keys})
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     rec = read_reconstruction(run / "reconstruction.csv")
-    mask = make_phantom(letter, c_a, rec.grid, mu_s).mask
-    metrics = score(rec, mask, c_a, mu_s_value=mu_s)
+    mask = make_phantom(cfg.letter, cfg.c_a, rec.grid, cfg.mu_s).mask
+    metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
     write_keyvalues(run / "metrics.txt", metrics, meta={"config_hash": manifest.get("config_hash", "")})
     for key, value in metrics.items():
         print(f"{key}={format(value, '.17g') if isinstance(value, float) else value}")

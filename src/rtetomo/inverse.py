@@ -29,6 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .boundary import face_field
 from .errors import StagnationError, UsageError
 from .forward import scatter_alpha_derivative_matrix, scatter_matrix
 from .geometry import direction_tables, trapezoid_weights
@@ -131,12 +132,6 @@ class CarlemanObjective:
                 weights.append(full.ravel()[: n - order * shift])
             self._s_axes.append((shift, *weights))
 
-        self._p_faces, self._q_faces = (
-            {"bottom": getattr(data, g)["bottom"], "top": getattr(data, g)["top"],
-             "left": data.full_side(g, "left"), "right": data.full_side(g, "right")}
-            for g in ("g1", "g2")
-        )
-        self._top3 = 3.0 * np.stack([self._p_faces["top"][1:-1], self._q_faces["top"][1:-1]])
         self._normal2h = 2.0 * h * np.stack([data.g3[1:-1], data.g4[1:-1]])
         self.free_shape = (n1 - 2, nz - 3, nk)
         self.n_free_field = int(np.prod(self.free_shape))
@@ -153,11 +148,11 @@ class CarlemanObjective:
             **{k: _aligned(2 * nb).reshape(2, nb) for k in ("r", "a", "b")},
             **{k: _aligned(nb) for k in ("ep", "acoef", "nonlin", "c")},
         )
-        for f, faces in zip(self._w.field.reshape(self._shape), (self._p_faces, self._q_faces)):
-            f[:, 0, :] = faces["bottom"]
-            f[:, -1, :] = faces["top"]
-            f[0] = faces["left"]
-            f[-1] = faces["right"]
+        # The faces of the work field hold the data for good: evaluations
+        # rewrite only the interior nodes.
+        field = self._w.field.reshape(self._shape)
+        field[0], field[1] = face_field(data.g1, grid), face_field(data.g2, grid)
+        self._top3 = 3.0 * field[:, 1:-1, -1]
         self._key = np.empty(self.n_free)
         self._value = None
 
@@ -203,14 +198,14 @@ class CarlemanObjective:
         tx = (g.x1 - (-geom.half_width)) / (2.0 * geom.half_width)
         tz = (g.z - geom.slab_bottom) / (geom.slab_top - geom.slab_bottom)
         guess = []
-        for faces in (self._p_faces, self._q_faces):
+        for f in self._w.field.reshape(self._shape):
             sides = (
-                (1.0 - tx)[:, None, None] * faces["left"][None, :, :]
-                + tx[:, None, None] * faces["right"][None, :, :]
+                (1.0 - tx)[:, None, None] * f[0][None, :, :]
+                + tx[:, None, None] * f[-1][None, :, :]
             )
             caps = (
-                (1.0 - tz)[None, :, None] * faces["bottom"][:, None, :]
-                + tz[None, :, None] * faces["top"][:, None, :]
+                (1.0 - tz)[None, :, None] * f[:, 0][:, None, :]
+                + tz[None, :, None] * f[:, -1][:, None, :]
             )
             guess.append(0.5 * (sides + caps))
         pair = PairField(guess[0], guess[1], g)

@@ -125,8 +125,8 @@ def _parse(path, rows, sizes):
 def _fill(path, index, values, shape, what="table"):
     """Each value column scattered into an array of ``shape``, stacked along
     a new first axis.  Every index must occur exactly once and every value
-    must be a number: a repeated or missing row, or a 'nan' cell, is a
-    usage error."""
+    must be a finite number: a repeated or missing row, or a 'nan' or
+    'inf' cell, is a usage error."""
     flat = np.ravel_multi_index(tuple(index.T), shape)
     count = np.bincount(flat, minlength=int(np.prod(shape)))
     if np.any(count > 1):
@@ -134,8 +134,8 @@ def _fill(path, index, values, shape, what="table"):
         raise UsageError(f"{path}: {what} has more than one row for index {repeated}")
     if not count.size or not count.all():
         raise UsageError(f"{path}: {what} has missing rows")
-    if np.isnan(values).any():
-        raise UsageError(f"{path}: {what} has a nan value")
+    if not np.isfinite(values).all():
+        raise UsageError(f"{path}: {what} has a non-finite value")
     values = values.reshape(count.size, -1)
     out = np.empty((values.shape[1], count.size))
     out[:, flat] = values.T

@@ -45,9 +45,10 @@ def onesided_first_end(f, h, axis):
 
 
 def smooth_pass(f):
-    """One sweep of the five-point averaging filter (edges use clamped
-    neighbors); repeated passes turn white noise into a smooth sample."""
-    padded = np.pad(f, 1, mode="edge")
+    """One sweep of the five-point averaging filter over the first two
+    axes (edges use clamped neighbors), applied to every slice along any
+    trailing axes; repeated passes turn white noise into a smooth sample."""
+    padded = np.pad(f, ((1, 1), (1, 1)) + ((0, 0),) * (f.ndim - 2), mode="edge")
     return (
         padded[1:-1, 1:-1]
         + padded[2:, 1:-1]

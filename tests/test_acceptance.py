@@ -162,17 +162,18 @@ def test_criterion_8_noise_robustness(field20, kernel, acceptance_report):
     acceptance_report(8, ok, "delta=0.05, window [1.3, 2.7]; " + "; ".join(results))
 
 
-def test_criterion_9_estimate_sweep(acceptance_report):
-    report = empirical_carleman_constant(50, (2.0, 5.0, 10.0), seed=0)
-    repeat = empirical_carleman_constant(50, (2.0, 5.0, 10.0), seed=0)
+def test_criterion_9_estimate_sweep(geometry, acceptance_report):
+    grid = GridSet.uniform(geometry, 1.0 / 40.0)
+    report = empirical_carleman_constant(50, (2.0, 5.0, 10.0), 0, grid)
+    repeat = empirical_carleman_constant(50, (2.0, 5.0, 10.0), 0, grid)
     deterministic = np.array_equal(report.table, repeat.table)
-    minima = [report.min_ratio[lam] for lam in report.lambdas]
-    ok = deterministic and all(m > 0.0 for m in minima)
+    rows = report.rows()
+    ok = deterministic and all(ratio > 0.0 for _, ratio, _, _ in rows)
     acceptance_report(
         9,
         ok,
         "min ratios "
-        + ", ".join(f"{lam:g}: {m:.1f}" for lam, m in zip(report.lambdas, minima))
+        + ", ".join(f"{lam:g}: {ratio:.1f}" for lam, ratio, _, _ in rows)
         + f", deterministic={deterministic}",
     )
 

@@ -100,17 +100,6 @@ def test_derive_rejects_nonpositive_traces(field10, grid10, kernel):
         derive_boundary_data(faces, grid10, kernel)
 
 
-def test_full_side_includes_corners(boundary10, grid10):
-    col = boundary10.full_side("g1", "left")
-    assert col.shape == (grid10.z.size, grid10.alpha.size)
-    np.testing.assert_array_equal(col[0], boundary10.g1["bottom"][0])
-    np.testing.assert_array_equal(col[1:-1], boundary10.g1["left"])
-    np.testing.assert_array_equal(col[-1], boundary10.g1["top"][0])
-    col = boundary10.full_side("g2", "right")
-    np.testing.assert_array_equal(col[0], boundary10.g2["bottom"][-1])
-    np.testing.assert_array_equal(col[-1], boundary10.g2["top"][-1])
-
-
 def test_downsample_restricts_without_recomputing(boundary20, grid10):
     coarse = downsample_boundary(boundary20, 2)
     assert coarse.grid.h == grid10.h

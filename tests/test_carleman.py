@@ -7,9 +7,7 @@ from rtetomo import (
     DegenerateSampleError,
     Geometry,
     GridSet,
-    PairField,
     UsageError,
-    convexity_gap,
     convexity_sweep,
     empirical_carleman_constant,
     gradient_check,
@@ -17,7 +15,9 @@ from rtetomo import (
     sample_test_function,
     stream,
 )
+from rtetomo import carleman
 from rtetomo.carleman import carleman_sides
+from rtetomo.stencils import smooth_pass
 
 # Analytic quadratures of the three sides for
 # u = sin(pi (x + 1/2)) (z - 1)^2 at lam = 5, frozen from mpmath.
@@ -75,88 +75,65 @@ def test_sides_validation():
 def test_sampler_honors_the_vanishing_faces():
     grid = small_grid()
     rng = stream(0, "carleman-samples")
-    draw = sample_test_function(grid, rng)
-    v = draw.values
+    v = sample_test_function(grid, rng)
+    assert v.shape == (grid.x1.size, grid.z.size)
     assert not v[0].any() and not v[-1].any() and not v[:, 0].any()
     assert not v[:, grid.z >= grid.geometry.slab_top - 0.2 - 1e-9].any()
     assert np.abs(v).max() > 0.0
 
 
-def test_sample_invariant_is_enforced():
-    # imported here so pytest does not try to collect the class
-    from rtetomo import TestFunctionSample
-
-    values = np.ones((6, 6))
-    with pytest.raises(UsageError):
-        TestFunctionSample(values=values)
-    with pytest.raises(UsageError):
-        TestFunctionSample(values=np.zeros((3, 8)))
-
-
 def test_constant_sweep_is_deterministic():
     grid = small_grid()
-    a = empirical_carleman_constant(5, (2.0, 5.0), 0, grid=grid)
-    b = empirical_carleman_constant(5, (2.0, 5.0), 0, grid=grid)
+    a = empirical_carleman_constant(5, (2.0, 5.0), 0, grid)
+    b = empirical_carleman_constant(5, (2.0, 5.0), 0, grid)
     np.testing.assert_array_equal(a.table, b.table)
-    assert a.min_ratio == b.min_ratio
-    for lam in a.lambdas:
-        assert a.min_ratio[lam] > 0.0
-        assert a.used[lam] == 5 and a.excluded[lam] == 0
-    assert a.rows()[0][0] == 2.0
+    assert a.rows() == b.rows()
+    assert [row[0] for row in a.rows()] == [2.0, 5.0]
+    for lam, ratio, used, excluded in a.rows():
+        assert ratio == np.min(a.table[a.table[:, 0] == lam, 5]) > 0.0
+        assert used == 5 and excluded == 0
 
 
-def test_free_top_samples_are_all_excluded():
+def test_free_top_samples_are_all_excluded(monkeypatch):
+    monkeypatch.setattr(carleman, "TOP_MARGIN", 0.0)
     grid = small_grid()
+    v = sample_test_function(grid, stream(0, "carleman-samples"))
+    assert v[1:-1, -1].any()
     with pytest.raises(DegenerateSampleError):
-        empirical_carleman_constant(3, (5.0,), 0, grid=grid, top_margin=0.0)
+        empirical_carleman_constant(3, (5.0,), 0, grid)
 
 
 def test_sweep_argument_validation():
     grid = small_grid()
     with pytest.raises(UsageError):
-        empirical_carleman_constant(5, (), 0, grid=grid)
+        empirical_carleman_constant(5, (), 0, grid)
     with pytest.raises(UsageError):
-        empirical_carleman_constant(5, (0.5,), 0, grid=grid)
+        empirical_carleman_constant(5, (0.5,), 0, grid)
     with pytest.raises(UsageError):
-        empirical_carleman_constant(5, (5.0, 2.0), 0, grid=grid)
+        empirical_carleman_constant(5, (5.0, 2.0), 0, grid)
     with pytest.raises(UsageError):
-        empirical_carleman_constant(0, (5.0,), 0, grid=grid)
-
-
-def test_gap_at_the_same_point_is_zero(objective10):
-    free = objective10.initial_guess()
-    gap, bound = convexity_gap(objective10, free, free)
-    assert gap == 0.0
-    assert bound == 0.0
-
-
-def test_gap_accepts_admissible_pairs(objective10):
-    rng = stream(1, "convexity-pairs")
-    f1 = objective10.initial_guess()
-    f2 = sample_in_ball(objective10, rng, radius=5.0)
-    as_pair = objective10.apply_constraints(f2)
-    np.testing.assert_array_equal(
-        convexity_gap(objective10, f1, f2), convexity_gap(objective10, f1, as_pair)
-    )
-
-
-def test_gap_rejects_inadmissible_pairs(objective10, grid10):
-    shape = grid10.shape_medium
-    alien = PairField(np.ones(shape), np.zeros(shape), grid10)
-    with pytest.raises(UsageError):
-        convexity_gap(objective10, objective10.initial_guess(), alien)
+        empirical_carleman_constant(0, (5.0,), 0, grid)
 
 
 def test_forward_and_reverse_gaps_sum_to_the_gradient_jump(objective10):
+    report = convexity_sweep(objective10, count=2, seed=2, radius=5.0)
+    # the sweep's first couple, redrawn from its stream
     rng = stream(2, "convexity-pairs")
     f1 = sample_in_ball(objective10, rng, radius=5.0)
     f2 = sample_in_ball(objective10, rng, radius=5.0)
-    gap12, _ = convexity_gap(objective10, f1, f2)
-    gap21, _ = convexity_gap(objective10, f2, f1)
-    _, g1 = objective10.value_and_grad(f1)
-    _, g2 = objective10.value_and_grad(f2)
-    expected = float((g2 - g1) @ (f2 - f1))
-    np.testing.assert_allclose(gap12 + gap21, expected, rtol=1e-9)
+    j1, g1 = objective10.value_and_grad(f1)
+    j2, g2 = objective10.value_and_grad(f2)
+    d = f2 - f1
+    forward, reverse = report.gaps[0]
+    assert forward == j2 - j1 - float(g1 @ d)
+    assert reverse == j1 - j2 + float(g2 @ d)
+    np.testing.assert_allclose(forward + reverse, float((g2 - g1) @ d), rtol=1e-9)
+
+
+def test_smooth_pass_smooths_each_trailing_slice():
+    f = np.random.default_rng(0).standard_normal((7, 5, 3))
+    expected = np.stack([smooth_pass(f[:, :, k]) for k in range(3)], axis=2)
+    np.testing.assert_array_equal(smooth_pass(f), expected)
 
 
 def test_sample_in_ball_stays_in_the_ball(objective10):

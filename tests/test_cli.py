@@ -266,8 +266,12 @@ def test_forward_writes_its_sweep_history(desk_run, capsys):
         ("invert", "boundary.csv", "bottom,0,0,", "bottom,x,0,"),
         ("score", "manifest.txt", "c_a=5\n", "c_a=five\n"),
         ("score", "reconstruction.csv", "\n0,0,", "\n0,"),
+        ("score", "manifest.txt", "mu_s=5\n", "mu_s=nan\n"),
+        ("score", "manifest.txt", "mu_s=5\n", "mu_s=inf\n"),
+        ("score", "manifest.txt", "c_a=5\n", "c_a=inf\n"),
     ],
-    ids=["truncated-row", "index-99", "index-x", "c_a-five", "truncated-reconstruction"],
+    ids=["truncated-row", "index-99", "index-x", "c_a-five", "truncated-reconstruction",
+         "mu_s-nan", "mu_s-inf", "c_a-inf"],
 )
 def test_malformed_artifacts_exit_one(desk_run, tmp_path, capsys, command, name, old, new):
     out = tmp_path / "run"
@@ -360,6 +364,27 @@ def test_verify_writes_a_report_and_passes(tmp_path):
     assert (out / "ratios.csv").is_file()
     assert (out / "convexity.csv").is_file()
     assert meta["verify_step"] == "0.10000000000000001"
+
+
+def test_verify_probes_the_configured_geometry(tmp_path, monkeypatch):
+    import rtetomo.cli as cli
+
+    grids = []
+    original = cli.empirical_carleman_constant
+
+    def spy(samples, lambdas, seed, grid=None):
+        grids.append(grid)
+        return original(samples, lambdas, seed, grid)
+
+    monkeypatch.setattr(cli, "empirical_carleman_constant", spy)
+    cfg_file = tmp_path / "wide.cfg"
+    cfg_file.write_text("half_width=1.0\n")
+    argv = ["verify", "--config", str(cfg_file), "--samples", "3", "--pairs", "3", "--out", str(tmp_path / "lab")]
+    assert main(argv) == 0
+    (grid,) = grids
+    assert grid is not None
+    assert grid.geometry == geometry_of(load_config(cfg_file))
+    assert (grid.h, grid.x1[0], grid.x1[-1]) == (1.0 / 40.0, -1.0, 1.0)
 
 
 def test_broken_gradient_exits_three(tmp_path, monkeypatch):

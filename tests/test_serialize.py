@@ -139,7 +139,7 @@ def test_iterations_reader_checks_the_header(tmp_path):
 
 def test_probe_tables_are_parseable(objective10, tmp_path):
     grid = GridSet.uniform(Geometry(), 0.05)
-    report = empirical_carleman_constant(4, (2.0, 5.0), 0, grid=grid)
+    report = empirical_carleman_constant(4, (2.0, 5.0), 0, grid)
     cpath = tmp_path / "ratios.csv"
     write_carleman_table(report, cpath)
     rows = [r.split(",") for r in cpath.read_text().splitlines() if not r.startswith("#")]
@@ -246,14 +246,22 @@ def test_repeated_row_is_refused(desk_run, tmp_path, name, col):
     assert str(path) in str(exc.value)
 
 
-@pytest.mark.parametrize("name, col", [("boundary.csv", 7), ("pair.csv", 6), ("reconstruction.csv", 4)])
-def test_nan_value_cell_is_refused(desk_run, tmp_path, name, col):
+@pytest.mark.parametrize(
+    "name, col, cell",
+    [
+        # the nan cases keep their original ids
+        pytest.param(name, col, cell, id=f"{name}-{col}" + ("" if cell == "nan" else f"-{cell}"))
+        for name, col in (("boundary.csv", 7), ("pair.csv", 6), ("reconstruction.csv", 4))
+        for cell in ("nan", "inf", "-inf")
+    ],
+)
+def test_nan_value_cell_is_refused(desk_run, tmp_path, name, col, cell):
     lines = (desk_run / name).read_text().splitlines()
     cells = lines[-1].split(",")
-    cells[col] = "nan"
+    cells[col] = cell
     path = tmp_path / name
     path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
-    with pytest.raises(UsageError, match="nan value") as exc:
+    with pytest.raises(UsageError, match="non-finite value") as exc:
         ARTIFACTS[name][0](path)
     assert str(path) in str(exc.value)
 
