@@ -160,6 +160,12 @@ def sample_in_ball(objective, rng, radius=10.0):
     if radius <= 0:
         raise UsageError("sampling radius must be positive")
     base = objective.initial_guess()
+    return _draw_in_ball(objective, rng, radius, base, objective.apply_constraints(base))
+
+
+def _draw_in_ball(objective, rng, radius, base, p0):
+    """:func:`sample_in_ball` around ``base``, the first guess, whose full
+    pair ``p0`` a sweep computes once for all its draws."""
     blocks = []
     for _ in range(2):
         d = rng.standard_normal(objective.free_shape)
@@ -167,7 +173,6 @@ def sample_in_ball(objective, rng, radius=10.0):
             d = smooth_pass(d)
         blocks.append(d.ravel())
     direction = np.concatenate(blocks)
-    p0 = objective.apply_constraints(base)
     p1 = objective.apply_constraints(base + direction)
     s = np.sqrt(objective.s_norm_sq_arrays(p1.p - p0.p, p1.q - p0.q))
     r = radius * (1.0 - rng.random())
@@ -213,13 +218,17 @@ def convexity_sweep(objective, count=100, seed=0, radius=10.0):
     """
     if count < 1:
         raise UsageError("need at least one couple")
+    if radius <= 0:
+        raise UsageError("sampling radius must be positive")
     rng = stream(seed, "convexity-pairs")
+    base = objective.initial_guess()
+    p0 = objective.apply_constraints(base)
     gaps = np.empty((count, 2))
     bounds = np.empty(count)
     lips = np.empty(count)
     for i in range(count):
-        f1 = sample_in_ball(objective, rng, radius)
-        f2 = sample_in_ball(objective, rng, radius)
+        f1 = _draw_in_ball(objective, rng, radius, base, p0)
+        f2 = _draw_in_ball(objective, rng, radius, base, p0)
         j1, g1 = objective.value_and_grad(f1)
         j2, g2 = objective.value_and_grad(f2)
         d = f2 - f1

@@ -22,12 +22,16 @@ attenuation and scattering-density fields; the pair kept per (node,
 source) is (T / c, c).  The step is about ``default_ds(grid)`` = h / 2.
 
 The attenuation is fixed during a solve, so the quadrature is marched
-once: the ballistic term takes c from it, and K is built into a
-:class:`ScatterOperator` whose rows hold the per-node weights of
-T / c.  Each fixed-point sweep is then one small dense product over the
-abscissae and one sparse product per source.  The operator costs about 10
-bytes per nonzero, and the nonzeros grow as h^-4 (3.3 million, 33 MB, at
-h = 1/40; about 0.5 GB at h = 1/80).
+once: K is built into a :class:`ScatterOperator` whose rows hold the
+per-node weights of T / c, and the ballistic term takes c from the same
+march.  Only its off-lattice rows are marched again: u0 aims at
+:func:`_ballistic_targets`, which differ from the medium nodes in the
+last bit on a few z rows (11 of 41 at h = 1/40), and a one-bit change
+can change a ray's sample count.  Each fixed-point sweep is then one
+small dense product over the abscissae and one sparse product per
+source, into work arrays allocated once per solve.  The operator costs
+about 10 bytes per nonzero, and the nonzeros grow as h^-4 (3.3 million,
+33 MB, at h = 1/40; about 0.5 GB at h = 1/80).
 
 Two solvers are provided: damped-free fixed-point sweeps (production),
 which give up after ``MAX_SWEEPS`` sweeps, and a dense collocation solve of
@@ -283,10 +287,13 @@ class ScatterOperator:
     medium nodes), so the operator costs about 10 bytes per nonzero, plus
     the (n_alpha, n_targets + 1) row offsets.  Targets at or below the
     medium floor have empty rows.  ``atten`` (n1, nz) is the nodal
-    attenuation and ``tx``, ``tz`` the flat target coordinates.
+    attenuation and ``tx``, ``tz`` the flat target coordinates.  If given,
+    ``c_out`` (n_targets, n_alpha) receives c of every marched ray, so the
+    march also serves the ballistic term; rows of targets at or below the
+    floor are left as they are.
     """
 
-    def __init__(self, tx, tz, atten, grid):
+    def __init__(self, tx, tz, atten, grid, c_out=None):
         n_nodes = grid.x1.size * grid.z.size
         node_type = np.min_scalar_type(n_nodes - 1)
         self.grid = grid
@@ -295,6 +302,8 @@ class ScatterOperator:
         for k in range(grid.alpha.size):
             weights, nodes = [], []
             for rows, trap, c_s, corners in _ray_blocks(tx, tz, atten, grid, k):
+                if c_out is not None:
+                    c_out[rows, k] = c_s[:, -1]
                 # Sum the sample weights per (target, node) in a dense
                 # accumulator over the block's node window; its nonzero
                 # entries come out row by row, sorted by node.
@@ -330,9 +339,14 @@ class ScatterOperator:
             raise UsageError("scattering-density shape disagrees with the grid")
         vt = np.ascontiguousarray(vsrc.reshape(-1, vsrc.shape[2]).T)
         out = np.zeros((vt.shape[0], self.indptr.shape[1] - 1))
+        # One gather buffer for every source.  The indices are valid, so
+        # "clip" changes nothing, but it lets ``take`` write straight into
+        # the buffer; "raise" gathers into a temporary and copies.
+        gathered = np.empty(max(d.size for d in self.data))
         for k, ptr in enumerate(self.indptr):
             filled = ptr[1:] > ptr[:-1]
-            g = vt[k].take(self.nodes[k])
+            g = gathered[: self.data[k].size]
+            np.take(vt[k], self.nodes[k], out=g, mode="clip")
             g *= self.data[k]
             out[k, filled] = np.add.reduceat(g, ptr[:-1][filled])
         return out.T
@@ -352,18 +366,34 @@ def _ballistic_targets(grid):
     return x.ravel(), z.ravel()
 
 
-def _ballistic(phantom, source, grid):
-    """u0 on the medium nodes as a flat (n_nodes, n_alpha) array.
-
-    The bump must lie in the source-free gap below the medium, so every
+def _check_source_radius(source, grid):
+    """The bump must lie in the source-free gap below the medium, so every
     ray from a source to a medium node crosses the whole bump and carries
-    ``profile_integral``; a radius reaching the medium is a usage error.
-    """
+    ``profile_integral``; a radius reaching the medium is a usage error."""
     floor = grid.geometry.slab_bottom
     if source.sigma >= floor:
         raise UsageError(f"source radius {source.sigma!r} must stay below the medium floor z = {floor!r}")
+
+
+def _ballistic(phantom, source, grid, mesh_c=None):
+    """u0 on the medium nodes as a flat (n_nodes, n_alpha) array.
+
+    ``mesh_c``, if given, is c of the rays to ``grid.spatial_mesh()``
+    (n_nodes, n_alpha) from a march already made, and is overwritten
+    with u0.  A ray's c does not depend on the other rays of its block,
+    so it is reused wherever the ballistic targets equal those nodes,
+    and only the off-lattice rows are marched again.
+    """
+    _check_source_radius(source, grid)
     tx, tz = _ballistic_targets(grid)
-    return source.profile_integral / _path_attenuation(tx, tz, phantom.attenuation, grid)
+    if mesh_c is None:
+        c = _path_attenuation(tx, tz, phantom.attenuation, grid)
+    else:
+        xm, zm = grid.spatial_mesh()
+        off = np.flatnonzero((tx != xm.ravel()) | (tz != zm.ravel()))
+        c = mesh_c
+        c[off] = _path_attenuation(tx[off], tz[off], phantom.attenuation, grid)
+    return np.divide(source.profile_integral, c, out=c)
 
 
 def u0_field(phantom, source, grid):
@@ -382,19 +412,33 @@ def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
     radiance, and with ``return_info`` an info dict: the sweep count, the
     per-sweep max updates ``diffs`` and the operator's nonzeros ``nnz`` and
     size ``operator_mb``.
+
+    The rays are marched once, by the operator build; u0 takes c from that
+    march and marches only its off-lattice rows again (see
+    :func:`_ballistic`).  Sweeps write into work arrays allocated here.
     """
-    u0 = _ballistic(phantom, source, grid).reshape(grid.shape_medium)
-    u = u0
-    w = scatter_matrix(kernel, grid.alpha, grid.h)
+    _check_source_radius(source, grid)
+    shape = grid.shape_medium
     xm, zm = grid.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), phantom.attenuation, grid)
+    mesh_c = np.ones((xm.size, shape[2]))
+    op = ScatterOperator(xm.ravel(), zm.ravel(), phantom.attenuation, grid, c_out=mesh_c)
+    u0 = _ballistic(phantom, source, grid, mesh_c)
+    u = u0.reshape(shape)
+    w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
+    mu_s = phantom.mu_s[:, :, None]
+    # vsrc holds the scattering density, then the update; u alternates
+    # between the two field buffers, never overwriting u0.
+    vsrc = np.empty(shape)
+    fields = (np.empty(shape), np.empty(shape))
 
     diffs = []
-    for _ in range(MAX_SWEEPS):
-        vsrc = phantom.mu_s[:, :, None] * (u @ w.T)
-        scat = op.apply(vsrc)
-        new = u0 + scat.reshape(u0.shape)
-        diff = float(np.max(np.abs(new - u)))
+    for sweep in range(MAX_SWEEPS):
+        new = fields[sweep % 2]
+        np.matmul(u, w_t, out=vsrc)
+        vsrc *= mu_s
+        np.add(u0, op.apply(vsrc), out=new.reshape(u0.shape))
+        np.subtract(new, u, out=vsrc)
+        diff = float(np.max(np.abs(vsrc, out=vsrc)))
         if not np.isfinite(diff):
             raise ForwardConvergenceError("fixed-point sweep diverged", last_diff=diff)
         u = new

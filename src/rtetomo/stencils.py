@@ -47,12 +47,20 @@ def onesided_first_end(f, h, axis):
 def smooth_pass(f):
     """One sweep of the five-point averaging filter over the first two
     axes (edges use clamped neighbors), applied to every slice along any
-    trailing axes; repeated passes turn white noise into a smooth sample."""
-    padded = np.pad(f, ((1, 1), (1, 1)) + ((0, 0),) * (f.ndim - 2), mode="edge")
-    return (
-        padded[1:-1, 1:-1]
-        + padded[2:, 1:-1]
-        + padded[:-2, 1:-1]
-        + padded[1:-1, 2:]
-        + padded[1:-1, :-2]
-    ) / 5.0
+    trailing axes; repeated passes turn white noise into a smooth sample.
+
+    The neighbors are added into one copy of ``f`` in a fixed order
+    (center, next and previous along axis 0, then along axis 1), each
+    edge adding its own value where the neighbor would lie outside.
+    """
+    out = np.array(f, dtype=float)
+    out[:-1] += f[1:]
+    out[-1] += f[-1]
+    out[1:] += f[:-1]
+    out[0] += f[0]
+    out[:, :-1] += f[:, 1:]
+    out[:, -1] += f[:, -1]
+    out[:, 1:] += f[:, :-1]
+    out[:, 0] += f[:, 0]
+    out /= 5.0
+    return out

@@ -130,6 +130,16 @@ def test_forward_and_reverse_gaps_sum_to_the_gradient_jump(objective10):
     np.testing.assert_allclose(forward + reverse, float((g2 - g1) @ d), rtol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(7, 9), (1, 6), (6, 1), (1, 1), (5, 4, 3), (3, 1, 2), (2, 6, 5, 3)])
+def test_smooth_pass_equals_the_edge_padded_average(shape):
+    f = np.random.default_rng(len(shape) * 10 + shape[0]).standard_normal(shape)
+    padded = np.pad(f, ((1, 1), (1, 1)) + ((0, 0),) * (f.ndim - 2), mode="edge")
+    expected = (
+        padded[1:-1, 1:-1] + padded[2:, 1:-1] + padded[:-2, 1:-1] + padded[1:-1, 2:] + padded[1:-1, :-2]
+    ) / 5.0
+    np.testing.assert_array_equal(smooth_pass(f), expected)
+
+
 def test_smooth_pass_smooths_each_trailing_slice():
     f = np.random.default_rng(0).standard_normal((7, 5, 3))
     expected = np.stack([smooth_pass(f[:, :, k]) for k in range(3)], axis=2)

@@ -14,8 +14,11 @@ from rtetomo import (
     solve_forward_direct,
     u0_field,
 )
+from rtetomo import forward
 from rtetomo.forward import (
+    MAX_SWEEPS,
     ScatterOperator,
+    _ballistic_targets,
     _bilinear_medium,
     _path_attenuation,
     _ray_samples,
@@ -172,6 +175,18 @@ def test_operator_matches_the_row_by_row_quadrature(h, source_half_width):
     np.testing.assert_allclose(swept, oracle, rtol=1e-12, atol=0.0)
 
 
+def test_apply_results_do_not_alias(grid10):
+    atten = make_phantom("A", 5.0, grid10).attenuation
+    xm, zm = grid10.spatial_mesh()
+    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid10)
+    rng = np.random.default_rng(9)
+    v1, v2 = rng.uniform(0.0, 1.0, (2, *grid10.shape_medium))
+    first, second = op.apply(v1), op.apply(v2)
+    fresh = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid10)
+    np.testing.assert_array_equal(first, fresh.apply(v1))
+    np.testing.assert_array_equal(second, fresh.apply(v2))
+
+
 def _array_bytes(value):
     if isinstance(value, np.ndarray):
         return value.nbytes
@@ -196,6 +211,68 @@ def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
     gap = field10.values - u0.values
     assert gap.min() >= -1e-12
     assert gap.max() > 0.0
+
+
+def test_solve_forward_marches_each_ray_once(grid20, source, kernel, monkeypatch):
+    # The operator build marches every mesh target; u0 reuses its c and
+    # marches again only the targets off the mesh's coordinates.
+    marched = []
+    ray_blocks = forward._ray_blocks
+
+    def counting(*args):
+        for block in ray_blocks(*args):
+            marched.append(block[0].size)
+            yield block
+
+    monkeypatch.setattr(forward, "_ray_blocks", counting)
+    solve_forward(make_phantom("A", 5.0, grid20), source, kernel, grid20)
+    floor = grid20.geometry.slab_bottom + 1e-12
+    xm, zm = (a.ravel() for a in grid20.spatial_mesh())
+    bx, bz = _ballistic_targets(grid20)
+    off = (bx != xm) | (bz != zm)
+    assert 0 < np.count_nonzero(off) < off.size
+    active = np.count_nonzero(zm > floor) + np.count_nonzero(bz[off] > floor)
+    assert sum(marched) == active * grid20.alpha.size
+
+
+def _two_march_solve(phantom, source, kernel, grid):
+    """solve_forward's sweeps written out plainly: u0 from its own march,
+    then u <- u0 + K u through a fresh operator until the update falls
+    below the default tolerance."""
+    u0 = u0_field(phantom, source, grid).values
+    w = scatter_matrix(kernel, grid.alpha, grid.h)
+    xm, zm = grid.spatial_mesh()
+    op = ScatterOperator(xm.ravel(), zm.ravel(), phantom.attenuation, grid)
+    u, diffs = u0, []
+    for _ in range(MAX_SWEEPS):
+        new = u0 + op.apply(phantom.mu_s[:, :, None] * (u @ w.T)).reshape(u0.shape)
+        diffs.append(float(np.max(np.abs(new - u))))
+        u = new
+        if diffs[-1] <= 1e-10 * max(1.0, float(np.max(new))):
+            return u, diffs
+    raise AssertionError("reference sweeps did not converge")
+
+
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.1, 0.5), (0.05, 0.5), (0.125, 0.75)], ids=["grid10", "grid20", "wide-source"]
+)
+def test_single_march_solve_equals_the_two_march_reference(source, h, source_half_width):
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    kernel = KernelModel(aperture_half_width=source_half_width)
+    phantom = make_phantom("A", 5.0, grid)
+    field, info = solve_forward(phantom, source, kernel, grid, return_info=True)
+    expected, diffs = _two_march_solve(phantom, source, kernel, grid)
+    np.testing.assert_array_equal(field.values, expected)
+    assert info["diffs"] == diffs
+
+
+def test_source_reaching_the_medium_is_refused_before_marching(grid10, kernel, monkeypatch):
+    def no_march(*args):
+        raise AssertionError("marched before checking the source radius")
+
+    monkeypatch.setattr(forward, "_ray_blocks", no_march)
+    with pytest.raises(UsageError):
+        solve_forward(make_phantom("A", 5.0, grid10), SourceModel.build(1.0), kernel, grid10)
 
 
 def test_forward_info_reports_contracting_sweeps(grid10, source, kernel):
