@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateSampleError, UsageError
 from .geometry import carleman_weight, trapezoid_weights
 from .seeding import stream
-from .stencils import diff_axis, onesided_first_end, second_diff_axis, smooth_pass
+from .stencils import diff_axis, second_diff_axis, smooth_pass
 
 SAMPLE_PASSES = 5
 BALL_PASSES = 2
@@ -81,7 +81,7 @@ def carleman_sides(u, lam, grid):
     interior = float(np.sum(quad * w * (lam * (gx * gx + gz * gz) + lam**3 * v * v)))
     top = v[:, -1]
     dtop = diff_axis(top, h, 0)
-    dn = onesided_first_end(v, h, 1)
+    dn = gz[:, -1]
     wx = trapezoid_weights(grid.x1.size, h)
     w_top = float(carleman_weight(grid.geometry.slab_top, lam))
     boundary = lam**3 * w_top * float(np.sum(wx * (top * top + dtop * dtop + dn * dn)))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import UsageError
+from .forward import KernelModel
 from .geometry import Geometry
 from .phantom import LETTER_STROKES
 
@@ -55,14 +56,10 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{_file_key(f.name)} must be finite, got {value!r}")
-        if not (self.half_width > 0 and self.source_half_width > 0):
-            raise UsageError("half widths must be positive")
-        if not 0 < self.slab_bottom < self.slab_top:
-            raise UsageError("need 0 < slab_bottom < slab_top")
+        geometry_of(self)
         if self.sigma <= 0:
             raise UsageError("source radius must be positive")
-        if not 0.0 <= self.anisotropy < 1.0:
-            raise UsageError("anisotropy must lie in [0, 1)")
+        KernelModel(anisotropy=self.anisotropy, aperture_half_width=self.source_half_width)
         if self.mu_s < 0:
             raise UsageError("scattering level must be non-negative")
         if self.letter is not None and self.letter not in LETTER_STROKES:
@@ -86,6 +83,8 @@ class RunConfig:
             raise UsageError("viscosity epsilon must be positive")
         if self.delta < 0:
             raise UsageError("noise level delta must be non-negative")
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative")
         if not self.out:
             raise UsageError("output directory must be non-empty")
 

@@ -36,8 +36,10 @@ about 10 bytes per nonzero, and the nonzeros grow as h^-4 (3.3 million,
 Two solvers are provided: damped-free fixed-point sweeps (production),
 which give up after ``MAX_SWEEPS`` sweeps, and a dense collocation solve of
 the same discretization (oracle for small grids, at most
-``DIRECT_MAX_UNKNOWNS`` unknowns), which rebuilds the quadrature ray by
-ray.
+``DIRECT_MAX_UNKNOWNS`` unknowns).  The oracle takes every ray from
+:func:`_ray_row`, a one-ray reference march that shares only the
+bilinear corners and the step with the production march, so the two
+solvers check each other's quadrature.
 """
 
 import mmap
@@ -139,16 +141,13 @@ def kernel_alpha_derivative(alpha, beta, kernel):
     return -(1.0 - g * g) * g * np.sin(diff) / (kernel.aperture_half_width * den * den)
 
 
-def kernel_matrix(kernel, alpha_nodes):
-    """Dense (receiver, donor) coupling table on the abscissa nodes."""
-    return kernel_value(np.asarray(alpha_nodes)[:, None], np.asarray(alpha_nodes)[None, :], kernel)
-
-
 def scatter_matrix(kernel, alpha_nodes, h_alpha):
-    """Coupling table with trapezoid quadrature weights folded in, so the
-    aperture integral of G(alpha, .) f(.) is ``scatter_matrix @ f``."""
-    w = trapezoid_weights(len(alpha_nodes), h_alpha)
-    return kernel_matrix(kernel, alpha_nodes) * w[None, :]
+    """(receiver, donor) coupling table with trapezoid quadrature weights
+    folded in, so the aperture integral of G(alpha, .) f(.) is
+    ``scatter_matrix @ f``."""
+    a = np.asarray(alpha_nodes)
+    w = trapezoid_weights(len(a), h_alpha)
+    return kernel_value(a[:, None], a[None, :], kernel) * w[None, :]
 
 
 def scatter_alpha_derivative_matrix(kernel, alpha_nodes, h_alpha):
@@ -161,27 +160,6 @@ def scatter_alpha_derivative_matrix(kernel, alpha_nodes, h_alpha):
 def default_ds(grid):
     """The ray-march step every solver uses: half the grid step."""
     return 0.5 * grid.h
-
-
-def _ray_samples(x1t, zt, alpha, grid):
-    """Sample arclengths and positions for one ray, as :func:`_ray_blocks`
-    marches them.
-
-    Returns (s, px, pz, ds); empty arrays when the target is at or below
-    the medium floor.
-    """
-    floor = grid.geometry.slab_bottom
-    if zt <= floor + 1e-12:
-        return np.empty(0), np.empty(0), np.empty(0), 0.0
-    dxr = x1t - alpha
-    ell = float(np.hypot(dxr, zt))
-    s_a = ell * (floor / zt)
-    seg = ell - s_a
-    m_cnt = max(int(np.ceil(seg / default_ds(grid))) + 1, 2)
-    ds = seg / (m_cnt - 1)
-    s = s_a + ds * np.arange(m_cnt)
-    tpar = s / ell
-    return s, alpha + tpar * dxr, tpar * zt, ds
 
 
 def _bilinear_corners(px, pz, grid):
@@ -202,12 +180,6 @@ def _bilinear_corners(px, pz, grid):
         (ix, iz + 1, np.where(inside, (1.0 - wx) * wz, 0.0)),
         (ix + 1, iz + 1, np.where(inside, wx * wz, 0.0)),
     )
-
-
-def _bilinear_medium(px, pz, values, grid):
-    """Bilinear samples of a medium-grid nodal array; zero outside the
-    medium x-range."""
-    return sum(cw * values[ci, cj] for ci, cj, cw in _bilinear_corners(px, pz, grid))
 
 
 # Targets marched together per source: bounds the per-block sample arrays.
@@ -459,45 +431,70 @@ def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
     return field
 
 
+def _ray_row(x1t, zt, alpha, atten, grid):
+    """Reference march of one ray, from abscissa ``alpha`` to the target
+    (x1t, zt), kept apart from :func:`_ray_blocks` as a check on it.
+
+    Same step rule, trapezoid and c = exp(attenuation integral) as the
+    production march.  Returns (c, row): c of the ray and the flat
+    (n1 * nz) per-medium-node weights of T / c, so that T / c of a nodal
+    scattering density v is ``row @ v.ravel()``.  A target at or below the
+    medium floor reads c = 1 and a zero row.
+    """
+    n_nodes = grid.x1.size * grid.z.size
+    floor = grid.geometry.slab_bottom
+    if zt <= floor + 1e-12:
+        return 1.0, np.zeros(n_nodes)
+    dxr = x1t - alpha
+    ell = float(np.hypot(dxr, zt))
+    s_a = ell * (floor / zt)
+    seg = ell - s_a
+    m_cnt = max(int(np.ceil(seg / default_ds(grid))) + 1, 2)
+    ds = seg / (m_cnt - 1)
+    tpar = (s_a + ds * np.arange(m_cnt)) / ell
+    corners = _bilinear_corners(alpha + tpar * dxr, tpar * zt, grid)
+    a_s = sum(cw * atten[ci, cj] for ci, cj, cw in corners)
+    c_s = np.exp(np.concatenate([[0.0], np.cumsum(0.5 * ds * (a_s[1:] + a_s[:-1]))]))
+    trap = np.full(m_cnt, ds)
+    trap[0] = trap[-1] = 0.5 * ds
+    sample_w = trap * c_s / c_s[-1]
+    key = np.concatenate([ci * grid.z.size + cj for ci, cj, _ in corners])
+    w = np.concatenate([sample_w * cw for _, _, cw in corners])
+    return c_s[-1], np.bincount(key, weights=w, minlength=n_nodes)
+
+
 def solve_forward_direct(phantom, source, kernel, grid, return_info=False):
     """Dense collocation solve of the same discretization, for small grids.
 
     Assembles (I - S) u = u0 over all medium nodes and abscissae with S the
     exact matrix of one marching sweep, then solves with LAPACK.  Refuses
-    more than ``DIRECT_MAX_UNKNOWNS`` unknowns.
+    more than ``DIRECT_MAX_UNKNOWNS`` unknowns.  Every ray comes from the
+    reference march :func:`_ray_row`: row (t, k) of S is the ray's T / c
+    weights times mu_s, spread over the donor abscissae by the aperture
+    quadrature, and u0 takes c of the ray to the ballistic target.
     """
     n1, nz, nk = grid.shape_medium
     n_unknown = n1 * nz * nk
     if n_unknown > DIRECT_MAX_UNKNOWNS:
         raise UsageError(f"{n_unknown} unknowns exceed the dense-solver cap {DIRECT_MAX_UNKNOWNS}")
-    atten, mu_s = phantom.attenuation, phantom.mu_s
+    _check_source_radius(source, grid)
+    atten, mu_s = phantom.attenuation, phantom.mu_s.ravel()
     w = scatter_matrix(kernel, grid.alpha, grid.h)
-    rhs = _ballistic(phantom, source, grid).reshape(n_unknown)
+    xm, zm = grid.spatial_mesh()
+    bx, bz = _ballistic_targets(grid)
 
-    smat = np.zeros((n_unknown, n_unknown))
-    for i in range(n1):
-        for j in range(nz):
-            for k in range(nk):
-                row = (i * nz + j) * nk + k
-                s, px, pz, ds = _ray_samples(grid.x1[i], grid.z[j], grid.alpha[k], grid)
-                if s.size == 0:
-                    continue
-                a_s = _bilinear_medium(px, pz, atten, grid)
-                inc = 0.5 * ds * (a_s[1:] + a_s[:-1])
-                acc = np.concatenate([[0.0], np.cumsum(inc)])
-                c_s = np.exp(acc)
-                trap = np.full(s.size, ds)
-                trap[0] = trap[-1] = 0.5 * ds
-                sample_w = trap * c_s / c_s[-1]
-                for ci, cj, cw in _bilinear_corners(px, pz, grid):
-                    coeff = sample_w * cw * mu_s[ci, cj]
-                    for m in range(s.size):
-                        if coeff[m] == 0.0:
-                            continue
-                        base = (ci[m] * nz + cj[m]) * nk
-                        smat[row, base : base + nk] += coeff[m] * w[k, :]
+    rhs = np.empty((n1 * nz, nk))
+    smat = np.zeros((n_unknown, n1 * nz, nk))
+    for t, (x, z) in enumerate(zip(xm.ravel(), zm.ravel())):
+        for k, alpha in enumerate(grid.alpha):
+            c, row = _ray_row(x, z, alpha, atten, grid)
+            if (bx[t], bz[t]) != (x, z):
+                c = _ray_row(bx[t], bz[t], alpha, atten, grid)[0]
+            rhs[t, k] = source.profile_integral / c
+            smat[t * nk + k] = np.outer(row * mu_s, w[k])
+    rhs = rhs.ravel()
 
-    mat = np.eye(n_unknown) - smat
+    mat = np.eye(n_unknown) - smat.reshape(n_unknown, n_unknown)
     sol = np.linalg.solve(mat, rhs)
     residual = float(np.max(np.abs(mat @ sol - rhs)))
 

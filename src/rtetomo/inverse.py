@@ -90,9 +90,7 @@ class CarlemanObjective:
         n1, nz, nk = grid.shape_medium
         if n1 < 3 or nz < 5 or nk < 2:
             raise UsageError(f"grid {grid.shape_medium} too small for the inversion stencils")
-        self.data = data
         self.grid = grid
-        self.kernel = kernel
         self.mu_s = float(mu_s_value)
         self.lam = float(lam)
         self.gamma = float(gamma)

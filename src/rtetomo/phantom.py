@@ -100,8 +100,6 @@ class Phantom:
     so nothing is stored there.
     """
 
-    letter: "str | None"
-    absorber_level: float
     mu_a: np.ndarray
     mu_s: np.ndarray
     attenuation: np.ndarray
@@ -126,8 +124,6 @@ def make_phantom(letter, c_a, grid, mu_s_value=5.0):
     mu_s = np.full(mask.shape, float(mu_s_value))
     mu_a = np.where(mask, float(c_a), 0.0)
     return Phantom(
-        letter=letter,
-        absorber_level=float(c_a),
         mu_a=mu_a,
         mu_s=mu_s,
         attenuation=mu_a + mu_s,

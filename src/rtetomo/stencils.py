@@ -38,12 +38,6 @@ def second_diff_axis(f, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def onesided_first_end(f, h, axis):
-    """Second-order one-sided first derivative at the LAST node of ``axis``."""
-    f = np.moveaxis(np.asarray(f, dtype=float), axis, 0)
-    return (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-
-
 def smooth_pass(f):
     """One sweep of the five-point averaging filter over the first two
     axes (edges use clamped neighbors), applied to every slice along any

@@ -113,6 +113,24 @@ def test_non_finite_values_are_usage_errors(tmp_path, capsys, key, value):
     assert f"{key} must be finite" in capsys.readouterr().err
 
 
+def test_negative_seed_in_the_config_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("h_forward=0.1\nh_inverse=0.1\ndelta=0.05\nseed=-3\n")
+    with pytest.raises(UsageError, match="seed must be non-negative"):
+        load_config(path)
+    assert main(["forward", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["forward", "verify"])
+def test_negative_seed_flag_exits_one(tmp_path, capsys, command):
+    cfg_file = tmp_path / "noisy.cfg"
+    cfg_file.write_text("h_forward=0.1\nh_inverse=0.1\ndelta=0.05\n")
+    argv = [command, "--config", str(cfg_file), "--seed", "-1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 CONFIG_KEYS = ["lambda" if f.name == "lam" else f.name for f in fields(RunConfig)]
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _VALUES = st.one_of(

@@ -19,11 +19,9 @@ from rtetomo.forward import (
     MAX_SWEEPS,
     ScatterOperator,
     _ballistic_targets,
-    _bilinear_medium,
     _path_attenuation,
-    _ray_samples,
+    _ray_row,
     kernel_alpha_derivative,
-    kernel_matrix,
     kernel_value,
     scatter_alpha_derivative_matrix,
     scatter_matrix,
@@ -80,7 +78,7 @@ def test_kernel_diagonal_value(kernel):
 
 def test_kernel_symmetric_and_positive(kernel):
     a = np.linspace(-0.5, 0.5, 11)
-    mat = kernel_matrix(kernel, a)
+    mat = kernel_value(a[:, None], a[None, :], kernel)
     np.testing.assert_allclose(mat, mat.T, atol=1e-15)
     assert np.all(mat > 0.0)
 
@@ -97,7 +95,9 @@ def test_scatter_matrices_fold_in_weights(kernel):
     h = a[1] - a[0]
     w = trapezoid_weights(6, h)
     np.testing.assert_allclose(
-        scatter_matrix(kernel, a, h), kernel_matrix(kernel, a) * w[None, :], atol=1e-15
+        scatter_matrix(kernel, a, h),
+        kernel_value(a[:, None], a[None, :], kernel) * w[None, :],
+        atol=1e-15,
     )
     np.testing.assert_allclose(
         scatter_alpha_derivative_matrix(kernel, a, h),
@@ -164,15 +164,26 @@ def test_operator_matches_the_row_by_row_quadrature(h, source_half_width):
 
     oracle = np.zeros(grid.shape_medium)
     for (i, j, k), _ in np.ndenumerate(oracle):
-        s, px, pz, step = _ray_samples(grid.x1[i], grid.z[j], grid.alpha[k], grid)
-        if s.size == 0:
-            continue
-        a_s = _bilinear_medium(px, pz, atten, grid)
-        c_s = np.exp(np.concatenate([[0.0], np.cumsum(0.5 * step * (a_s[1:] + a_s[:-1]))]))
-        cv = c_s * _bilinear_medium(px, pz, vsrc[:, :, k], grid)
-        oracle[i, j, k] = np.sum(0.5 * step * (cv[1:] + cv[:-1])) / c_s[-1]
+        _, row = _ray_row(grid.x1[i], grid.z[j], grid.alpha[k], atten, grid)
+        oracle[i, j, k] = row @ vsrc[:, :, k].ravel()
     assert np.count_nonzero(oracle) == oracle.size - grid.x1.size * grid.alpha.size
     np.testing.assert_allclose(swept, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.1, 0.5), (0.125, 0.75)], ids=["grid10", "wide-source"]
+)
+def test_path_attenuation_matches_the_row_by_row_march(h, source_half_width):
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    atten = make_phantom("A", 5.0, grid).attenuation
+    xm, zm = grid.spatial_mesh()
+    tx, tz = xm.ravel(), zm.ravel()
+    c = _path_attenuation(tx, tz, atten, grid)
+    oracle = np.array(
+        [[_ray_row(x, z, alpha, atten, grid)[0] for alpha in grid.alpha] for x, z in zip(tx, tz)]
+    )
+    assert np.count_nonzero(oracle != 1.0) == oracle.size - grid.x1.size * grid.alpha.size
+    np.testing.assert_allclose(c, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_apply_results_do_not_alias(grid10):
