@@ -16,9 +16,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import UsageError
-from .forward import KernelModel
+from .forward import KernelModel, SourceModel
 from .geometry import Geometry
-from .phantom import LETTER_STROKES
+from .inverse import check_weights
+from .phantom import check_phantom
 
 
 def _file_key(attr):
@@ -56,31 +57,17 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{_file_key(f.name)} must be finite, got {value!r}")
+        # Each rule lives with the constructor that needs it.
         geometry_of(self)
-        if self.sigma <= 0:
-            raise UsageError("source radius must be positive")
+        SourceModel.build(self.sigma)
         KernelModel(anisotropy=self.anisotropy, aperture_half_width=self.source_half_width)
-        if self.mu_s < 0:
-            raise UsageError("scattering level must be non-negative")
-        if self.letter is not None and self.letter not in LETTER_STROKES:
-            raise UsageError(
-                f"unknown letter {self.letter!r}; choose from {sorted(LETTER_STROKES)} or none"
-            )
-        if self.c_a < 0:
-            raise UsageError("absorber level must be non-negative")
-        if self.letter is not None and not self.c_a > 0:
-            raise UsageError("absorber level must be positive when a letter is drawn")
+        check_phantom(self.letter, self.c_a, self.mu_s)
         if self.h_forward <= 0 or self.h_inverse <= 0:
             raise UsageError("grid steps must be positive")
         ratio = self.h_inverse / self.h_forward
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise UsageError("inversion step must be an integer multiple of the forward step")
-        if self.lam <= 0:
-            raise UsageError("weight exponent lambda must be positive")
-        if not 0.0 <= self.gamma < 1.0:
-            raise UsageError("regularization weight gamma must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise UsageError("viscosity epsilon must be positive")
+        check_weights(self.lam, self.gamma, self.epsilon)
         if self.delta < 0:
             raise UsageError("noise level delta must be non-negative")
         if self.seed < 0:

@@ -82,7 +82,10 @@ class SourceModel:
     def build(cls, sigma):
         if sigma <= 0:
             raise UsageError("source radius must be positive")
-        norm = 1.0 / (2.0 * np.pi * sigma * sigma * _BUMP_RADIAL_MASS)
+        mass = 2.0 * np.pi * sigma * sigma * _BUMP_RADIAL_MASS
+        if not mass > 0.0 or not np.isfinite(1.0 / mass):
+            raise UsageError(f"source radius {sigma!r} is too small to normalize the source")
+        norm = 1.0 / mass
         t = np.linspace(0.0, 1.0, _PROFILE_TABLE_N)
         profile = np.zeros_like(t)
         profile[:-1] = norm * _bump(t[:-1])

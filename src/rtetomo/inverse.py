@@ -13,8 +13,12 @@ minimized over the affine set fixed by the boundary data: Dirichlet
 values on all four faces and, on the layer below the top face, the
 one-sided normal-derivative identity, which eliminates that layer in
 favor of the last free one.  For lam large enough the weight makes J
-strongly convex on bounded sets, so plain gradient descent with a
-backtracking line search converges from the data-interpolating guess.
+strongly convex on bounded sets, so descent with a backtracking line
+search converges from the data-interpolating guess.  The descent takes
+its gradient in the inner product of the S-norm above (a Sobolev
+gradient), whose Gram matrix the objective inverts by fast
+diagonalization, and sizes its steps by Barzilai-Borwein in that inner
+product; the step count then hardly grows as the grid is refined.
 
 Each point the descent visits costs one residual pass.  The objective
 keeps a one-entry memo of the last point evaluated: a copy of its free
@@ -61,6 +65,33 @@ class PairField:
             raise UsageError(f"pair shapes {self.p.shape}/{self.q.shape} do not match grid {want}")
 
 
+def check_weights(lam, gamma, epsilon):
+    """Refuse a weight exponent, Tikhonov weight or viscosity J cannot use;
+    the messages name each value by its config key."""
+    if lam <= 0:
+        raise UsageError("weight exponent lambda must be positive")
+    if not 0.0 <= gamma < 1.0:
+        raise UsageError("regularization weight gamma must lie in [0, 1)")
+    if epsilon <= 0:
+        raise UsageError("viscosity epsilon must be positive")
+
+
+def _difference_gram(n, h):
+    """K = D1^T D1 / h + h D2^T D2 for n nodes of step h: the first- and
+    second-difference part of the S-norm along one axis."""
+    d1 = np.diff(np.eye(n), axis=0)
+    d2 = np.diff(d1, axis=0)
+    return d1.T @ d1 / h + h * (d2.T @ d2)
+
+
+def _pencil(a, b):
+    """Eigenvalues lam and basis V of the symmetric pencil (a, diag(b)):
+    V^T a V = diag(lam) and V^T diag(b) V = I."""
+    root = np.sqrt(b)
+    lam, vec = np.linalg.eigh(a / root[:, None] / root[None, :])
+    return lam, vec / root[:, None]
+
+
 class CarlemanObjective:
     """J and its exact discrete gradient for one boundary dataset.
 
@@ -80,12 +111,7 @@ class CarlemanObjective:
     """
 
     def __init__(self, data, kernel, mu_s_value=5.0, lam=5.0, gamma=1e-3, epsilon=1e-2):
-        if lam <= 0:
-            raise UsageError("weight exponent lam must be positive")
-        if not 0.0 <= gamma < 1.0:
-            raise UsageError("regularization weight gamma must lie in [0, 1)")
-        if epsilon <= 0:
-            raise UsageError("viscosity epsilon must be positive")
+        check_weights(lam, gamma, epsilon)
         grid = data.grid
         n1, nz, nk = grid.shape_medium
         if n1 < 3 or nz < 5 or nk < 2:
@@ -134,6 +160,20 @@ class CarlemanObjective:
         self.free_shape = (n1 - 2, nz - 3, nk)
         self.n_free_field = int(np.prod(self.free_shape))
         self.n_free = 2 * self.n_free_field
+
+        # The S-norm's Gram matrix M on the free block, for ``precondition``:
+        # per field and abscissa k the block
+        #   wa[k] [(Wx + Kx)|free (x) L^T Wz L + Wx|free (x) L^T Kz L],
+        # L the lift of the free z rows to the column (the eliminated row is
+        # 1/4 of the last free one), so L^T Wz L is diagonal.  Both 1-D
+        # pencils are diagonalized once (fast diagonalization).
+        lift = np.zeros((nz, nz - 3))
+        lift[1 : nz - 2] = np.eye(nz - 3)
+        lift[nz - 2, -1] = 0.25
+        xgram = np.diag(wx) + _difference_gram(n1, h)
+        lamx, self._vx = _pencil(xgram[1:-1, 1:-1], wx[1:-1])
+        lamz, self._vz = _pencil(lift.T @ _difference_gram(nz, h) @ lift, (lift * lift).T @ wz)
+        self._m_inv = 1.0 / ((lamx[:, None, None] + lamz[:, None]) * wa)
 
         # Memo: the field, its residual r (row 0 R1, row 1 R2) and exp(p),
         # the scattering coefficient and the nonlinear term on the band.
@@ -297,6 +337,19 @@ class CarlemanObjective:
     def value(self, free):
         return self._evaluate(free)
 
+    def precondition(self, grad):
+        """M^-1 grad for a free vector ``grad``, M the Gram matrix of the
+        S-norm on the free block (half the Hessian of ``s_norm_sq_arrays``
+        of the expanded pair): the gradient in the S inner product.  Four
+        small matrix products, O(n_free (n1 + nz)); the memo is untouched."""
+        grad = np.asarray(grad, dtype=float)
+        if grad.shape != (self.n_free,):
+            raise UsageError(f"free vector has shape {grad.shape}, want ({self.n_free},)")
+        n = self.free_shape[0]
+        t = self._vz.T @ (self._vx.T @ grad.reshape(2, n, -1)).reshape(2, *self.free_shape)
+        t *= self._m_inv
+        return (self._vx @ (self._vz @ t).reshape(2, n, -1)).ravel()
+
     def value_and_grad(self, free):
         """J and its exact gradient with respect to the free vector.
 
@@ -364,7 +417,6 @@ class InversionState:
     converged: bool
 
 
-STEP_INIT = 1.0
 ARMIJO = 1e-4
 SHRINK = 0.5
 GROW = 2.0
@@ -372,17 +424,27 @@ MAX_BACKTRACKS = 60
 
 
 def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
-    """Gradient descent with Armijo backtracking on the free vector.
+    """Descent along the S-norm gradient with Barzilai-Borwein steps and
+    Armijo backtracking on the free vector.
 
-    Stops when the max-norm of the gradient drops below ``grad_tol``
-    (``converged`` True) or after ``max_iters`` accepted steps.  The first
-    trial step is ``STEP_INIT``; a trial is accepted once J falls by at least
-    ``ARMIJO`` times the step times |grad|^2.  The step is multiplied by
-    ``SHRINK`` after each rejected trial and by ``GROW`` after each accepted
-    iteration, so the schedule adapts without tuning; ``MAX_BACKTRACKS``
-    rejected trials in a row raise :class:`StagnationError`.  J is strictly
-    non-increasing along the returned history, whose rows are (iteration,
-    J, grad max-norm, step).
+    Each iteration moves along d = M^-1 g (``objective.precondition``), the
+    gradient g taken in the inner product of the S-norm that J's penalty
+    uses, so the step length is measured in S and no longer shrinks with
+    the grid.  The first trial step rho is one unit of S-length,
+    1 / sqrt(g.d); each later first trial is the Barzilai-Borwein step in
+    that inner product, s.Ms / s.y = rho g.d / d.(g - g_next) with s and
+    y the last step's changes of the iterate and gradient, or ``GROW``
+    times the last step when the curvature d.(g - g_next) is not positive.
+    A trial is accepted once J falls by at least ``ARMIJO`` times rho g.d;
+    rho is multiplied by ``SHRINK`` after each rejected trial, and
+    ``MAX_BACKTRACKS`` rejected trials in a row raise
+    :class:`StagnationError`.
+
+    Stops when the max-norm of the (Euclidean) gradient drops below
+    ``grad_tol`` (``converged`` True) or after ``max_iters`` accepted
+    steps.  J is strictly non-increasing along the returned history, whose
+    rows are (iteration, J, grad max-norm, step), the step being the
+    accepted rho along M^-1 g.
 
     Every trial costs one ``value`` call; the accepted one's
     ``value_and_grad`` is served from the objective's memo of that trial,
@@ -392,16 +454,18 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     free = obj.initial_guess() if free0 is None else np.array(free0, dtype=float)
     jval, grad = obj.value_and_grad(free)
     ginf = float(np.max(np.abs(grad)))
-    rho = STEP_INIT
     rows = [(0, jval, ginf, 0.0)]
     it = 0
     while ginf >= grad_tol and it < max_iters:
-        gsq = float(grad @ grad)
+        direction = obj.precondition(grad)
+        gd = float(grad @ direction)
+        if it == 0:
+            rho = 1.0 / np.sqrt(gd)
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            trial = free - rho * grad
+            trial = free - rho * direction
             jtrial = obj.value(trial)
-            if np.isfinite(jtrial) and jtrial <= jval - ARMIJO * rho * gsq:
+            if np.isfinite(jtrial) and jtrial <= jval - ARMIJO * rho * gd:
                 accepted = True
                 break
             rho *= SHRINK
@@ -410,11 +474,13 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
                 f"line search stalled at iteration {it} (J = {jval:.6e}, step {rho:.3e})"
             )
         free = trial
-        jval, grad = obj.value_and_grad(free)
-        ginf = float(np.max(np.abs(grad)))
+        jval, new_grad = obj.value_and_grad(free)
+        ginf = float(np.max(np.abs(new_grad)))
         it += 1
         rows.append((it, jval, ginf, rho))
-        rho *= GROW
+        curvature = float(direction @ (grad - new_grad))
+        rho = rho * gd / curvature if curvature > 0.0 else rho * GROW
+        grad = new_grad
     return InversionState(
         free=free,
         pair=obj.apply_constraints(free),

@@ -66,17 +66,23 @@ def _in_rect(x1, z, rect):
     )
 
 
+def _check_letter(letter):
+    if letter is not None and letter not in LETTER_STROKES:
+        raise UsageError(
+            f"unknown letter {letter!r}; choose from {sorted(LETTER_STROKES)} or none"
+        )
+
+
 def letter_mask(letter, grid):
     """Boolean absorber mask on the medium spatial nodes of ``grid``.
 
     ``letter`` is one of ``LETTER_STROKES``' keys or None for an empty mask.
     """
+    _check_letter(letter)
     x1, z = grid.spatial_mesh("medium")
     mask = np.zeros(x1.shape, dtype=bool)
     if letter is None:
         return mask
-    if letter not in LETTER_STROKES:
-        raise UsageError(f"unknown letter {letter!r}; choose from {sorted(LETTER_STROKES)}")
     for rect in LETTER_STROKES[letter]:
         mask |= _in_rect(x1, z, rect)
     if letter == "OMEGA":
@@ -111,15 +117,22 @@ class Phantom:
         return getattr(self, name)
 
 
+def check_phantom(letter, c_a, mu_s_value):
+    """Refuse a letter, absorber level or scattering level no phantom has;
+    a letter of None draws no absorber."""
+    _check_letter(letter)
+    if c_a < 0:
+        raise UsageError("absorber level must be non-negative")
+    if letter is not None and not c_a > 0:
+        raise UsageError("absorber level must be positive when a letter is drawn")
+    if mu_s_value < 0:
+        raise UsageError("scattering level must be non-negative")
+
+
 def make_phantom(letter, c_a, grid, mu_s_value=5.0):
     """Build the letter phantom: mu_s = ``mu_s_value`` on the closed medium
     rectangle, mu_a = ``c_a`` on the letter mask and zero off it."""
-    if letter is not None and not c_a > 0:
-        raise UsageError("absorber level must be positive when a letter is drawn")
-    if c_a < 0:
-        raise UsageError("absorber level must be non-negative")
-    if mu_s_value < 0:
-        raise UsageError("scattering level must be non-negative")
+    check_phantom(letter, c_a, mu_s_value)
     mask = letter_mask(letter, grid)
     mu_s = np.full(mask.shape, float(mu_s_value))
     mu_a = np.where(mask, float(c_a), 0.0)

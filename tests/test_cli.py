@@ -344,6 +344,14 @@ def test_source_radius_reaching_the_medium_exits_one(tmp_path, capsys, command, 
     assert "source radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["1e-308", "1e-160"])
+def test_source_radius_too_small_to_normalize_exits_one(tmp_path, capsys, sigma):
+    cfg_file = desk_config(tmp_path, f"sigma={sigma}\n")
+    capsys.readouterr()
+    assert main(["forward", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
+    assert "source radius" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_out():
     """Start-up pays for numpy only; scipy serves the tests."""
     paths = [str(Path(rtetomo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -56,6 +56,17 @@ def test_objective_parameter_validation(boundary10, kernel):
         CarlemanObjective(boundary10, kernel, epsilon=0.0)
 
 
+def test_config_and_objective_refuse_a_weight_with_the_same_message(boundary10, kernel):
+    from rtetomo.config import RunConfig
+
+    with pytest.raises(UsageError) as from_config:
+        RunConfig(lam=0.0)
+    with pytest.raises(UsageError) as from_objective:
+        CarlemanObjective(boundary10, kernel, lam=0.0)
+    assert str(from_config.value) == str(from_objective.value)
+    assert "lambda" in str(from_config.value)
+
+
 def test_objective_refuses_tiny_grids(geometry, kernel):
     from rtetomo import GridSet
 
@@ -250,6 +261,37 @@ def test_minimize_converges_and_decreases(objective10):
     )
 
 
+def test_precondition_solves_the_s_gram_system(objective10):
+    """d = M^-1 r for the S-norm's Gram matrix M on the free block: the
+    second difference of S along d is d.Md = d.r, to round-off."""
+
+    def s_norm(free):
+        pair = objective10.apply_constraints(free)
+        return objective10.s_norm_sq_arrays(pair.p, pair.q)
+
+    x = objective10.initial_guess()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        r = rng.standard_normal(objective10.n_free)
+        d = objective10.precondition(r)
+        assert r @ d > 0.0
+        second = s_norm(x + d) + s_norm(x - d) - 2.0 * s_norm(x)
+        np.testing.assert_allclose(second, 2.0 * (d @ r), rtol=1e-12)
+
+
+@pytest.mark.parametrize("step, grad_tol, max_steps", [(0.05, 1e-5, 60), (0.1, 1e-8, 40)])
+def test_minimize_step_count_barely_grows_with_the_grid(
+    objective10, boundary20, kernel, step, grad_tol, max_steps
+):
+    """Guard against a slide back to Euclidean steps, which took 6 125
+    steps to max-norm 1e-5 at h = 1/20."""
+    objective = objective10 if step == 0.1 else CarlemanObjective(boundary20, kernel)
+    state = minimize(objective, grad_tol=grad_tol)
+    assert state.converged
+    assert state.iterations <= max_steps
+    assert np.all(np.diff(state.history[:, 1]) <= 0.0)
+
+
 def test_minimize_raises_when_no_descent_exists():
     class Flat:
         n_free = 4
@@ -262,6 +304,9 @@ def test_minimize_raises_when_no_descent_exists():
 
         def value(self, free):
             return 1.0
+
+        def precondition(self, grad):
+            return grad
 
         def apply_constraints(self, free):
             return None
