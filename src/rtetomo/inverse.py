@@ -430,11 +430,17 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     Each iteration moves along d = M^-1 g (``objective.precondition``), the
     gradient g taken in the inner product of the S-norm that J's penalty
     uses, so the step length is measured in S and no longer shrinks with
-    the grid.  The first trial step rho is one unit of S-length,
-    1 / sqrt(g.d); each later first trial is the Barzilai-Borwein step in
-    that inner product, s.Ms / s.y = rho g.d / d.(g - g_next) with s and
-    y the last step's changes of the iterate and gradient, or ``GROW``
-    times the last step when the curvature d.(g - g_next) is not positive.
+    the grid.  The first trial step is rho = g.g / g.d, whose first-order
+    decrease rho g.d is that of a unit Euclidean gradient step, so the
+    first move shrinks with the gradient.  Each later first trial is the
+    Barzilai-Borwein step in that inner product, s.Ms / s.y =
+    rho g.d / d.(g - g_next) with s and y the last step's changes of the
+    iterate and gradient, or ``GROW`` times the last step when the
+    curvature d.(g - g_next) is not positive.  Until that proposal first
+    comes within ``GROW`` times the last step, the step only grows by
+    ``GROW`` (a warm-up).  So a start just above ``grad_tol`` moves a
+    little, not one long step: the result is continuous as noisy data
+    cross the tolerance.
     A trial is accepted once J falls by at least ``ARMIJO`` times rho g.d;
     rho is multiplied by ``SHRINK`` after each rejected trial, and
     ``MAX_BACKTRACKS`` rejected trials in a row raise
@@ -456,11 +462,12 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     ginf = float(np.max(np.abs(grad)))
     rows = [(0, jval, ginf, 0.0)]
     it = 0
+    warming = True
     while ginf >= grad_tol and it < max_iters:
         direction = obj.precondition(grad)
         gd = float(grad @ direction)
         if it == 0:
-            rho = 1.0 / np.sqrt(gd)
+            rho = float(grad @ grad) / gd
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial = free - rho * direction
@@ -479,7 +486,9 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
         it += 1
         rows.append((it, jval, ginf, rho))
         curvature = float(direction @ (grad - new_grad))
-        rho = rho * gd / curvature if curvature > 0.0 else rho * GROW
+        step = rho * gd / curvature if curvature > 0.0 else rho * GROW
+        warming = warming and step > GROW * rho
+        rho = GROW * rho if warming else step
         grad = new_grad
     return InversionState(
         free=free,
