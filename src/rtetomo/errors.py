@@ -18,9 +18,10 @@ class NumericalError(RteTomoError):
 
 
 class ForwardConvergenceError(NumericalError):
-    """Fixed-point sweep for the transport field did not contract.
+    """The fixed-point passes of one z-row of the transport field did not
+    contract.
 
-    Carries ``last_diff``, the max-norm update of the final sweep.
+    Carries ``last_diff``, the max-norm update of the row's final pass.
     """
 
     def __init__(self, message, last_diff=None):

@@ -272,9 +272,14 @@ def read_boundary(path):
 
 
 def write_sweeps(diffs, path, meta=None):
-    """Forward sweep history rows (sweep, max update, contraction ratio to
-    the previous sweep's update; nan for the first sweep or after a zero
-    update)."""
+    """Forward pass history rows (sweep, update, ratio).
+
+    :func:`~rtetomo.forward.solve_forward` solves the z-rows one after
+    another, each in its own fixed-point passes: row m of the table is
+    pass m, its update the largest max-norm update of any z-row's m-th
+    pass, and its ratio that update over pass m - 1's (nan for the first
+    pass or after a zero update).  The table has one row per pass of the
+    z-row that took the most."""
     diffs = np.asarray(diffs, dtype=float)
     ratio = np.full(diffs.shape, np.nan)
     np.divide(diffs[1:], diffs[:-1], out=ratio[1:], where=diffs[:-1] != 0.0)

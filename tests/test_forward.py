@@ -1,5 +1,7 @@
 """Source model, scattering kernel, and the transport solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,8 +202,10 @@ def test_march_order_cannot_move_a_rows_bits(h, source_half_width):
     op = ScatterOperator(tx, tz, atten, grid, c_out=c)
     op_perm = ScatterOperator(tx[perm], tz[perm], atten, grid, c_out=c_perm)
     np.testing.assert_array_equal(c_perm, c[perm])
+    # A row's parts below and on the target's z-row move together.
+    parts = np.concatenate([perm, tx.size + perm])
     for k, ptr in enumerate(op.indptr):
-        entries = np.concatenate([np.arange(ptr[t], ptr[t + 1]) for t in perm])
+        entries = np.concatenate([np.arange(ptr[p], ptr[p + 1]) for p in parts])
         np.testing.assert_array_equal(op_perm.data[k], op.data[k][entries])
         np.testing.assert_array_equal(op_perm.nodes[k], op.nodes[k][entries])
 
@@ -285,35 +289,62 @@ def test_solve_forward_marches_each_ray_once(grid20, source, kernel, monkeypatch
     assert sum(marched) == active * grid20.alpha.size
 
 
-def _two_march_solve(phantom, source, kernel, grid):
-    """solve_forward's sweeps written out plainly: u0 from its own march,
-    then u <- u0 + K u through a fresh operator until the update falls
-    below the default tolerance."""
+def _two_march_solve(phantom, source, kernel, grid, tol):
+    """Plain whole-operator sweeps: u0 from its own march, then
+    u <- u0 + K u through a fresh operator until the update falls below
+    ``tol`` relative to the field's max."""
     u0 = u0_field(phantom, source, grid).values
     w = scatter_matrix(kernel, grid.alpha, grid.h)
     xm, zm = grid.spatial_mesh()
     op = ScatterOperator(xm.ravel(), zm.ravel(), phantom.attenuation, grid)
-    u, diffs = u0, []
+    u = u0
     for _ in range(MAX_SWEEPS):
         new = u0 + op.apply(phantom.mu_s[:, :, None] * (u @ w.T)).reshape(u0.shape)
-        diffs.append(float(np.max(np.abs(new - u))))
+        diff = float(np.max(np.abs(new - u)))
         u = new
-        if diffs[-1] <= 1e-10 * max(1.0, float(np.max(new))):
-            return u, diffs
+        if diff <= tol * max(1.0, float(np.max(new))):
+            return u
     raise AssertionError("reference sweeps did not converge")
 
 
 @pytest.mark.parametrize(
     "h, source_half_width", [(0.1, 0.5), (0.05, 0.5), (0.125, 0.75)], ids=["grid10", "grid20", "wide-source"]
 )
-def test_single_march_solve_equals_the_two_march_reference(source, h, source_half_width):
+def test_rays_put_no_weight_above_their_targets_row(h, source_half_width):
+    # The row-by-row solve rests on this: a ray climbs from its source, so
+    # only rounding in its last sample's z can weigh a node above its
+    # target's z-row, and the operator keeps none of those entries.
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    atten = make_phantom("A", 5.0, grid).attenuation
+    n1, nz, _ = grid.shape_medium
+    node_row = np.arange(n1 * nz) % nz
+    above = max(
+        _ray_row(grid.x1[i], grid.z[j], grid.alpha[k], atten, grid)[1][node_row > j].max(initial=0.0)
+        for (i, j, k), _ in np.ndenumerate(np.empty(grid.shape_medium))
+    )
+    assert above <= 1e-15
+
+    tx, tz = (a.ravel() for a in grid.spatial_mesh())
+    op = ScatterOperator(tx, tz, atten, grid)
+    target_row = np.tile(np.arange(nz), 2 * n1)
+    for k, ptr in enumerate(op.indptr):
+        part = np.repeat(np.arange(2 * tx.size), np.diff(ptr))
+        below = part < tx.size
+        rows = op.nodes[k] % nz
+        assert np.all(rows[below] < target_row[part[below]])
+        assert np.all(rows[~below] == target_row[part[~below]])
+
+
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.1, 0.5), (0.05, 0.5), (0.125, 0.75)], ids=["grid10", "grid20", "wide-source"]
+)
+def test_row_by_row_solve_matches_plain_sweeps(source, h, source_half_width):
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     kernel = KernelModel(aperture_half_width=source_half_width)
     phantom = make_phantom("A", 5.0, grid)
-    field, info = solve_forward(phantom, source, kernel, grid, return_info=True)
-    expected, diffs = _two_march_solve(phantom, source, kernel, grid)
-    np.testing.assert_array_equal(field.values, expected)
-    assert info["diffs"] == diffs
+    field = solve_forward(phantom, source, kernel, grid)
+    expected = _two_march_solve(phantom, source, kernel, grid, tol=1e-15)
+    np.testing.assert_allclose(field.values, expected, rtol=0.0, atol=1e-11 * expected.max())
 
 
 def test_source_reaching_the_medium_is_refused_before_marching(grid10, kernel, monkeypatch):
@@ -338,6 +369,27 @@ def test_forward_diverges_for_supercritical_scattering(grid10, source, kernel):
     phantom = make_phantom(None, 0.0, grid10, mu_s_value=25.0)
     with pytest.raises(ForwardConvergenceError):
         solve_forward(phantom, source, kernel, grid10)
+
+
+def test_divergence_names_the_row_whose_passes_grow(grid10, source, kernel):
+    # Subcritical scattering below z-row 6 and supercritical from it up:
+    # the rows below converge, and row 6 is the first whose passes grow.
+    phantom = make_phantom(None, 0.0, grid10)
+    mu_s = phantom.mu_s.copy()
+    mu_s[:, 6:] = 25.0
+    phantom = dataclasses.replace(phantom, mu_s=mu_s, attenuation=phantom.mu_a + mu_s)
+    with pytest.raises(ForwardConvergenceError, match=r"z-row 6 "):
+        solve_forward(phantom, source, kernel, grid10)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_tolerance_must_be_finite_and_positive(grid10, source, kernel, tol, monkeypatch):
+    def no_march(*args):
+        raise AssertionError("marched before checking the tolerance")
+
+    monkeypatch.setattr(forward, "_ray_blocks", no_march)
+    with pytest.raises(UsageError, match="tolerance"):
+        solve_forward(make_phantom("A", 5.0, grid10), source, kernel, grid10, tol=tol)
 
 
 @pytest.mark.parametrize(
