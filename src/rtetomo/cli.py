@@ -130,7 +130,6 @@ def cmd_forward(args):
     write_manifest(cfg, out / "manifest.txt")
     print(
         f"forward: {info['sweeps']} sweeps on {bds.grid.shape_medium} nodes, "
-        f"operator {info['nnz']} nonzeros ({info['operator_mb']:.1f} MB), "
         f"wrote {out / 'boundary.csv'}"
     )
     return 0

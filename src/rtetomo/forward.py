@@ -1,4 +1,4 @@
-"""Forward transport: ballistic field, scattering operator, and solvers.
+"""Forward transport: ballistic field, row-by-row ray march, and solvers.
 
 The steady radiance u(x, alpha) for the source at (alpha, 0) satisfies the
 integral fixed point u = u0 + K u, where u0 is the attenuated ballistic
@@ -21,44 +21,41 @@ with trapezoid rule in arclength and bilinear interpolation of the nodal
 attenuation and scattering-density fields; the pair kept per (node,
 source) is (T / c, c).  The step is about ``default_ds(grid)`` = h / 2.
 
-The production march, :func:`_ray_blocks`, takes one source's rays in
-blocks in order of sample count, so a block is padded only to the longest
-of rays of about the same length (sample slots 1.075 times the live
-samples at h = 1/40, against 1.90 for blocks of consecutive targets, which
-run from the medium floor to the top).  Padded samples repeat a ray's last
-sample with trapezoid weight 0, and every step of the march is elementwise
-or runs along one ray, so no ray's result depends on which rays share its
-block.
-
-The attenuation is fixed during a solve, so the quadrature is marched
-once: K is built into a :class:`ScatterOperator` whose rows hold the
-per-node weights of T / c, and the ballistic term takes c from the same
-march.  Only its off-lattice rows are marched again: u0 aims at
-:func:`_ballistic_targets`, which differ from the medium nodes in the
-last bit on a few z rows (11 of 41 at h = 1/40), and a one-bit change
-can change a ray's sample count.  The operator costs about 10 bytes per
-nonzero, and the nonzeros grow as h^-4 (3.3 million, 33 MB, at h = 1/40;
-about 0.5 GB at h = 1/80).
-
 The radiance at x gathers scattering only along the ray from the source
-below the medium to x, so it depends only on the medium below x, and K
-couples each z-row only to itself and to the rows below it: of K's
-weights at h = 1/40, 95% lie on rows below the target's, 4% on its own
-row, and the 0.8% above it (at most about 1e-16 each, from rounding in
-the z of a ray's last sample) are dropped.  The production solver,
-:func:`solve_forward`, therefore solves the rows from the floor up, as a
-transport sweep does: each row applies its entries below once, from
-rows already solved, and iterates only its own row's block, which mixes
-the sources through :func:`scatter_matrix`, until its passes converge
-(giving up after ``MAX_SWEEPS`` passes on one row).  A dense collocation
-solve of the same discretization is the oracle for small grids (at most
-``DIRECT_MAX_UNKNOWNS`` unknowns).  The oracle takes every ray from
-:func:`_ray_row`, a one-ray reference march that shares only the
-bilinear corners and the step with the production march, so the two
-solvers check each other's quadrature.
+below the medium to x, so it depends only on the medium below x: K couples each z-row only to
+itself and to the rows below it (the weights a ray puts on the row above
+its target's, at most about 1e-16 each from rounding in the z of its
+last sample, are dropped).  The production solver, :func:`solve_forward`,
+therefore solves the rows from the floor up, as a transport sweep does,
+and marches each row's rays, from every source to every node of the row,
+once the rows below are final (:func:`_march_row`).  It needs no stored
+operator: each sample's weight trap * c(s) / c(end) is dotted straight
+into the interpolant of the solved scattering density below, and only
+the samples in the last cell band, which reach the row itself, are summed
+into a small (source, target, column) block.  The row then iterates on
+that block, which mixes the sources through :func:`scatter_matrix`,
+until its passes converge (giving up after ``MAX_SWEEPS`` passes on one
+row).
+
+Within a row, the rays with the same horizontal offset from source to
+target and the same sample count have the same samples up to a shift of
+whole columns, so their geometry is computed once, from the group's ray
+from the lowest source.  A row's rays are aligned at their last samples;
+a shorter ray's leading columns repeat its first sample with trapezoid
+weight 0, and every other step of the march is elementwise or runs along
+one ray, so no ray's result depends on the order of the targets.  The ballistic term takes c from the same march;
+only its off-lattice rows are marched again: u0 aims at
+:func:`_ballistic_targets`, which differ from the medium nodes in the
+last bit on a few z rows (11 of 41 at h = 1/40), and a one-bit change can
+change a ray's sample count.
+
+A dense collocation solve of the same discretization is the oracle for
+small grids (at most ``DIRECT_MAX_UNKNOWNS`` unknowns).  The oracle takes
+every ray from :func:`_ray_row`, a one-ray reference march that shares
+only the bilinear corners and the step with the production march, so the
+two solvers check each other's quadrature.
 """
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +85,7 @@ class SourceModel:
 
     ``profile_integral`` is the line integral of the bump through its
     center: the un-attenuated ballistic amplitude at every medium node,
-    since the bump lies below the medium (see :func:`_ballistic`).
+    since the bump lies below the medium (see :func:`u0_field`).
     """
 
     sigma: float
@@ -182,16 +179,17 @@ def default_ds(grid):
     return 0.5 * grid.h
 
 
-def _bilinear_corners(px, pz, grid):
-    """Bilinear interpolation of the samples (px, pz) on the medium grid.
+def _bilinear_corners(px, pz, grid, pad=0):
+    """Bilinear interpolation of the samples (px, pz) on the medium grid,
+    widened by ``pad`` columns of zeros on each side.
 
     Returns (flat, corners): the flat index ``ix * nz + iz`` of each
     sample's lower-left node, and the four (offset, weight) corner pairs,
-    offsets 0, nz, 1, nz + 1 into the flattened (n1, nz) node array.  The
-    weights vanish outside the medium x-range (where all media vanish).
+    offsets 0, nz, 1, nz + 1 into the flattened (n1 + 2 pad, nz) node
+    array.  The weights vanish outside the widened x-range.
     """
-    n1, nz = grid.x1.size, grid.z.size
-    fx = (px - grid.x1[0]) / grid.h
+    n1, nz = grid.x1.size + 2 * pad, grid.z.size
+    fx = (px - grid.x1[0]) / grid.h + pad
     inside = (fx >= -1e-9) & (fx <= (n1 - 1) + 1e-9)
     ix = np.clip(np.floor(fx).astype(np.int64), 0, n1 - 2)
     wx = np.clip(fx - ix, 0.0, 1.0)
@@ -207,210 +205,166 @@ def _bilinear_corners(px, pz, grid):
     )
 
 
-# Rays marched together per source: bounds the per-block sample arrays.
-_BLOCK = 128
+# Sample slots per chunk of a row's rays: bounds the per-chunk arrays.
+_CHUNK = 1 << 15
 
 
-def _ray_blocks(tx, tz, atten, grid, k):
-    """March the rays from source abscissa ``k`` to every target; see the
-    module docstring.
+@dataclass(frozen=True, eq=False)
+class _RowRays:
+    """The rays from every source abscissa to the targets of one row.
 
-    ``tx``, ``tz`` are flat target coordinates and ``atten`` (n1, nz) the
-    nodal attenuation on the medium grid.  Each ray to a target above the
-    medium floor takes the closest step to :func:`default_ds` that divides
-    its marched segment evenly.  The rays are marched in blocks of
-    ``_BLOCK`` in order of sample count (stable, so ties keep target
-    order), and each block is padded only to its longest ray.  Yields
-    (rows, trap, c_s, (flat, corners)) per block: the block's target
-    indices, the trapezoid weights (B, M) of the samples (zero past the
-    end of a shorter ray, where the samples repeat the ray's last one), c
-    at every sample and the samples' :func:`_bilinear_corners`.
+    ``c`` (n_targets, n_alpha) holds c of every ray and ``counts`` its
+    sample count (ray ``t * n_alpha + k`` runs from source k to target t).
+    Given a scattering density, ``below`` (n_targets, n_alpha) holds T / c
+    of every ray from the rows below the targets' z-row, and ``block``
+    (n_alpha, n_targets, n1) the rays' weights of T / c on the nodes of
+    that z-row, per (source, target, column); otherwise both are None.
+    """
 
-    Every operation on a ray's samples is elementwise or runs along its own
-    row, so a ray's values do not depend on the rays that share its block.
+    c: np.ndarray
+    counts: np.ndarray
+    below: np.ndarray = None
+    block: np.ndarray = None
+
+
+def _march_row(tx, tz, atten, grid, vt=None):
+    """March the rays from every source abscissa to the targets at
+    abscissae ``tx`` and height ``tz``; returns their :class:`_RowRays`.
+
+    ``atten`` (n1, nz) is the nodal attenuation.  Each ray takes the
+    closest step to :func:`default_ds` that divides its segment above the
+    medium floor evenly, ``max(ceil(seg / ds) + 1, 2)`` samples.  Rays
+    with the same horizontal offset from source to target and the same
+    sample count have the same samples up to a shift of whole columns (the
+    sources lie on a lattice of step h), so the samples, their
+    :func:`_bilinear_corners` and trapezoid weights are computed once per
+    such group and shifted; each ray then gathers its own attenuation for
+    c.  A row's rays are aligned at their last samples, and the columns
+    before a shorter ray's first sample repeat it with trapezoid weight 0.
+
+    With the nodal scattering density ``vt`` (n_alpha, n1, nz), each
+    sample's weight trap * c(s) / c(end) is also dotted with the bilinear
+    interpolant of the density of its source, giving ``below``, and the
+    weights that the samples in the last cell band put on the target's
+    z-row are summed into ``block``.  The row solve passes ``vt`` while
+    the rows from the targets' up are still zero, so ``below`` sums only
+    the rows below; the weights on the row above (at most about 1e-16,
+    rounding in the z of a ray's last sample) are dropped.
     """
     if atten.shape != grid.shape_medium[:2]:
         raise UsageError("attenuation shape disagrees with the grid")
-    alpha = grid.alpha[k]
+    n1, nz = atten.shape
+    alpha, h = grid.alpha, grid.h
+    n_t, n_alpha = tx.size, alpha.size
+    if vt is not None and vt.shape != (n_alpha, n1, nz):
+        raise UsageError("scattering-density shape disagrees with the grid")
     floor_z = grid.geometry.slab_bottom
-    atten = atten.ravel()
-    active = np.flatnonzero(tz > floor_z + 1e-12)
-    dxr = tx[active] - alpha
-    az = tz[active]
-    ell = np.hypot(dxr, az)
-    s_a = ell * (floor_z / az)
+    # Zero columns on each side of the medium that hold the corners of
+    # every sample (all lie between a source and a target), one to spare.
+    beyond = max(grid.x1[0] - min(tx.min(), alpha[0]), max(tx.max(), alpha[-1]) - grid.x1[-1], 0.0)
+    pad = int(np.ceil(beyond / h)) + 2
+    n1w = n1 + 2 * pad
+    ray_t, ray_k = np.divmod(np.arange(n_t * n_alpha), n_alpha)
+    c = np.ones(ray_k.size)
+    below = None if vt is None else np.zeros(ray_k.size)
+    dxr = (tx[:, None] - alpha).ravel()
+    if not tz > floor_z + 1e-12:
+        scatter = () if vt is None else (below.reshape(n_t, n_alpha), np.zeros((n_alpha, n_t, n1)))
+        return _RowRays(c.reshape(n_t, n_alpha), np.zeros(ray_k.size, np.int64), *scatter)
+    ell = np.hypot(dxr, tz)
+    s_a = ell * (floor_z / tz)
     seg = ell - s_a
-    m_cnt = np.maximum(np.ceil(seg / default_ds(grid)).astype(np.int64) + 1, 2)
-    order = np.argsort(m_cnt, kind="stable")
-    for start in range(0, order.size, _BLOCK):
-        b = order[start : start + _BLOCK]
-        rows, n = active[b], m_cnt[b]
-        ds = seg[b] / (n - 1)
-        m = np.arange(int(n.max()))
-        live = m[None, :] < n[:, None]
-        s = s_a[b, None] + ds[:, None] * np.minimum(m[None, :], n[:, None] - 1)
-        tpar = s / ell[b, None]
-        flat, corners = _bilinear_corners(alpha + tpar * dxr[b, None], tpar * az[b, None], grid)
-        a_s = sum(cw * atten[flat + off] for off, cw in corners)
-        inc = 0.5 * ds[:, None] * (a_s[:, 1:] + a_s[:, :-1]) * live[:, 1:]
-        c_s = np.exp(np.concatenate([np.zeros((rows.size, 1)), np.cumsum(inc, axis=1)], axis=1))
-        trap = ds[:, None] * live
-        trap[:, 0] *= 0.5
-        trap[np.arange(rows.size), n - 1] *= 0.5
-        yield rows, trap, c_s, (flat, corners)
+    counts = np.maximum(np.ceil(seg / default_ds(grid)).astype(np.int64) + 1, 2)
+    width = int(counts.max())
+    # Group the rays by offset and count; each group is marched as its
+    # ray from the lowest source, whatever the order of the targets.
+    _, offset = np.unique(np.rint(dxr * (1e9 / h)), return_inverse=True)
+    key = offset * (width + 1) + counts
+    order = np.lexsort((ray_k, key))
+    _, rep, inverse = np.unique(key[order], return_index=True, return_inverse=True)
+    rep = order[rep]
+    group = np.empty_like(inverse)
+    group[order] = inverse
+    shift = ray_k - ray_k[rep][group]
+
+    # The samples of one ray of each group.
+    n = counts[rep]
+    first = width - n
+    col = np.arange(width)
+    live = col >= first[:, None]
+    ds = seg[rep] / (n - 1)
+    tpar = (s_a[rep, None] + ds[:, None] * np.maximum(col - first[:, None], 0)) / ell[rep, None]
+    px = alpha[ray_k[rep], None] + tpar * dxr[rep, None]
+    flat, corners = _bilinear_corners(px, tpar * tz, grid, pad)
+    fx = (px - grid.x1[0]) / h
+    trap = ds[:, None] * live
+    trap[np.arange(n.size), first] *= 0.5
+    trap[:, -1] *= 0.5
+    half_ds = 0.5 * ds[:, None] * live[:, :-1]
+    a = np.pad(atten, ((pad, pad), (0, 0))).ravel()
+    if vt is not None:
+        v = np.pad(vt, ((0, 0), (pad, pad), (0, 0)))
+        stride = v[0].size
+        v = v.ravel()
+        # The columns from the first that reaches the last cell band, and
+        # the corners' weights on the targets' z-row there.
+        z_row = min(int(np.searchsorted(grid.z, tz - 1e-9 * h)), nz - 1)
+        iz = flat % nz
+        tail = int(np.argmax(np.any(iz >= z_row - 1, axis=0)))
+        ix = flat[:, tail:] // nz
+        on_row = [(off // nz, cw[:, tail:] * (iz[:, tail:] + off % nz == z_row)) for off, cw in corners]
+        keys, vals = [], []
+
+    # Every ray, a chunk at a time, shifted from its group's.
+    step = max(1, _CHUNK // width)
+    for lo in range(0, ray_k.size, step):
+        r = slice(lo, lo + step)
+        g, sh = group[r], shift[r]
+        flat_r = flat[g] + (sh * nz)[:, None]
+        corners_r = [(off, cw[g]) for off, cw in corners]
+        a_s = sum(cw * np.take(a[off:], flat_r) for off, cw in corners_r)
+        ends = np.stack([fx[g, 0], fx[g, -1]]) + sh
+        inside = None
+        if np.any((ends < -1e-9) | (ends > n1 - 1 + 1e-9)):
+            fx_r = fx[g] + sh[:, None]
+            inside = (fx_r >= -1e-9) & (fx_r <= n1 - 1 + 1e-9)
+            a_s *= inside
+        c_s = np.zeros_like(a_s)
+        np.cumsum((a_s[:, 1:] + a_s[:, :-1]) * half_ds[g], axis=1, out=c_s[:, 1:])
+        np.exp(c_s, out=c_s)
+        c[r] = c_s[:, -1]
+        if vt is None:
+            continue
+        weight = trap[g] * c_s / c_s[:, -1:]
+        if inside is not None:
+            weight *= inside
+        idx = flat_r + (ray_k[r] * stride)[:, None]
+        v_s = sum(cw * np.take(v[off:], idx) for off, cw in corners_r)
+        below[r] = np.einsum("rm,rm->r", weight, v_s)
+        k_t = ((ray_k[r] * n_t + ray_t[r]) * n1w + sh)[:, None]
+        for dx, cw in on_row:
+            vals.append(weight[:, tail:] * cw[g])
+            keys.append(k_t + ix[g] + dx)
+    if vt is None:
+        return _RowRays(c.reshape(n_t, n_alpha), n[group])
+    # The widened columns beyond the medium hold only weights of 0 or of
+    # rounding, and read a density of 0.
+    block = np.bincount(np.concatenate(keys).ravel(), np.concatenate(vals).ravel(), n_alpha * n_t * n1w)
+    block = block.reshape(n_alpha, n_t, n1w)[:, :, pad : pad + n1]
+    return _RowRays(c.reshape(n_t, n_alpha), n[group], below.reshape(n_t, n_alpha), block)
 
 
 def _path_attenuation(tx, tz, atten, grid):
     """c = exp(attenuation integral) of every (target, source) ray as an
-    (n_targets, n_alpha) array; targets at or below the floor read 1."""
+    (n_targets, n_alpha) array, marched one height at a time; targets at
+    or below the floor read 1."""
     c = np.ones((tx.size, grid.alpha.size))
-    for k in range(grid.alpha.size):
-        for rows, _, c_s, _ in _ray_blocks(tx, tz, atten, grid, k):
-            c[rows, k] = c_s[:, -1]
+    # (Asking for the inverse also keeps np.unique from importing numpy.ma.)
+    heights, height_of = np.unique(tz, return_inverse=True)
+    for i, z in enumerate(heights):
+        row = height_of == i
+        c[row] = _march_row(tx[row], z, atten, grid).c
     return c
-
-
-def _mapped_empty(n, dtype):
-    """An uninitialized array of ``n`` items backed by its own anonymous
-    memory map, which goes back to the system as soon as the array is
-    dropped instead of staying in the allocator's heap."""
-    if n == 0:
-        return np.empty(0, dtype)
-    return np.frombuffer(mmap.mmap(-1, n * np.dtype(dtype).itemsize), dtype)
-
-
-class ScatterOperator:
-    """The scattering quadrature of one attenuation as a sparse operator.
-
-    Row (k, t) maps the nodal scattering density of source abscissa k to
-    the scattered radiance T / c at target t: per ray sample the weight
-    trap * c(s) / c(end) spread over the sample's bilinear corners, summed
-    per medium node.  A ray climbs from its source below the medium, so it
-    reaches only nodes on its target's z-row (the lowest medium row at or
-    above the target) and below it.  Each row is kept in two parts, the
-    entries on rows below the target's and the entries on its own row; a
-    ray whose last sample's z rounds a hair above its target also puts a
-    weight of at most about 1e-16 on the row above, and those entries are
-    dropped.  Part p < n_targets holds the entries of target p below its
-    row, part n_targets + t those of target t on its row; ``indptr``
-    (n_alpha, 2 n_targets + 1) holds the parts' offsets.
-
-    Each source keeps one float64 weight array and one node-index array of
-    the narrowest unsigned type (uint16 up to 65 536 medium nodes), so the
-    operator costs about 10 bytes per nonzero, plus the offsets.  Targets
-    at or below the medium floor have empty rows.  ``atten`` (n1, nz) is
-    the nodal attenuation and ``tx``, ``tz`` the flat target coordinates.
-    If given, ``c_out`` (n_targets, n_alpha) receives c of every marched
-    ray, so the march also serves the ballistic term; rows of targets at or
-    below the floor are left as they are.
-
-    The rays come in :func:`_ray_blocks`' order of sample count.  Each
-    block sums its weights per (row, node) with one ``np.bincount`` in
-    which every row has its own window, from the row's lowest corner node
-    to its highest; the part counts fill ``indptr``, and once a source is
-    marched each block's entries are written at their parts' places in
-    target order.  ``bincount`` adds a row's contributions in the same
-    order whatever rays share its block (corner by corner, then sample by
-    sample) and padded samples add exactly 0.0, so a row's weights do not
-    depend on the march order.
-    """
-
-    def __init__(self, tx, tz, atten, grid, c_out=None):
-        nz = grid.z.size
-        n = tx.size
-        node_type = np.min_scalar_type(grid.x1.size * nz - 1)
-        # Each target's z-row (the lowest medium row at or above it), and
-        # each node's.
-        z_row = np.minimum(np.searchsorted(grid.z, tz - 1e-9 * grid.h), nz - 1)
-        node_row = np.arange(grid.x1.size * nz) % nz
-        self.grid = grid
-        self.indptr = np.zeros((grid.alpha.size, 2 * n + 1), dtype=np.int64)
-        self.data, self.nodes = [], []
-        for k, ptr in enumerate(self.indptr):
-            blocks = []
-            for rows, trap, c_s, (flat, corners) in _ray_blocks(tx, tz, atten, grid, k):
-                if c_out is not None:
-                    c_out[rows, k] = c_s[:, -1]
-                # Sum the sample weights per (target, node) in a dense
-                # accumulator in which each row has its own node window,
-                # from its lowest corner node to its highest; the nonzero
-                # entries come out row by row, sorted by node.
-                lo = flat.min(axis=1)
-                width = flat.max(axis=1) - lo + nz + 2
-                start = np.cumsum(width) - width
-                shift = start - lo
-                base = flat + shift[:, None]
-                key = np.concatenate([(base + off).ravel() for off, _ in corners])
-                sample_w = trap * c_s / c_s[:, -1:]
-                w = np.concatenate([(sample_w * cw).ravel() for _, cw in corners])
-                acc = np.bincount(key, weights=w, minlength=start[-1] + width[-1])
-                hit = np.flatnonzero(acc)
-                row = np.searchsorted(start, hit, side="right") - 1
-                cols = hit - shift[row]
-                weights = acc[hit]
-                # Split at the target's z-row; entries above it are dropped.
-                above = node_row[cols] - z_row[rows][row]
-                for part, keep in ((rows, above < 0), (n + rows, above == 0)):
-                    count = np.bincount(row[keep], minlength=rows.size)
-                    ptr[part + 1] = count
-                    blocks.append((part, count, weights[keep], cols[keep]))
-            np.cumsum(ptr, out=ptr)
-            data = _mapped_empty(ptr[-1], np.float64)
-            nodes = _mapped_empty(ptr[-1], node_type)
-            # The blocks come in march order; put each part's entries at
-            # its place in target order.
-            for parts, count, weights, cols in blocks:
-                dest = np.repeat(ptr[parts] - (np.cumsum(count) - count), count) + np.arange(weights.size)
-                data[dest] = weights
-                nodes[dest] = cols
-            self.data.append(data)
-            self.nodes.append(nodes)
-
-    @property
-    def nnz(self):
-        return sum(d.size for d in self.data)
-
-    @property
-    def nbytes(self):
-        return sum(a.nbytes for a in (*self.data, *self.nodes, self.indptr))
-
-    def entries(self, first, stop):
-        """Parts ``first`` to ``stop - 1`` of every source, source after
-        source: their entry counts (n_alpha, stop - first), nodes and
-        weights."""
-        ptr = self.indptr[:, first : stop + 1]
-        nodes = np.concatenate([a[p[0] : p[-1]] for a, p in zip(self.nodes, ptr)])
-        weights = np.concatenate([a[p[0] : p[-1]] for a, p in zip(self.data, ptr)])
-        return np.diff(ptr, axis=1), nodes, weights
-
-    def products(self, vt, first, stop):
-        """Products of parts ``first`` to ``stop - 1`` with the nodal
-        densities ``vt`` (n_alpha, n1 * nz), as (stop - first, n_alpha)."""
-        ptr = self.indptr[:, first : stop + 1]
-        counts = np.diff(ptr, axis=1).ravel()
-        g = np.empty(counts.sum())
-        at = 0
-        for k, (lo, hi) in enumerate(ptr[:, [0, -1]]):
-            seg = g[at : at + hi - lo]
-            # The indices are valid, so "clip" changes nothing, but it lets
-            # ``take`` write straight into ``seg``.
-            np.take(vt[k], self.nodes[k][lo:hi], out=seg, mode="clip")
-            seg *= self.data[k][lo:hi]
-            at += hi - lo
-        out = np.zeros(counts.size)
-        filled = counts > 0
-        if g.size:
-            out[filled] = np.add.reduceat(g, (np.cumsum(counts) - counts)[filled])
-        return out.reshape(len(ptr), -1).T
-
-    def apply(self, vsrc):
-        """Scattered radiance (n_targets, n_alpha) of the nodal scattering
-        density ``vsrc`` (n1, nz, n_alpha)."""
-        if vsrc.shape != self.grid.shape_medium:
-            raise UsageError("scattering-density shape disagrees with the grid")
-        n = self.indptr.shape[1] // 2
-        both = self.products(vsrc.reshape(-1, vsrc.shape[2]).T, 0, 2 * n)
-        return both[:n] + both[n:]
 
 
 def _ballistic_targets(grid):
@@ -436,30 +390,11 @@ def _check_source_radius(source, grid):
         raise UsageError(f"source radius {source.sigma!r} must stay below the medium floor z = {floor!r}")
 
 
-def _ballistic(phantom, source, grid, mesh_c=None):
-    """u0 on the medium nodes as a flat (n_nodes, n_alpha) array.
-
-    ``mesh_c``, if given, is c of the rays to ``grid.spatial_mesh()``
-    (n_nodes, n_alpha) from a march already made, and is overwritten
-    with u0.  A ray's c does not depend on the other rays of its block,
-    so it is reused wherever the ballistic targets equal those nodes,
-    and only the off-lattice rows are marched again.
-    """
-    _check_source_radius(source, grid)
-    tx, tz = _ballistic_targets(grid)
-    if mesh_c is None:
-        c = _path_attenuation(tx, tz, phantom.attenuation, grid)
-    else:
-        xm, zm = grid.spatial_mesh()
-        off = np.flatnonzero((tx != xm.ravel()) | (tz != zm.ravel()))
-        c = mesh_c
-        c[off] = _path_attenuation(tx[off], tz[off], phantom.attenuation, grid)
-    return np.divide(source.profile_integral, c, out=c)
-
-
 def u0_field(phantom, source, grid):
     """Ballistic (unscattered) radiance on the medium grid."""
-    return RadianceField(_ballistic(phantom, source, grid).reshape(grid.shape_medium), grid)
+    _check_source_radius(source, grid)
+    c = _path_attenuation(*_ballistic_targets(grid), phantom.attenuation, grid)
+    return RadianceField((source.profile_integral / c).reshape(grid.shape_medium), grid)
 
 
 def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
@@ -468,65 +403,54 @@ def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
 
     The radiance at a node gathers scattering only along the ray from the
     source below, so K couples a z-row only to itself and to the rows
-    below it (:class:`ScatterOperator` drops the rounding-level entries
-    above).  Each row applies its entries below once, to the scattering
-    density of the rows already solved, then repeats u_row <- b_row +
-    K_row u_row over its own row until a pass's max update falls below
-    ``tol`` / 100 of the field's max so far (at least 1, and never less
-    than four units in the last place, where the passes stop moving).  The
-    row tolerance is 100 times tighter than ``tol`` because each row's
-    error feeds the rows above it; the field then lies within about
-    ``tol`` / 10 of the exact discrete solution, relative to its max.  K
-    is monotone and block lower-triangular, so its spectral radius is the
-    largest of its row blocks', and the passes of every row converge
-    exactly when whole-operator sweeps would: whenever the scattering
-    albedo stays subcritical.  A row whose passes diverge, or do not converge within
+    below it.  Each row marches its rays (:func:`_march_row`), takes
+    their products with the scattering density of the rows already
+    solved, then repeats u_row <- b_row + K_row u_row over its own row
+    until a pass's max update falls below ``tol`` / 100 of the field's max
+    so far (at least 1, and never less than four units in the last place,
+    where the passes stop moving).  The row tolerance is 100 times tighter
+    than ``tol`` because each row's error feeds the rows above it; the
+    field then lies within about ``tol`` / 10 of the exact discrete
+    solution, relative to its max.  K is monotone and block
+    lower-triangular, so its spectral radius is the largest of its row
+    blocks', and the passes of every row converge exactly when
+    whole-operator sweeps would: whenever the scattering albedo stays
+    subcritical.  A row whose passes diverge, or do not converge within
     ``MAX_SWEEPS`` passes, raises :class:`ForwardConvergenceError` naming
     the row; a ``tol`` that is not finite and positive is a
     :class:`UsageError`.
 
     Returns the medium-grid radiance, and with ``return_info`` an info
-    dict: ``sweeps``, the most passes any row took, ``diffs``, for each m
-    the largest m-th pass update over the rows, and the operator's
-    nonzeros ``nnz`` and size ``operator_mb``.
+    dict: ``sweeps``, the most passes any row took, and ``diffs``, for
+    each m the largest m-th pass update over the rows.
 
-    The rays are marched once, by the operator build; u0 takes c from that
-    march and marches only its off-lattice rows again (see
-    :func:`_ballistic`).
+    u0 takes c from the same march, and only the rows whose ballistic
+    targets lie off the mesh (:func:`_ballistic_targets`) are marched
+    again for it.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise UsageError(f"forward tolerance must be finite and positive, got {tol!r}")
     _check_source_radius(source, grid)
     shape = n1, nz, n_alpha = grid.shape_medium
-    xm, zm = grid.spatial_mesh()
-    # Targets z-row by z-row, so a row's parts are one slice of each source's.
-    c = np.ones((nz, n1, n_alpha))
-    op = ScatterOperator(xm.T.ravel(), zm.T.ravel(), phantom.attenuation, grid, c_out=c.reshape(-1, n_alpha))
-    u0 = _ballistic(phantom, source, grid, c.transpose(1, 0, 2).reshape(-1, n_alpha)).reshape(shape)
+    atten = phantom.attenuation
+    bx, bz = (a.reshape(n1, nz) for a in _ballistic_targets(grid))
     w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
     mu_s = phantom.mu_s
     u = np.empty(shape)
-    # vt[k, ix * nz + iz]: the scattering density of the rows solved so far.
-    vt = np.zeros((n_alpha, n1 * nz))
-    v_rows = vt.reshape(n_alpha, n1, nz)
+    # vt[k, ix, iz]: the scattering density of the rows solved so far.
+    vt = np.zeros((n_alpha, n1, nz))
     row_tol = max(tol / 100.0, 4.0 * np.finfo(float).eps)
-    n = n1 * nz
-    alphas = np.arange(n_alpha)
-    # slot[k * n1 + i] = i * n_alpha + k: target i, source k of a row.
-    slot = (np.arange(n1) * n_alpha + alphas[:, None]).ravel()
     diffs, top = [], 1.0
     for j in range(nz):
-        first = j * n1
-        b = u0[:, j] + op.products(vt, first, first + n1)
-        # The row's own entries, source after source, as one product over
-        # the row's (n1, n_alpha) scattering density.
-        counts, nodes, weight = op.entries(n + first, n + first + n1)
-        tgt = np.repeat(slot, counts.ravel())
-        col = nodes.astype(np.intp) // nz * n_alpha + np.repeat(alphas, counts.sum(axis=1))
+        rays = _march_row(grid.x1, grid.z[j], atten, grid, vt)
+        c = rays.c
+        if np.any(bx[:, j] != grid.x1) or np.any(bz[:, j] != grid.z[j]):
+            c = _path_attenuation(bx[:, j], bz[:, j], atten, grid)
+        b = source.profile_integral / c + rays.below
         uj = b
         for m in range(MAX_SWEEPS):
             vj = (uj @ w_t) * mu_s[:, j, None]
-            new = b + np.bincount(tgt, weights=vj.ravel()[col] * weight, minlength=b.size).reshape(b.shape)
+            new = b + np.matmul(rays.block, vj.T[:, :, None])[:, :, 0].T
             diff = float(np.max(np.abs(new - uj)))
             if not np.isfinite(diff):
                 raise ForwardConvergenceError(f"fixed-point passes diverged on z-row {j}", last_diff=diff)
@@ -544,17 +468,17 @@ def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
                 last_diff=diff,
             )
         u[:, j] = uj
-        v_rows[:, :, j] = ((uj @ w_t) * mu_s[:, j, None]).T
+        vt[:, :, j] = ((uj @ w_t) * mu_s[:, j, None]).T
 
     field = RadianceField(u, grid)
     if return_info:
-        return field, {"sweeps": len(diffs), "diffs": diffs, "nnz": op.nnz, "operator_mb": op.nbytes / 1e6}
+        return field, {"sweeps": len(diffs), "diffs": diffs}
     return field
 
 
 def _ray_row(x1t, zt, alpha, atten, grid):
     """Reference march of one ray, from abscissa ``alpha`` to the target
-    (x1t, zt), kept apart from :func:`_ray_blocks` as a check on it.
+    (x1t, zt), kept apart from :func:`_march_row` as a check on it.
 
     Same step rule, trapezoid and c = exp(attenuation integral) as the
     production march.  Returns (c, row): c of the ray and the flat

@@ -1,6 +1,11 @@
 """Source model, scattering kernel, and the transport solvers."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +24,8 @@ from rtetomo import (
 from rtetomo import forward
 from rtetomo.forward import (
     MAX_SWEEPS,
-    ScatterOperator,
     _ballistic_targets,
+    _march_row,
     _path_attenuation,
     _ray_row,
     kernel_alpha_derivative,
@@ -109,11 +114,13 @@ def test_scatter_matrices_fold_in_weights(kernel):
 
 
 def _below_floor(atten, grid):
-    """Scatter and c of two targets below the floor (z = 0.5 and 0)."""
-    tx, tz = np.array([0.0, 0.2]), np.array([0.5, 0.0])
-    op = ScatterOperator(tx, tz, atten, grid)
-    assert op.nnz == 0
-    return op.apply(np.ones(grid.shape_medium)), _path_attenuation(tx, tz, atten, grid)
+    """Scatter and c of two rows of targets below the floor (z = 0.5 and 0)."""
+    tx = np.array([0.0, 0.2])
+    vt = np.ones((grid.alpha.size, *grid.shape_medium[:2]))
+    rows = [_march_row(tx, z, atten, grid, vt) for z in (0.5, 0.0)]
+    assert all(np.all(row.counts == 0) for row in rows)
+    scat = np.concatenate([np.ravel(part) for row in rows for part in (row.below, row.block)])
+    return scat, _path_attenuation(np.tile(tx, 2), np.repeat([0.5, 0.0], 2), atten, grid)
 
 
 def test_attenuation_integral_below_floor(grid10):
@@ -142,34 +149,43 @@ def test_attenuation_integral_constant_medium(grid10):
 def test_march_shape_guard(grid10):
     tx, tz = grid10.x1, np.full_like(grid10.x1, 1.5)
     with pytest.raises(UsageError):
-        ScatterOperator(tx, tz, np.zeros((3, 3)), grid10)
+        _march_row(tx, 1.5, np.zeros((3, 3)), grid10)
     with pytest.raises(UsageError):
         _path_attenuation(tx, tz, np.zeros((3, 3)), grid10)
-    op = ScatterOperator(tx, tz, np.zeros(grid10.shape_medium[:2]), grid10)
     with pytest.raises(UsageError):
-        op.apply(np.zeros((4, 4, grid10.alpha.size)))
+        _march_row(tx, 1.5, np.zeros(grid10.shape_medium[:2]), grid10, np.zeros((4, 4, grid10.alpha.size)))
+
+
+def _reference_rows(grid, atten, j):
+    """The :func:`_ray_row` weights of every ray to z-row ``j``, as
+    (n_alpha, n1 targets, n1, nz)."""
+    n1, nz, n_alpha = grid.shape_medium
+    rows = np.empty((n_alpha, n1, n1, nz))
+    for k, i in np.ndindex(n_alpha, n1):
+        rows[k, i] = _ray_row(grid.x1[i], grid.z[j], grid.alpha[k], atten, grid)[1].reshape(n1, nz)
+    return rows
 
 
 @pytest.mark.parametrize(
     "h, source_half_width", [(0.1, 0.5), (0.125, 0.75)], ids=["grid10", "wide-source"]
 )
 def test_operator_matches_the_row_by_row_quadrature(h, source_half_width):
-    # With the wider source segment some samples lie beside the medium,
-    # where the media read as zero.
+    # The row march's products with the density of the rows below, and its
+    # own-row block, against the reference march's rows.  With the wider
+    # source segment some samples lie beside the medium, where the media
+    # read as zero.
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     atten = make_phantom("A", 5.0, grid).attenuation
-    xm, zm = grid.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid)
-    assert all(np.all(d > 0.0) for d in op.data)
-    vsrc = np.random.default_rng(5).uniform(0.0, 1.0, grid.shape_medium)
-    swept = op.apply(vsrc).reshape(grid.shape_medium)
-
-    oracle = np.zeros(grid.shape_medium)
-    for (i, j, k), _ in np.ndenumerate(oracle):
-        _, row = _ray_row(grid.x1[i], grid.z[j], grid.alpha[k], atten, grid)
-        oracle[i, j, k] = row @ vsrc[:, :, k].ravel()
-    assert np.count_nonzero(oracle) == oracle.size - grid.x1.size * grid.alpha.size
-    np.testing.assert_allclose(swept, oracle, rtol=1e-12, atol=0.0)
+    n1, nz, n_alpha = grid.shape_medium
+    vt = np.random.default_rng(5).uniform(0.0, 1.0, (n_alpha, n1, nz))
+    for j in range(1, nz):
+        rays = _march_row(grid.x1, grid.z[j], atten, grid, vt * (np.arange(nz) < j))
+        rows = _reference_rows(grid, atten, j)
+        below = np.einsum("kiab,kab->ik", rows[..., :j], vt[..., :j])
+        own = np.einsum("kia,ka->ik", rows[..., j], vt[..., j])
+        assert np.all(below + own > 0.0)
+        np.testing.assert_allclose(rays.below, below, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.einsum("kia,ka->ik", rays.block, vt[..., j]), own, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -189,74 +205,83 @@ def test_path_attenuation_matches_the_row_by_row_march(h, source_half_width):
 
 
 @pytest.mark.parametrize(
-    "h, source_half_width", [(0.05, 0.5), (0.125, 0.75)], ids=["grid20", "wide-source"]
+    "h, source_half_width",
+    [(0.1, 0.5), (0.05, 0.5), (0.025, 0.5), (0.125, 0.75), (0.025, 0.75)],
+    ids=["grid10", "grid20", "grid40", "wide-source", "wide-source-40"],
 )
-def test_march_order_cannot_move_a_rows_bits(h, source_half_width):
-    # Permuting the targets regroups the rays into other blocks; every
-    # row's weights, nodes and c must come out bit for bit the same.
+def test_shared_geometry_keeps_every_rays_sample_count(h, source_half_width):
+    # A one-sample change moves u0 by up to 1%, so sharing a group's samples
+    # must leave every ray the count of its own segment.
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     atten = make_phantom("A", 5.0, grid).attenuation
-    tx, tz = (a.ravel() for a in grid.spatial_mesh())
-    perm = np.random.default_rng(11).permutation(tx.size)
-    c, c_perm = np.ones((2, tx.size, grid.alpha.size))
-    op = ScatterOperator(tx, tz, atten, grid, c_out=c)
-    op_perm = ScatterOperator(tx[perm], tz[perm], atten, grid, c_out=c_perm)
-    np.testing.assert_array_equal(c_perm, c[perm])
-    # A row's parts below and on the target's z-row move together.
-    parts = np.concatenate([perm, tx.size + perm])
-    for k, ptr in enumerate(op.indptr):
-        entries = np.concatenate([np.arange(ptr[p], ptr[p + 1]) for p in parts])
-        np.testing.assert_array_equal(op_perm.data[k], op.data[k][entries])
-        np.testing.assert_array_equal(op_perm.nodes[k], op.nodes[k][entries])
+    floor = grid.geometry.slab_bottom
+    for z in grid.z[1:]:
+        ell = np.hypot(grid.x1[:, None] - grid.alpha, z)
+        seg = ell - ell * (floor / z)
+        expected = np.maximum(np.ceil(seg / (grid.h / 2)).astype(int) + 1, 2)
+        np.testing.assert_array_equal(_march_row(grid.x1, z, atten, grid).counts, expected.ravel())
+    assert np.all(_march_row(grid.x1, grid.z[0], atten, grid).counts == 0)
 
-    active = np.flatnonzero(tz > grid.geometry.slab_bottom + 1e-12)
-    for k in range(grid.alpha.size):
-        rows = np.concatenate([block[0] for block in forward._ray_blocks(tx, tz, atten, grid, k)])
-        np.testing.assert_array_equal(np.sort(rows), active)
+
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.05, 0.5), (0.125, 0.75)], ids=["grid20", "wide-source"]
+)
+def test_march_order_cannot_move_a_rows_bits(h, source_half_width, monkeypatch):
+    # Permuting a row's targets reorders its rays within their groups, and
+    # small chunks change which rays are marched together; every ray's c,
+    # products and own-row weights must come out bit for bit the same.
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    atten = make_phantom("A", 5.0, grid).attenuation
+    n1, nz, n_alpha = grid.shape_medium
+    vt = np.random.default_rng(3).uniform(0.0, 1.0, (n_alpha, n1, nz))
+    perm = np.random.default_rng(11).permutation(n1)
+    marched = [_march_row(grid.x1, z, atten, grid, vt * (np.arange(nz) < j)) for j, z in enumerate(grid.z)]
+    monkeypatch.setattr(forward, "_CHUNK", 97)
+    for j, (z, rays) in enumerate(zip(grid.z, marched)):
+        permuted = _march_row(grid.x1[perm], z, atten, grid, vt * (np.arange(nz) < j))
+        np.testing.assert_array_equal(permuted.c, rays.c[perm])
+        np.testing.assert_array_equal(permuted.below, rays.below[perm])
+        np.testing.assert_array_equal(permuted.block, rays.block[:, perm])
 
 
 def test_ray_blocks_march_little_padding(grid20):
-    # Blocks of rays with similar sample counts: the padded sample slots
-    # stay within 30% of the live samples (1.26 at h = 1/20; blocks of
-    # consecutive targets padded to 1.83).
+    # A row's rays are aligned at their ends and padded to its longest: the
+    # sample slots stay within 20% of the live samples (1.12 at h = 1/20).
     atten = make_phantom("A", 5.0, grid20).attenuation
-    tx, tz = (a.ravel() for a in grid20.spatial_mesh())
     slots = live = 0
-    for k in range(grid20.alpha.size):
-        for _, trap, _, _ in forward._ray_blocks(tx, tz, atten, grid20, k):
-            slots += trap.size
-            live += np.count_nonzero(trap)
-    assert slots <= 1.3 * live
+    for z in grid20.z:
+        counts = _march_row(grid20.x1, z, atten, grid20).counts
+        slots += counts.size * counts.max()
+        live += counts.sum()
+    assert slots <= 1.2 * live
 
 
-def test_apply_results_do_not_alias(grid10):
-    atten = make_phantom("A", 5.0, grid10).attenuation
-    xm, zm = grid10.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid10)
-    rng = np.random.default_rng(9)
-    v1, v2 = rng.uniform(0.0, 1.0, (2, *grid10.shape_medium))
-    first, second = op.apply(v1), op.apply(v2)
-    fresh = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid10)
-    np.testing.assert_array_equal(first, fresh.apply(v1))
-    np.testing.assert_array_equal(second, fresh.apply(v2))
+def test_forward_solve_grows_resident_memory_little():
+    # The row march stores no operator (the stored one grew the resident
+    # set by about 40 MB at h = 1/40).  Measured in a fresh interpreter,
+    # after a small solve has loaded everything the solve touches.
+    code = textwrap.dedent(
+        """
+        import resource
+        from rtetomo import Geometry, GridSet, KernelModel, SourceModel, make_phantom, solve_forward
 
+        def solve(h):
+            grid = GridSet.uniform(Geometry(), h)
+            solve_forward(make_phantom("A", 5.0, grid), SourceModel.build(0.05), KernelModel(), grid)
 
-def _array_bytes(value):
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    if isinstance(value, (list, tuple)):
-        return sum(_array_bytes(v) for v in value)
-    return 0
-
-
-def test_operator_costs_about_ten_bytes_per_nonzero(grid20):
-    atten = make_phantom("A", 5.0, grid20).attenuation
-    xm, zm = grid20.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), atten, grid20)
-    rows = grid20.alpha.size * (xm.size + 1)
-    held = sum(_array_bytes(v) for v in vars(op).values())
-    assert held == op.nbytes
-    assert op.nbytes <= 10.5 * op.nnz + 8 * rows
+        solve(0.1)
+        grid = GridSet.uniform(Geometry(), 1.0 / 40.0)
+        phantom = make_phantom("A", 5.0, grid)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        solve_forward(phantom, SourceModel.build(0.05), KernelModel(), grid)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """
+    )
+    paths = [str(Path(forward.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    growth_kb = int(done.stdout)
+    assert growth_kb <= 15 * 1024
 
 
 def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
@@ -268,38 +293,41 @@ def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
 
 
 def test_solve_forward_marches_each_ray_once(grid20, source, kernel, monkeypatch):
-    # The operator build marches every mesh target; u0 reuses its c and
-    # marches again only the targets off the mesh's coordinates.
+    # The solve marches every (row target, source) ray once; u0 reuses its
+    # c and marches again only the rows whose targets lie off the mesh.
     marched = []
-    ray_blocks = forward._ray_blocks
+    march_row = forward._march_row
 
-    def counting(*args):
-        for block in ray_blocks(*args):
-            marched.append(block[0].size)
-            yield block
+    def counting(tx, tz, *args):
+        rays = march_row(tx, tz, *args)
+        marched.append((tz, tx.copy(), np.count_nonzero(rays.counts)))
+        return rays
 
-    monkeypatch.setattr(forward, "_ray_blocks", counting)
+    monkeypatch.setattr(forward, "_march_row", counting)
     solve_forward(make_phantom("A", 5.0, grid20), source, kernel, grid20)
     floor = grid20.geometry.slab_bottom + 1e-12
-    xm, zm = (a.ravel() for a in grid20.spatial_mesh())
-    bx, bz = _ballistic_targets(grid20)
-    off = (bx != xm) | (bz != zm)
-    assert 0 < np.count_nonzero(off) < off.size
-    active = np.count_nonzero(zm > floor) + np.count_nonzero(bz[off] > floor)
-    assert sum(marched) == active * grid20.alpha.size
+    n1, nz, n_alpha = grid20.shape_medium
+    bx, bz = (a.reshape(n1, nz) for a in _ballistic_targets(grid20))
+    off = [j for j in range(nz) if np.any(bx[:, j] != grid20.x1) or np.any(bz[:, j] != grid20.z[j])]
+    assert 0 < len(off) < nz
+    expected = [(grid20.z[j], grid20.x1) for j in range(nz)] + [(bz[0, j], bx[:, j]) for j in off]
+    assert sorted((z, tuple(x)) for z, x, _ in marched) == sorted((z, tuple(x)) for z, x in expected)
+    active = np.count_nonzero(grid20.z > floor) + sum(bz[0, j] > floor for j in off)
+    assert sum(rays for _, _, rays in marched) == active * n1 * n_alpha
 
 
 def _two_march_solve(phantom, source, kernel, grid, tol):
-    """Plain whole-operator sweeps: u0 from its own march, then
-    u <- u0 + K u through a fresh operator until the update falls below
-    ``tol`` relative to the field's max."""
+    """Plain whole-field sweeps: u0 from its own march, then u <- u0 + K u
+    with K assembled from the reference march's rows, until the update falls
+    below ``tol`` relative to the field's max."""
     u0 = u0_field(phantom, source, grid).values
     w = scatter_matrix(kernel, grid.alpha, grid.h)
-    xm, zm = grid.spatial_mesh()
-    op = ScatterOperator(xm.ravel(), zm.ravel(), phantom.attenuation, grid)
+    n1, nz, n_alpha = grid.shape_medium
+    rows = np.stack([_reference_rows(grid, phantom.attenuation, j) for j in range(nz)], axis=2)
     u = u0
     for _ in range(MAX_SWEEPS):
-        new = u0 + op.apply(phantom.mu_s[:, :, None] * (u @ w.T)).reshape(u0.shape)
+        vt = (phantom.mu_s[:, :, None] * (u @ w.T)).transpose(2, 0, 1)
+        new = u0 + np.einsum("kijab,kab->ijk", rows, vt)
         diff = float(np.max(np.abs(new - u)))
         u = new
         if diff <= tol * max(1.0, float(np.max(new))):
@@ -313,7 +341,7 @@ def _two_march_solve(phantom, source, kernel, grid, tol):
 def test_rays_put_no_weight_above_their_targets_row(h, source_half_width):
     # The row-by-row solve rests on this: a ray climbs from its source, so
     # only rounding in its last sample's z can weigh a node above its
-    # target's z-row, and the operator keeps none of those entries.
+    # target's z-row, and the row march reads next to nothing from there.
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     atten = make_phantom("A", 5.0, grid).attenuation
     n1, nz, _ = grid.shape_medium
@@ -324,15 +352,9 @@ def test_rays_put_no_weight_above_their_targets_row(h, source_half_width):
     )
     assert above <= 1e-15
 
-    tx, tz = (a.ravel() for a in grid.spatial_mesh())
-    op = ScatterOperator(tx, tz, atten, grid)
-    target_row = np.tile(np.arange(nz), 2 * n1)
-    for k, ptr in enumerate(op.indptr):
-        part = np.repeat(np.arange(2 * tx.size), np.diff(ptr))
-        below = part < tx.size
-        rows = op.nodes[k] % nz
-        assert np.all(rows[below] < target_row[part[below]])
-        assert np.all(rows[~below] == target_row[part[~below]])
+    for j, z in enumerate(grid.z):
+        upper = np.ones((grid.alpha.size, n1, nz)) * (np.arange(nz) > j)
+        assert _march_row(grid.x1, z, atten, grid, upper).below.max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -351,7 +373,7 @@ def test_source_reaching_the_medium_is_refused_before_marching(grid10, kernel, m
     def no_march(*args):
         raise AssertionError("marched before checking the source radius")
 
-    monkeypatch.setattr(forward, "_ray_blocks", no_march)
+    monkeypatch.setattr(forward, "_march_row", no_march)
     with pytest.raises(UsageError):
         solve_forward(make_phantom("A", 5.0, grid10), SourceModel.build(1.0), kernel, grid10)
 
@@ -362,7 +384,7 @@ def test_forward_info_reports_contracting_sweeps(grid10, source, kernel):
     assert info["sweeps"] >= 2
     assert info["diffs"][-1] < info["diffs"][0]
     assert np.all(field.values >= 0.0)
-    assert info["nnz"] > 0 and 0.0 < info["operator_mb"] <= 10.5e-6 * info["nnz"] + 0.01
+    assert set(info) == {"sweeps", "diffs"}
 
 
 def test_forward_diverges_for_supercritical_scattering(grid10, source, kernel):
@@ -387,7 +409,7 @@ def test_tolerance_must_be_finite_and_positive(grid10, source, kernel, tol, monk
     def no_march(*args):
         raise AssertionError("marched before checking the tolerance")
 
-    monkeypatch.setattr(forward, "_ray_blocks", no_march)
+    monkeypatch.setattr(forward, "_march_row", no_march)
     with pytest.raises(UsageError, match="tolerance"):
         solve_forward(make_phantom("A", 5.0, grid10), source, kernel, grid10, tol=tol)
 
