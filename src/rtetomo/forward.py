@@ -139,7 +139,10 @@ class KernelModel:
     def __post_init__(self):
         if not 0.0 <= self.anisotropy < 1.0:
             raise UsageError("anisotropy must lie in [0, 1)")
-        if self.aperture_half_width <= 0:
+        width = self.aperture_half_width
+        if not np.isfinite(width):
+            raise UsageError(f"aperture half width must be finite, got {width!r}")
+        if width <= 0:
             raise UsageError("aperture half width must be positive")
 
 

@@ -14,18 +14,26 @@ values on all four faces and, on the layer below the top face, the
 one-sided normal-derivative identity, which eliminates that layer in
 favor of the last free one.  For lam large enough the weight makes J
 strongly convex on bounded sets, so descent with a backtracking line
-search converges from the data-interpolating guess.  The descent takes
-its gradient in the inner product of the S-norm above (a Sobolev
-gradient), whose Gram matrix the objective inverts by fast
+search converges from the data-interpolating guess.
+
+The S-norm is defined once, by its Gram matrix per field
+
+    S = (Wx + Kx) (x) Wz (x) Wa + Wx (x) Kz (x) Wa,
+
+W an axis's trapezoid weights and K its first- and second-difference
+Gram.  J's penalty is gamma f.Sf for f = (p, q) and its gradient
+2 gamma Sf.  The descent takes its gradient in the S inner product (a
+Sobolev gradient), inverting S on the free block by fast
 diagonalization, and sizes its steps by Barzilai-Borwein in that inner
 product; the step count then hardly grows as the grid is refined.
 
 Each point the descent visits costs one residual pass.  The objective
 keeps a one-entry memo of the last point evaluated: a copy of its free
 vector (compared by content, so changing a vector in place is seen), its
-J, and the arrays of its residual pass.  ``value`` and ``value_and_grad``
-both go through it, so the gradient at the trial the line search has just
-accepted reuses that trial's pass and adds only the adjoint sweep.
+J, the arrays of its residual pass and Sf.  ``value`` and
+``value_and_grad`` both go through it, so the gradient at the trial the
+line search has just accepted reuses that trial's pass and adds only the
+adjoint sweep.
 """
 
 from dataclasses import dataclass
@@ -67,7 +75,10 @@ class PairField:
 
 def check_weights(lam, gamma, epsilon):
     """Refuse a weight exponent, Tikhonov weight or viscosity J cannot use;
-    the messages name each value by its config key."""
+    the messages name each value by its config key, as the config does."""
+    for key, value in (("lambda", lam), ("gamma", gamma), ("epsilon", epsilon)):
+        if not np.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {float(value)!r}")
     if lam <= 0:
         raise UsageError("weight exponent lambda must be positive")
     if not 0.0 <= gamma < 1.0:
@@ -104,7 +115,8 @@ class CarlemanObjective:
     of medium nodes in C order, so a neighbor along x1 or z is a flat
     shift by ``nz * nk`` or ``nk``.  Residuals live on the band of x1-rows
     1..n1-2 (every z row); its first and last z rows wrap across x1-rows
-    and carry residual weight 0.  The memo and the scratch of an
+    and carry residual weight 0.  The memo keeps Sf, which serves both
+    J's penalty f.Sf and its gradient.  The memo and the scratch of an
     evaluation are work arrays allocated once, 64-byte aligned, so the hot
     loop allocates nothing large: no page faults from malloc returning
     freed temporaries to the system, and no unaligned vector stores.
@@ -141,48 +153,39 @@ class CarlemanObjective:
         # One x1-row's weights, 0 on the wrapping z rows, for every band row.
         self._wband = np.tile(np.pad(self._wres, ((1, 1), (0, 0))).ravel(), n1 - 2)
 
-        # S-norm weights: the L2 term's, then per flat shift (x1, z) the first
-        # and second differences', with the quotient's 1/h^2 and the h folded
-        # in.  A z difference that would wrap across x1-rows gets weight 0.
-        wzk = wz[:, None] * wa
-        wxk = wx[:, None, None] * wa
-        self._s_l2 = (wx[:, None, None] * wzk).ravel()
-        self._s_axes = []
-        for axis, (shift, w) in enumerate(((self._sx, wzk), (self._sz, wxk))):
-            weights = []
-            for order, scaled in ((1, w / h), (2, h * w)):
-                full = np.zeros((n1, nz, nk))
-                full[(slice(None),) * axis + (slice(0, -order),)] = scaled
-                weights.append(full.ravel()[: n - order * shift])
-            self._s_axes.append((shift, *weights))
+        # The S-norm's Gram matrix, (Gx (x) Wz + Wx (x) Gz) (x) Wa per field:
+        # Gx = Wx + Kx along x1 and Gz = Kz along z.
+        self._gx = np.diag(wx) + _difference_gram(n1, h)
+        self._gz = _difference_gram(nz, h)
+        self._wzk = (wz[:, None] * wa).ravel()
+        self._wxk = wx[:, None, None] * wa
 
         self._normal2h = 2.0 * h * np.stack([data.g3[1:-1], data.g4[1:-1]])
         self.free_shape = (n1 - 2, nz - 3, nk)
         self.n_free_field = int(np.prod(self.free_shape))
         self.n_free = 2 * self.n_free_field
 
-        # The S-norm's Gram matrix M on the free block, for ``precondition``:
-        # per field and abscissa k the block
-        #   wa[k] [(Wx + Kx)|free (x) L^T Wz L + Wx|free (x) L^T Kz L],
+        # Its restriction M to the free block, for ``precondition``: per
+        # field and abscissa k the block
+        #   wa[k] [Gx|free (x) L^T Wz L + Wx|free (x) L^T Gz L],
         # L the lift of the free z rows to the column (the eliminated row is
         # 1/4 of the last free one), so L^T Wz L is diagonal.  Both 1-D
         # pencils are diagonalized once (fast diagonalization).
         lift = np.zeros((nz, nz - 3))
         lift[1 : nz - 2] = np.eye(nz - 3)
         lift[nz - 2, -1] = 0.25
-        xgram = np.diag(wx) + _difference_gram(n1, h)
-        lamx, self._vx = _pencil(xgram[1:-1, 1:-1], wx[1:-1])
-        lamz, self._vz = _pencil(lift.T @ _difference_gram(nz, h) @ lift, (lift * lift).T @ wz)
+        lamx, self._vx = _pencil(self._gx[1:-1, 1:-1], wx[1:-1])
+        lamz, self._vz = _pencil(lift.T @ self._gz @ lift, (lift * lift).T @ wz)
         self._m_inv = 1.0 / ((lamx[:, None, None] + lamz[:, None]) * wa)
 
-        # Memo: the field, its residual r (row 0 R1, row 1 R2) and exp(p),
-        # the scattering coefficient and the nonlinear term on the band.
-        # Scratch: the gradient, S-norm differences and band temporaries.
+        # Memo: the field and its Sf, its residual r (row 0 R1, row 1 R2) and
+        # exp(p), the scattering coefficient and the nonlinear term on the
+        # band.  Scratch: the gradient, the S product's z term, and band
+        # temporaries.
         nb = n - 2 * self._sx
         self._shape = (2, n1, nz, nk)
         self._w = SimpleNamespace(
-            **{k: _aligned(2 * n).reshape(2, n) for k in ("field", "grad")},
-            **{k: _aligned(2 * n) for k in ("d1", "d2", "wd")},
+            **{k: _aligned(2 * n).reshape(2, n) for k in ("field", "sf", "grad", "zterm")},
             **{k: _aligned(2 * nb).reshape(2, nb) for k in ("r", "a", "b")},
             **{k: _aligned(nb) for k in ("ep", "acoef", "nonlin", "c")},
         )
@@ -253,24 +256,16 @@ class CarlemanObjective:
         """View of the band of a stacked (2, N) array moved by ``shift`` nodes."""
         return f[:, self._sx + shift : f.shape[1] - self._sx + shift]
 
-    def _s_terms(self, f):
-        """Per flat shift s of the S-norm, for a stacked (2, N) pair: s and
-        the (weight, difference) of the first and the second difference,
-        the differences held in the heads of the flat scratch arrays.  The
-        second difference is the first difference of the first one."""
-        for s, w1, w2 in self._s_axes:
-            d1 = np.subtract(f[:, s:], f[:, :-s], out=self._w.d1[: f.size - 2 * s].reshape(2, -1))
-            d2 = np.subtract(d1[:, s:], d1[:, :-s], out=self._w.d2[: d1.size - 2 * s].reshape(2, -1))
-            yield s, (w1, d1), (w2, d2)
-
-    def _s_norm(self, f):
-        """Sum of w * d^2 over the S-norm terms of a stacked (2, N) pair."""
-        wd = self._w.wd
-        total = np.vdot(np.multiply(self._s_l2, f, out=wd.reshape(f.shape)), f)
-        for _, *terms in self._s_terms(f):
-            for w, d in terms:
-                total += np.vdot(np.multiply(w, d, out=wd[: d.size].reshape(d.shape)), d)
-        return total
+    def _apply_s(self, f, out, scratch):
+        """S f for a stacked (2, N) pair, written into ``out``: one matmul
+        along x1 and one along z, ``scratch`` holding the z term."""
+        n1 = self._shape[1]
+        xterm = np.matmul(self._gx, f.reshape(2, n1, -1), out=out.reshape(2, n1, -1))
+        xterm *= self._wzk
+        zterm = np.matmul(self._gz, f.reshape(self._shape), out=scratch.reshape(self._shape))
+        zterm *= self._wxk
+        out += scratch
+        return out
 
     def _residuals(self, f):
         """One residual pass over the stacked (2, N) pair ``f``; returns J
@@ -299,7 +294,7 @@ class CarlemanObjective:
         common += nonlin
         np.subtract(common, lap, out=r)
         jres = np.vdot(np.multiply(self._wband, r, out=slope), r)
-        return float(jres + self.gamma * self._s_norm(f))
+        return float(jres + self.gamma * np.vdot(f, self._apply_s(f, w.sf, w.zterm)))
 
     def _evaluate(self, free):
         """J at ``free``, from the memo when ``free`` is the last point
@@ -321,18 +316,20 @@ class CarlemanObjective:
         return r[0].copy(), r[1].copy()
 
     def s_norm_sq_arrays(self, p, q):
-        """Squared data-fit norm: trapezoid L2 plus first forward
-        differences plus axis-aligned second differences, per field.
+        """Squared S-norm f.Sf of the pair f = (p, q), the norm of J's
+        Tikhonov term: trapezoid L2 plus first forward differences plus
+        axis-aligned second differences, per field.
 
         First differences enter as quotients (a discrete H1 seminorm, the
         part that keeps descent from growing grid-scale oscillations);
         second differences stay undivided so curvature of the genuine
         log field is not penalized ahead of the residual term.  For the
         constant pair p = 1, q = 0 on the default geometry the value is
-        the measure of the medium-times-aperture box, exactly 1.
+        the measure of the medium-times-aperture box, exactly 1.  Works
+        on the gradient's scratch, so the memo is untouched.
         """
         f = np.stack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)])
-        return float(self._s_norm(f.reshape(2, -1)))
+        return float(np.vdot(f, self._apply_s(f, self._w.grad, self._w.zterm)))
 
     def value(self, free):
         return self._evaluate(free)
@@ -362,15 +359,7 @@ class CarlemanObjective:
         value = self._evaluate(free)
         w = self._w
         sx, sz = self._sx, self._sz
-        g = np.multiply(self._s_l2, w.field, out=w.grad)
-        for s, (w1, d1), (w2, d2) in self._s_terms(w.field):
-            d1 *= w1
-            d2 *= w2
-            d1[:, s:] += d2
-            d1[:, :-s] -= d2
-            g[:, s:] += d1
-            g[:, :-s] -= d1
-        g *= self.gamma
+        g = np.multiply(w.sf, self.gamma, out=w.grad)
 
         t = np.multiply(self._wband, w.r, out=w.a)
         tc = np.add(t[0], t[1], out=w.c)

@@ -77,6 +77,13 @@ def test_kernel_validation():
         KernelModel(aperture_half_width=0.0)
 
 
+@pytest.mark.parametrize("field", ["anisotropy", "aperture_half_width"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_kernel_refuses_non_finite_values(field, value):
+    with pytest.raises(UsageError):
+        KernelModel(**{field: value})
+
+
 def test_kernel_diagonal_value(kernel):
     # (1 + g) / (2 d (1 - g)) with g = 1/2, d = 1/2
     np.testing.assert_allclose(kernel_value(0.3, 0.3, kernel), 3.0, rtol=1e-15)

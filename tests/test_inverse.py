@@ -6,11 +6,17 @@ import pytest
 from rtetomo import (
     BoundaryDataSet,
     CarlemanObjective,
+    Geometry,
+    GridSet,
     PairField,
     StagnationError,
     UsageError,
+    derive_boundary_data,
+    extract_boundary,
     gradient_check,
+    make_phantom,
     minimize,
+    solve_forward,
 )
 from rtetomo.geometry import trapezoid_weights
 
@@ -37,6 +43,16 @@ def constant_log_dataset(grid, level=1.0):
         delta=0.0,
         seed=0,
     )
+
+
+@pytest.fixture(scope="module")
+def objective_uneven(source, kernel):
+    """Objective on a grid whose three axis sizes differ, (7, 6, 11) nodes,
+    so an axis mixed up in the S-norm cannot pass unseen."""
+    grid = GridSet.uniform(Geometry(half_width=0.3, slab_top=1.5), 0.1)
+    assert grid.shape_medium == (7, 6, 11)
+    field = solve_forward(make_phantom("A", 5.0, grid), source, kernel, grid)
+    return CarlemanObjective(derive_boundary_data(extract_boundary(field), grid, kernel), kernel)
 
 
 def test_pair_field_shape_guard(grid10):
@@ -67,9 +83,20 @@ def test_config_and_objective_refuse_a_weight_with_the_same_message(boundary10, 
     assert "lambda" in str(from_config.value)
 
 
-def test_objective_refuses_tiny_grids(geometry, kernel):
-    from rtetomo import GridSet
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("attr", ["lam", "gamma", "epsilon"])
+def test_non_finite_weights_are_refused_as_the_config_refuses_them(boundary10, kernel, attr, value):
+    from rtetomo.config import RunConfig
 
+    with pytest.raises(UsageError) as from_config:
+        RunConfig(**{attr: value})
+    with pytest.raises(UsageError) as from_objective:
+        CarlemanObjective(boundary10, kernel, **{attr: value})
+    assert str(from_objective.value) == str(from_config.value)
+    assert "must be finite" in str(from_objective.value)
+
+
+def test_objective_refuses_tiny_grids(geometry, kernel):
     grid = GridSet.uniform(geometry, 0.5)
     data = constant_log_dataset(grid)
     with pytest.raises(UsageError):
@@ -186,9 +213,12 @@ def einsum_s_norm(objective, p, q):
     return total
 
 
-@pytest.mark.parametrize("step", [0.1, 0.05])
-def test_s_norm_matches_the_einsum_reference(objective10, boundary20, kernel, step):
-    objective = objective10 if step == 0.1 else CarlemanObjective(boundary20, kernel)
+@pytest.mark.parametrize("step", [0.1, 0.05, "uneven"])
+def test_s_norm_matches_the_einsum_reference(request, boundary20, kernel, step):
+    if step == 0.05:
+        objective = CarlemanObjective(boundary20, kernel)
+    else:
+        objective = request.getfixturevalue("objective10" if step == 0.1 else "objective_uneven")
     shape = objective.grid.shape_medium
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -244,10 +274,11 @@ def test_descent_evaluates_each_point_once(boundary10, kernel, monkeypatch):
     np.testing.assert_array_equal(gagain, grad)
 
 
-def test_gradient_matches_central_differences(objective10):
-    errors = gradient_check(objective10, directions=3, seed=11)
-    assert errors.shape == (3,)
-    assert errors.max() < 1e-5
+def test_gradient_matches_central_differences(objective10, objective_uneven):
+    for objective in (objective10, objective_uneven):
+        errors = gradient_check(objective, directions=3, seed=11)
+        assert errors.shape == (3,)
+        assert errors.max() < 1e-5
 
 
 def test_minimize_converges_and_decreases(objective10):
@@ -261,22 +292,19 @@ def test_minimize_converges_and_decreases(objective10):
     )
 
 
-def test_precondition_solves_the_s_gram_system(objective10):
+def test_precondition_solves_the_s_gram_system(objective10, objective_uneven):
     """d = M^-1 r for the S-norm's Gram matrix M on the free block: the
     second difference of S along d is d.Md = d.r, to round-off."""
-
-    def s_norm(free):
-        pair = objective10.apply_constraints(free)
-        return objective10.s_norm_sq_arrays(pair.p, pair.q)
-
-    x = objective10.initial_guess()
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        r = rng.standard_normal(objective10.n_free)
-        d = objective10.precondition(r)
-        assert r @ d > 0.0
-        second = s_norm(x + d) + s_norm(x - d) - 2.0 * s_norm(x)
-        np.testing.assert_allclose(second, 2.0 * (d @ r), rtol=1e-12)
+    for objective in (objective10, objective_uneven):
+        x = objective.initial_guess()
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            r = rng.standard_normal(objective.n_free)
+            d = objective.precondition(r)
+            assert r @ d > 0.0
+            pairs = (objective.apply_constraints(x + t * d) for t in (1.0, -1.0, 0.0))
+            plus, minus, mid = (objective.s_norm_sq_arrays(f.p, f.q) for f in pairs)
+            np.testing.assert_allclose(plus + minus - 2.0 * mid, 2.0 * (d @ r), rtol=1e-12)
 
 
 @pytest.mark.parametrize("step, grad_tol, max_steps", [(0.05, 1e-5, 60), (0.1, 1e-8, 40)])
