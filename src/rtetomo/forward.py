@@ -43,11 +43,18 @@ whole columns, so their geometry is computed once, from the group's ray
 from the lowest source.  A row's rays are aligned at their last samples;
 a shorter ray's leading columns repeat its first sample with trapezoid
 weight 0, and every other step of the march is elementwise or runs along
-one ray, so no ray's result depends on the order of the targets.  The ballistic term takes c from the same march;
-only its off-lattice rows are marched again: u0 aims at
-:func:`_ballistic_targets`, which differ from the medium nodes in the
-last bit on a few z rows (11 of 41 at h = 1/40), and a one-bit change can
-change a ray's sample count.
+one ray, so no ray's result depends on the order of the targets.
+
+The ballistic term u0 aims its rays at the nodes as
+:func:`~rtetomo.geometry._ray_lattice` places them: a uniform grid over
+the rays' rectangle with the medium's step.  They differ from ``grid.z``
+in the last bit on a few rows (11 of 41 at h = 1/40), and on some grids
+whose source segment is wider than the medium from ``grid.x1``.  A one-bit
+change can change ceil(segment / ds), and with it a ray's sample count:
+aiming at ``grid.z`` instead moves u0 by up to 1% at h = 0.1, so the
+synthetic data depend on these exact coordinates.  :func:`u0_field`
+marches the lattice row by row; :func:`solve_forward` takes u0's c from
+its row's march and marches again only the rows that lie off the lattice.
 
 A dense collocation solve of the same discretization is the oracle for
 small grids (at most ``DIRECT_MAX_UNKNOWNS`` unknowns).  The oracle takes
@@ -71,6 +78,8 @@ _BUMP_RADIAL_MASS = 0.20182631883840194
 
 # The most fixed-point passes any one z-row may take.
 MAX_SWEEPS = 200
+# The forward solve's tolerance on the field, relative to its max.
+FORWARD_TOL = 1e-10
 # The dense oracle's (n x n) float64 matrix is 0.8 GB at this cap.
 DIRECT_MAX_UNKNOWNS = 10000
 
@@ -357,33 +366,6 @@ def _march_row(tx, tz, atten, grid, vt=None):
     return _RowRays(c.reshape(n_t, n_alpha), n[group], below.reshape(n_t, n_alpha), block)
 
 
-def _path_attenuation(tx, tz, atten, grid):
-    """c = exp(attenuation integral) of every (target, source) ray as an
-    (n_targets, n_alpha) array, marched one height at a time; targets at
-    or below the floor read 1."""
-    c = np.ones((tx.size, grid.alpha.size))
-    # (Asking for the inverse also keeps np.unique from importing numpy.ma.)
-    heights, height_of = np.unique(tz, return_inverse=True)
-    for i, z in enumerate(heights):
-        row = height_of == i
-        c[row] = _march_row(tx[row], z, atten, grid).c
-    return c
-
-
-def _ballistic_targets(grid):
-    """Flat medium-node coordinates that the ballistic march aims at.
-
-    They are the medium nodes as a uniform grid over the rays' rectangle
-    P = (-reach, reach) x (0, b) with the same steps places them, and at
-    some z rows they differ from ``grid.z`` in the last bit.  A one-bit
-    change can change ceil(segment / ds), and with it the sample count of a
-    ray: marching to ``grid.z`` instead moves u0 by up to 1% at h = 0.1, so
-    the synthetic data depend on these exact coordinates.
-    """
-    x, z = np.meshgrid(*_ray_lattice(grid), indexing="ij")
-    return x.ravel(), z.ravel()
-
-
 def _check_source_radius(source, grid):
     """The bump must lie in the source-free gap below the medium, so every
     ray from a source to a medium node crosses the whole bump and carries
@@ -394,13 +376,15 @@ def _check_source_radius(source, grid):
 
 
 def u0_field(phantom, source, grid):
-    """Ballistic (unscattered) radiance on the medium grid."""
+    """Ballistic (unscattered) radiance on the medium grid, its rays
+    aimed at the rays' lattice and marched one z-row at a time."""
     _check_source_radius(source, grid)
-    c = _path_attenuation(*_ballistic_targets(grid), phantom.attenuation, grid)
-    return RadianceField((source.profile_integral / c).reshape(grid.shape_medium), grid)
+    x1, z = _ray_lattice(grid)
+    c = np.stack([_march_row(x1, zj, phantom.attenuation, grid).c for zj in z], axis=1)
+    return RadianceField(source.profile_integral / c, grid)
 
 
-def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
+def solve_forward(phantom, source, kernel, grid, return_info=False):
     """Solve u = u0 + K u on the medium nodes, z-row by z-row from the
     floor up.
 
@@ -409,46 +393,44 @@ def solve_forward(phantom, source, kernel, grid, tol=1e-10, return_info=False):
     below it.  Each row marches its rays (:func:`_march_row`), takes
     their products with the scattering density of the rows already
     solved, then repeats u_row <- b_row + K_row u_row over its own row
-    until a pass's max update falls below ``tol`` / 100 of the field's max
-    so far (at least 1, and never less than four units in the last place,
-    where the passes stop moving).  The row tolerance is 100 times tighter
-    than ``tol`` because each row's error feeds the rows above it; the
-    field then lies within about ``tol`` / 10 of the exact discrete
-    solution, relative to its max.  K is monotone and block
-    lower-triangular, so its spectral radius is the largest of its row
-    blocks', and the passes of every row converge exactly when
+    until a pass's max update falls below ``FORWARD_TOL`` / 100 of the
+    field's max so far (at least 1, and never less than four units in the
+    last place, where the passes stop moving).  The row tolerance is 100
+    times tighter than ``FORWARD_TOL`` because each row's error feeds the
+    rows above it; the field then lies within about ``FORWARD_TOL`` / 10
+    of the exact discrete solution, relative to its max.  K is monotone
+    and block lower-triangular, so its spectral radius is the largest of
+    its row blocks', and the passes of every row converge exactly when
     whole-operator sweeps would: whenever the scattering albedo stays
     subcritical.  A row whose passes diverge, or do not converge within
     ``MAX_SWEEPS`` passes, raises :class:`ForwardConvergenceError` naming
-    the row; a ``tol`` that is not finite and positive is a
-    :class:`UsageError`.
+    the row.
 
     Returns the medium-grid radiance, and with ``return_info`` an info
     dict: ``sweeps``, the most passes any row took, and ``diffs``, for
     each m the largest m-th pass update over the rows.
 
-    u0 takes c from the same march, and only the rows whose ballistic
-    targets lie off the mesh (:func:`_ballistic_targets`) are marched
-    again for it.
+    u0 aims at the rays' lattice (:func:`~rtetomo.geometry._ray_lattice`).
+    A row on it takes u0's c from the row's own march; a row off it, in z
+    or in x1, is marched once more to the lattice for u0.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise UsageError(f"forward tolerance must be finite and positive, got {tol!r}")
     _check_source_radius(source, grid)
     shape = n1, nz, n_alpha = grid.shape_medium
     atten = phantom.attenuation
-    bx, bz = (a.reshape(n1, nz) for a in _ballistic_targets(grid))
+    x1, z = _ray_lattice(grid)
+    x1_off = np.any(x1 != grid.x1)
     w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
     mu_s = phantom.mu_s
     u = np.empty(shape)
     # vt[k, ix, iz]: the scattering density of the rows solved so far.
     vt = np.zeros((n_alpha, n1, nz))
-    row_tol = max(tol / 100.0, 4.0 * np.finfo(float).eps)
+    row_tol = max(FORWARD_TOL / 100.0, 4.0 * np.finfo(float).eps)
     diffs, top = [], 1.0
     for j in range(nz):
         rays = _march_row(grid.x1, grid.z[j], atten, grid, vt)
         c = rays.c
-        if np.any(bx[:, j] != grid.x1) or np.any(bz[:, j] != grid.z[j]):
-            c = _path_attenuation(bx[:, j], bz[:, j], atten, grid)
+        if x1_off or z[j] != grid.z[j]:
+            c = _march_row(x1, z[j], atten, grid).c
         b = source.profile_integral / c + rays.below
         uj = b
         for m in range(MAX_SWEEPS):
@@ -519,7 +501,7 @@ def solve_forward_direct(phantom, source, kernel, grid, return_info=False):
     more than ``DIRECT_MAX_UNKNOWNS`` unknowns.  Every ray comes from the
     reference march :func:`_ray_row`: row (t, k) of S is the ray's T / c
     weights times mu_s, spread over the donor abscissae by the aperture
-    quadrature, and u0 takes c of the ray to the ballistic target.
+    quadrature, and u0 takes c of the ray to the rays' lattice node.
     """
     n1, nz, nk = grid.shape_medium
     n_unknown = n1 * nz * nk
@@ -528,16 +510,15 @@ def solve_forward_direct(phantom, source, kernel, grid, return_info=False):
     _check_source_radius(source, grid)
     atten, mu_s = phantom.attenuation, phantom.mu_s.ravel()
     w = scatter_matrix(kernel, grid.alpha, grid.h)
-    xm, zm = grid.spatial_mesh()
-    bx, bz = _ballistic_targets(grid)
+    x1, z = _ray_lattice(grid)
 
     rhs = np.empty((n1 * nz, nk))
     smat = np.zeros((n_unknown, n1 * nz, nk))
-    for t, (x, z) in enumerate(zip(xm.ravel(), zm.ravel())):
+    for t, (i, j) in enumerate(np.ndindex(n1, nz)):
         for k, alpha in enumerate(grid.alpha):
-            c, row = _ray_row(x, z, alpha, atten, grid)
-            if (bx[t], bz[t]) != (x, z):
-                c = _ray_row(bx[t], bz[t], alpha, atten, grid)[0]
+            c, row = _ray_row(grid.x1[i], grid.z[j], alpha, atten, grid)
+            if (x1[i], z[j]) != (grid.x1[i], grid.z[j]):
+                c = _ray_row(x1[i], z[j], alpha, atten, grid)[0]
             rhs[t, k] = source.profile_integral / c
             smat[t * nk + k] = np.outer(row * mu_s, w[k])
     rhs = rhs.ravel()

@@ -439,12 +439,18 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     ``grad_tol`` (``converged`` True) or after ``max_iters`` accepted
     steps.  J is strictly non-increasing along the returned history, whose
     rows are (iteration, J, grad max-norm, step), the step being the
-    accepted rho along M^-1 g.
+    accepted rho along M^-1 g.  A ``grad_tol`` that is not finite and
+    non-negative, or a ``max_iters`` that is not a non-negative integer,
+    is a :class:`UsageError`.
 
     Every trial costs one ``value`` call; the accepted one's
     ``value_and_grad`` is served from the objective's memo of that trial,
     so each distinct point gets exactly one residual pass.
     """
+    if not (np.isfinite(grad_tol) and grad_tol >= 0.0):
+        raise UsageError(f"grad_tol must be finite and non-negative, got {grad_tol!r}")
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+        raise UsageError(f"max_iters must be a non-negative integer, got {max_iters!r}")
     obj = objective
     free = obj.initial_guess() if free0 is None else np.array(free0, dtype=float)
     jval, grad = obj.value_and_grad(free)

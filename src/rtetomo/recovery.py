@@ -76,9 +76,7 @@ def support_centroid(values, grid):
     peak = float(np.max(values))
     if not peak > 0:
         return None
-    sel = values >= 0.5 * peak
-    x1, z = grid.spatial_mesh("medium")
-    return float(x1[sel].mean()), float(z[sel].mean())
+    return mask_centroid(values >= 0.5 * peak, grid)
 
 
 def mask_centroid(mask, grid):

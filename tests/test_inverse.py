@@ -292,6 +292,18 @@ def test_minimize_converges_and_decreases(objective10):
     )
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"grad_tol": np.inf}, {"grad_tol": np.nan}, {"grad_tol": -1.0}, {"max_iters": -5}, {"max_iters": 2.5}],
+    ids=["grad_tol-inf", "grad_tol-nan", "grad_tol-negative", "max_iters-negative", "max_iters-float"],
+)
+def test_minimize_refuses_a_stop_rule_it_cannot_keep(objective10, kwargs):
+    # Unrefused, each would stop after 0 steps or run every iteration,
+    # whatever the objective.
+    with pytest.raises(UsageError, match=next(iter(kwargs))):
+        minimize(objective10, **kwargs)
+
+
 def test_precondition_solves_the_s_gram_system(objective10, objective_uneven):
     """d = M^-1 r for the S-norm's Gram matrix M on the free block: the
     second difference of S along d is d.Md = d.r, to round-off."""
