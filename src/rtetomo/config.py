@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import UsageError
 from .forward import KernelModel, SourceModel
-from .geometry import Geometry
+from .geometry import Geometry, GridSet
 from .inverse import check_weights
 from .phantom import check_phantom
 
@@ -58,7 +58,7 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{_file_key(f.name)} must be finite, got {value!r}")
         # Each rule lives with the constructor that needs it.
-        geometry_of(self)
+        geometry = geometry_of(self)
         SourceModel.build(self.sigma)
         KernelModel(anisotropy=self.anisotropy, aperture_half_width=self.source_half_width)
         check_phantom(self.letter, self.c_a, self.mu_s)
@@ -67,6 +67,13 @@ class RunConfig:
         ratio = self.h_inverse / self.h_forward
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise UsageError("inversion step must be an integer multiple of the forward step")
+        # Both grids must exist, so a geometry that `invert` would refuse
+        # is refused before `forward` writes anything.
+        for key in ("h_forward", "h_inverse"):
+            try:
+                GridSet.uniform(geometry, getattr(self, key))
+            except UsageError as exc:
+                raise UsageError(f"{key}={getattr(self, key)!r}: {exc}") from None
         check_weights(self.lam, self.gamma, self.epsilon)
         if self.delta < 0:
             raise UsageError("noise level delta must be non-negative")

@@ -10,8 +10,17 @@ them.  Tables that a reader rebuilds arrays from lead with index columns,
 and each index row must appear exactly once.  Grids are never stored
 wholesale: meta lines carry the geometry and the step, and readers
 rebuild the node arrays, which are deterministic.
+
+Text conversion is the codec's cost, so it is done once per distinct
+cell where cells repeat.  The writer formats each distinct value of a
+column once and writes the rows a block at a time; the reader splits the
+whole body in one pass and converts each grid or index column per
+distinct text.  A cell the fast path cannot convert sends its columns
+through :func:`parse_value` cell by cell, which raises the usage error
+that names it.
 """
 
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,23 +42,56 @@ def fnum(x):
     return _FLOAT % float(x)
 
 
-def _write(path, lines):
+# Rows formatted and written per block, so a table's text never exists
+# whole.
+_BLOCK = 512
+
+
+def _open(path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    return path.open("w")
+
+
+def _write(path, lines):
+    with _open(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _meta_lines(meta):
     return [f"# {k}={v}" for k, v in (meta or {}).items()]
 
 
+def _cell_texts(col, end):
+    """(texts, inverse) of a column: an object array with the text of each
+    distinct cell followed by ``end``, and each cell's position in it.
+    Float cells are told apart by bit pattern, so -0.0 and 0.0 keep their
+    own texts."""
+    col = np.asarray(col)
+    if col.dtype.kind == "f":
+        keys, fmt = np.ascontiguousarray(col, dtype=float).view(np.int64), _FLOAT + end
+    else:
+        keys, fmt = col, "%s" + end
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array(list(map(fmt.__mod__, col[first].tolist())), dtype=object), inverse
+
+
 def _write_table(path, head, columns, cells):
     """Meta lines from ``head``, the ``columns`` row, then one row per entry
     of the equal-length ``cells`` arrays (one per column).  Float cells are
-    written as :func:`fnum` writes them, int and str cells as ``str`` does."""
-    cells = [np.asarray(col) for col in cells]
-    row = ",".join(_FLOAT if col.dtype.kind == "f" else "%s" for col in cells)
-    _write(path, [*_meta_lines(head), ",".join(columns), *(row % entry for entry in zip(*cells))])
+    written as :func:`fnum` writes them, int and str cells as ``str`` does;
+    each distinct cell of a column is formatted once."""
+    width = len(cells)
+    cells = [_cell_texts(col, "," if c < width - 1 else "\n") for c, col in enumerate(cells)]
+    n = min((inverse.size for _, inverse in cells), default=0)
+    with _open(path) as f:
+        f.write("\n".join([*_meta_lines(head), ",".join(columns)]) + "\n")
+        for start in range(0, n, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, n))
+            block = [None] * (width * (rows.stop - start))
+            for c, (texts, inverse) in enumerate(cells):
+                block[c::width] = texts[inverse[rows]].tolist()
+            f.write("".join(block))
 
 
 def _read_text(path):
@@ -68,36 +110,64 @@ def _store(path, target, key, value):
     target[key] = value.strip()
 
 
-def _read_rows(path, columns):
-    """Split a headered CSV into (meta dict, row lists).
+def _store_meta(path, meta, raw):
+    """A '#' line into ``meta`` when it reads '# key=value'; other '#'
+    lines are comments."""
+    body = raw[1:].strip()
+    if "=" in body:
+        key, _, val = body.partition("=")
+        _store(path, meta, key, val)
 
-    The column header must equal ``columns``, every row must carry one
-    cell per column, and no meta key may repeat.
+
+def _data_text(path, body, width, meta):
+    """The data rows among the lines ``body``, joined by commas.  '#' lines
+    go into ``meta`` and blank lines are skipped; a row without ``width``
+    cells is refused.  Faults are met in line order."""
+    text = ",".join(body)
+    # A data row has exactly width - 1 commas, a blank line none.
+    commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body))
+    odd = commas != width - 1
+    if "#" in text:
+        odd |= np.fromiter(map(str.startswith, body, repeat("#")), bool, len(body))
+    if not odd.any():
+        return text
+    for n in np.flatnonzero(odd).tolist():
+        raw = body[n]
+        if raw.startswith("#"):
+            _store_meta(path, meta, raw)
+        elif raw.strip():
+            raise UsageError(f"{path}: row {raw!r} has {commas[n] + 1} cells, not {width}")
+    return ",".join(body[n] for n in np.flatnonzero(~odd).tolist())
+
+
+def _read_table(path, columns):
+    """Split a headered CSV into (meta dict, one list of cell texts per
+    column).
+
+    The column header must equal ``columns`` (two or more names), every
+    row must carry one cell per column, and no meta key may repeat.  Blank
+    lines are skipped and '#' lines are meta lines wherever they stand; a
+    file with several faults is refused for its first.
     """
+    lines = _read_text(path).splitlines()
     meta = {}
-    header = None
-    rows = []
-    for raw in _read_text(path).splitlines():
+    for n, raw in enumerate(lines):
         if not raw.strip():
             continue
         if raw.startswith("#"):
-            body = raw[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                _store(path, meta, key, val)
+            _store_meta(path, meta, raw)
             continue
-        cells = raw.split(",")
-        if header is None:
-            header = cells
-            if header != list(columns):
-                raise UsageError(f"{path}: unexpected columns {header}, expected {list(columns)}")
-        elif len(cells) != len(header):
-            raise UsageError(f"{path}: row {raw!r} has {len(cells)} cells, not {len(header)}")
-        else:
-            rows.append(cells)
-    if header is None:
+        header = raw.split(",")
+        if header != list(columns):
+            raise UsageError(f"{path}: unexpected columns {header}, expected {list(columns)}")
+        break
+    else:
         raise UsageError(f"{path}: no column header found")
-    return meta, rows
+    width = len(columns)
+    text = _data_text(path, lines[n + 1:], width, meta)
+    del lines  # the cells are the table's largest copy; free the lines first
+    cells = text.split(",") if text else []
+    return meta, [cells[c::width] for c in range(width)]
 
 
 def parse_value(path, text, kind=float, size=None):
@@ -112,14 +182,62 @@ def parse_value(path, text, kind=float, size=None):
     return value
 
 
-def _parse(path, rows, sizes):
-    """(index, values) of split rows: the leading ``len(sizes)`` cells as an
-    (n, d) int array, each index checked against its axis size, and the
-    remaining cells as floats, flat in row order."""
+# A column whose first _PROBE cells hold at most half as many distinct
+# texts (a grid or index column) is converted once per distinct text; any
+# other cell by cell, which is faster when most texts differ.
+_PROBE = 64
+
+
+def _distinct(cells):
+    """(keys, inverse): the distinct texts of ``cells`` in order of first
+    appearance, and each cell's position among them."""
+    where = dict.fromkeys(cells)
+    keys = list(where)
+    where.update(zip(keys, range(len(keys))))
+    return keys, np.fromiter(map(where.__getitem__, cells), np.intp, len(cells))
+
+
+def _columns(path, cols, kind, sizes):
+    """Each list of cell texts in ``cols`` as an int64 (``kind=int``) or
+    float array, every cell read as :func:`parse_value` reads it with the
+    matching entry of ``sizes``.  A cell it refuses raises its usage error,
+    for the first such cell in row order."""
+    arrays = []
+    for col, size in zip(cols, sizes):
+        head = col[:_PROBE]
+        keys, inverse = _distinct(col) if 2 * len(set(head)) <= len(head) else (col, None)
+        try:
+            values = np.fromiter(map(kind, keys), np.int64 if kind is int else float, len(keys))
+        except (ValueError, OverflowError):
+            break
+        if size is not None and not ((values >= 0) & (values < size)).all():
+            break
+        arrays.append(values if inverse is None else values[inverse])
+    else:
+        return arrays
+    # The error path: parse_value refuses at least one of these cells.
+    for row in zip(*cols):
+        for text, size in zip(row, sizes):
+            parse_value(path, text, kind, size)
+    raise AssertionError(f"{path}: a cell failed to convert but parse_value accepts them all")
+
+
+def _take(cells, rows):
+    """The entries of the list ``cells`` at the ascending positions ``rows``
+    (a slice when they are consecutive, as each face's rows are)."""
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        return cells[rows[0]:rows[-1] + 1]
+    return [cells[n] for n in rows.tolist()]
+
+
+def _parse(path, cols, sizes):
+    """(index, values) of a table's columns of cell texts: the leading
+    ``len(sizes)`` columns as int arrays, each checked against its axis
+    size, and the remaining columns as the rows of an (m, n) float array."""
     d = len(sizes)
-    index = np.fromiter((parse_value(path, v, int, n) for row in rows for v, n in zip(row, sizes)), np.int64)
-    values = np.fromiter((parse_value(path, v) for row in rows for v in row[d:]), float)
-    return index.reshape(-1, d), values
+    index = _columns(path, cols[:d], int, sizes)
+    values = _columns(path, cols[d:], float, (None,) * (len(cols) - d))
+    return tuple(index), np.array(values)
 
 
 def _fill(path, index, values, shape, what="table"):
@@ -127,7 +245,7 @@ def _fill(path, index, values, shape, what="table"):
     a new first axis.  Every index must occur exactly once and every value
     must be a finite number: a repeated or missing row, or a 'nan' or
     'inf' cell, is a usage error."""
-    flat = np.ravel_multi_index(tuple(index.T), shape)
+    flat = np.ravel_multi_index(index, shape)
     count = np.bincount(flat, minlength=int(np.prod(shape)))
     if np.any(count > 1):
         repeated = tuple(int(i) for i in np.unravel_index(np.argmax(count), shape))
@@ -136,9 +254,8 @@ def _fill(path, index, values, shape, what="table"):
         raise UsageError(f"{path}: {what} has missing rows")
     if not np.isfinite(values).all():
         raise UsageError(f"{path}: {what} has a non-finite value")
-    values = values.reshape(count.size, -1)
-    out = np.empty((values.shape[1], count.size))
-    out[:, flat] = values.T
+    out = np.empty((values.shape[0], count.size))
+    out[:, flat] = values
     return out.reshape((-1, *shape))
 
 
@@ -245,7 +362,7 @@ def write_boundary(bds, path, meta=None):
 
 def read_boundary(path):
     """Rebuild a :class:`BoundaryDataSet` from :func:`write_boundary` output."""
-    meta, rows = _read_rows(path, _BOUNDARY_COLUMNS)
+    meta, cols = _read_table(path, _BOUNDARY_COLUMNS)
     _require(meta, ("delta", "seed", "neumann_sign", "attenuation_trace"), path)
     if meta["neumann_sign"] != _NEUMANN_SIGN:
         raise UsageError(
@@ -254,15 +371,17 @@ def read_boundary(path):
         )
     grid = _rebuild_grid(meta, path)
     shapes = face_shapes(grid)
-    unknown = {row[0] for row in rows} - shapes.keys()
+    names, where = _distinct(cols[0])
+    unknown = set(names) - shapes.keys()
     if unknown:
         raise UsageError(f"{path}: unknown face {min(unknown)!r}")
     faces = {}
     for face, shape in shapes.items():
+        rows = np.flatnonzero(where == (names.index(face) if face in names else -1))
         # The g3, g4 cells off the top face are 'nan' placeholders.
-        face_rows = [row[1:] if face == "top" else row[1:-2] for row in rows if row[0] == face]
+        face_cols = [_take(col, rows) for col in (cols[1:] if face == "top" else cols[1:-2])]
         # x1, z, alpha, g, g1, g2 (and g3, g4 on top) arrays of the face's shape
-        faces[face] = _fill(path, *_parse(path, face_rows, shape), shape, f"face {face!r}")
+        faces[face] = _fill(path, *_parse(path, face_cols, shape), shape, f"face {face!r}")
     g, g1, g2 = ({face: cols[n] for face, cols in faces.items()} for n in (3, 4, 5))
     return BoundaryDataSet(
         grid=grid, g=g, g1=g1, g2=g2, g3=faces["top"][6], g4=faces["top"][7],
@@ -294,9 +413,9 @@ def write_iterations(history, path, meta=None):
 
 def read_iterations(path):
     """History back as a float array of shape (n, 4)."""
-    _, rows = _read_rows(path, _ITERATION_COLUMNS)
-    shape = (len(rows),)
-    return np.column_stack((np.arange(len(rows)), *_fill(path, *_parse(path, rows, shape), shape)))
+    _, cols = _read_table(path, _ITERATION_COLUMNS)
+    shape = (len(cols[0]),)
+    return np.column_stack((np.arange(shape[0]), *_fill(path, *_parse(path, cols, shape), shape)))
 
 
 def write_pair(pair, path, meta=None):
@@ -309,10 +428,10 @@ def write_pair(pair, path, meta=None):
 
 def read_pair(path):
     """Rebuild a :class:`PairField` from :func:`write_pair` output."""
-    meta, rows = _read_rows(path, _PAIR_COLUMNS)
+    meta, cols = _read_table(path, _PAIR_COLUMNS)
     grid = _rebuild_grid(meta, path)
     shape = grid.shape_medium
-    *_, p, q = _fill(path, *_parse(path, rows, shape), shape)
+    *_, p, q = _fill(path, *_parse(path, cols, shape), shape)
     return PairField(p, q, grid)
 
 
@@ -327,11 +446,11 @@ def write_reconstruction(rec, path, meta=None):
 
 def read_reconstruction(path):
     """Rebuild a :class:`Reconstruction` from its CSV."""
-    meta, rows = _read_rows(path, _RECONSTRUCTION_COLUMNS)
+    meta, cols = _read_table(path, _RECONSTRUCTION_COLUMNS)
     _require(meta, ("mu_s",), path)
     grid = _rebuild_grid(meta, path)
     shape = grid.shape_medium[:2]
-    *_, atten, absorber = _fill(path, *_parse(path, rows, shape), shape)
+    *_, atten, absorber = _fill(path, *_parse(path, cols, shape), shape)
     return Reconstruction(
         attenuation=atten, absorber=absorber,
         mu_s_value=parse_value(path, meta["mu_s"]), grid=grid,

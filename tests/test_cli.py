@@ -59,6 +59,19 @@ def test_configuration_validation():
     assert RunConfig(letter=None, c_a=0.0).letter is None
 
 
+def test_geometry_off_the_ray_lattice_is_refused_before_forward_writes(tmp_path, capsys):
+    # At h=0.1 the medium's x1 nodes sit half a step off the lattice over
+    # P = [-0.75, 0.75]; the forward grid (h=0.05) alone would be fine.
+    with pytest.raises(UsageError, match="h_inverse=0.1: medium x1 nodes are off the rays' lattice"):
+        RunConfig(source_half_width=0.75, h_forward=0.05, h_inverse=0.1)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("source_half_width=0.75\nh_forward=0.05\nh_inverse=0.1\n")
+    out = tmp_path / "run"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "off the rays' lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

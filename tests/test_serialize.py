@@ -1,15 +1,21 @@
 """Text artifacts round-trip bit for bit."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtetomo import RunConfig, UsageError, config_hash, recover_attenuation
 from rtetomo.boundary import FACE_ORDER
 from rtetomo.carleman import convexity_sweep, empirical_carleman_constant
+from rtetomo.cli import main
 from rtetomo.geometry import Geometry, GridSet
+import rtetomo.serialize as serialize
 from rtetomo.serialize import (
     fnum,
+    parse_value,
     read_boundary,
     read_iterations,
     read_keyvalues,
@@ -79,6 +85,21 @@ def test_boundary_round_trip_is_bit_exact(boundary10, tmp_path):
     assert back.seed == boundary10.seed
     assert back.attenuation_trace == boundary10.attenuation_trace
     assert back.grid.h == boundary10.grid.h
+
+
+def test_boundary_rows_read_back_in_any_order(boundary10, tmp_path):
+    path = tmp_path / "boundary.csv"
+    write_boundary(boundary10, path)
+    lines = path.read_text().splitlines()
+    start = 1 + max(n for n, line in enumerate(lines) if line.startswith("#")) + 1
+    body = lines[start:]
+    order = np.random.default_rng(0).permutation(len(body))
+    path.write_text("\n".join(lines[:start] + [body[n] for n in order]) + "\n")
+    back = read_boundary(path)
+    for face in FACE_ORDER:
+        np.testing.assert_array_equal(back.g[face], boundary10.g[face])
+        np.testing.assert_array_equal(back.g2[face], boundary10.g2[face])
+    np.testing.assert_array_equal(back.g4, boundary10.g4)
 
 
 def test_truncated_boundary_file_is_rejected(boundary10, tmp_path):
@@ -279,3 +300,130 @@ def test_repeated_key_is_refused(desk_run, tmp_path, name, extra, key):
     with pytest.raises(UsageError, match=f"repeated key '{key}'") as exc:
         reader(path)
     assert str(path) in str(exc.value)
+
+
+def _write_table_per_row(path, head, columns, cells):
+    """The table writer as it was before it formatted each distinct cell
+    once: one ``%`` per row, the oracle for byte identity."""
+    cells = [np.asarray(col) for col in cells]
+    row = ",".join(serialize._FLOAT if col.dtype.kind == "f" else "%s" for col in cells)
+    lines = [*serialize._meta_lines(head), ",".join(columns), *(row % entry for entry in zip(*cells))]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.0, 0.1 + 0.2]
+_LENGTHS = [0, 1, 2, serialize._BLOCK - 1, serialize._BLOCK, serialize._BLOCK + 1, 2 * serialize._BLOCK + 7]
+
+
+@st.composite
+def _tables(draw):
+    """Columns of one drawn length: floats (with -0.0 and 0.0 in one
+    column, subnormals, infinities and nan), ints and strs, each drawn
+    from a small pool so that cells repeat."""
+    n = draw(st.sampled_from(_LENGTHS) | st.integers(0, 40), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    pools = {
+        "f": st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), min_size=1, max_size=12),
+        "i": st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12),
+        "s": st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=6), min_size=1, max_size=6),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=5), label="kinds")
+    cells = [[0.0, -0.0] * (n // 2) + [-0.0] * (n % 2)]
+    for kind in kinds:
+        pool = draw(pools[kind], label=kind)
+        picks = rng.integers(0, len(pool), n)
+        cells.append(np.array(pool, dtype={"f": float, "i": np.int64, "s": str}[kind])[picks])
+    return [f"c{c}" for c in range(len(cells))], [np.asarray(col) for col in cells]
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=_tables())
+def test_table_writer_matches_the_per_row_formatter(tmp_path_factory, table):
+    columns, cells = table
+    base = tmp_path_factory.mktemp("tables")
+    head = {"h": "0.1", "note": "x"}
+    serialize._write_table(base / "new.csv", head, columns, cells)
+    _write_table_per_row(base / "old.csv", head, columns, cells)
+    assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
+
+
+def test_every_artifact_writer_matches_the_per_row_formatter(tmp_path, monkeypatch):
+    """The desk session's files are byte-identical to the ones the per-row
+    writer gives."""
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text("h_forward=0.1\nh_inverse=0.1\ndelta=0.05\nseed=3\n")
+    out = tmp_path / "run"
+
+    def session():
+        run = ["--config", str(cfg), "--out", str(out)]
+        for argv in (["forward", *run], ["invert", *run], ["score", "--run", str(out)],
+                     ["verify", "--samples", "3", "--pairs", "3", *run]):
+            assert main(argv) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        shutil.rmtree(out)
+        return files
+
+    files = session()
+    monkeypatch.setattr(serialize, "_write_table", _write_table_per_row)
+    assert session() == files
+    assert {"boundary.csv", "forward.csv", "iterations.csv", "pair.csv", "reconstruction.csv",
+            "ratios.csv", "convexity.csv"} <= files.keys()
+
+
+def _per_cell(path, cols, kind, sizes):
+    """What the readers did before converting per distinct text: every
+    cell through parse_value, row by row."""
+    rows = [[parse_value(path, text, kind, size) for text, size in zip(row, sizes)] for row in zip(*cols)]
+    return [np.array(col, dtype=np.int64 if kind is int else float) for col in zip(*rows)]
+
+
+_NUMBER_TEXT = (
+    st.integers(-3, 40).map(str)
+    | st.floats().map(fnum)
+    | st.sampled_from(["9" * 30, "1.5", "-0", " 3", "3_0", "nan", "-inf", "1e3", "\u0663"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([int, float]),
+    size=st.integers(1, 30),
+    pool=st.lists(_NUMBER_TEXT | CELL_TEXT, min_size=1, max_size=8),
+    picks=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=150), min_size=1, max_size=3),
+)
+@example(kind=int, size=11, pool=["9" * 30], picks=[[0]])
+@example(kind=int, size=11, pool=["3", "1.5"], picks=[[0] * 80 + [1]])
+@example(kind=int, size=11, pool=["4", "-0", " 3", "3_0"], picks=[[0] * 70 + [1, 2, 3]])
+def test_column_reader_reads_and_refuses_what_parse_value_does(kind, size, pool, picks):
+    path = "table.csv"
+    n = min(len(p) for p in picks)
+    cols = [[pool[i % len(pool)] for i in p[:n]] for p in picks]
+    sizes = [size if kind is int else None] * len(cols)
+    try:
+        expected = _per_cell(path, cols, kind, sizes)
+    except UsageError as exc:
+        with pytest.raises(UsageError) as got:
+            serialize._columns(path, cols, kind, sizes)
+        assert str(got.value) == str(exc)
+    else:
+        arrays = serialize._columns(path, cols, kind, sizes)
+        assert len(arrays) == len(expected)
+        for got, want in zip(arrays, expected):
+            assert got.dtype == (np.int64 if kind is int else float)
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, col", [("boundary.csv", 3), ("pair.csv", 4), ("reconstruction.csv", 2)]
+)
+def test_unparsable_coordinate_cell_in_the_last_row_is_refused(desk_run, tmp_path, name, col):
+    # The first row's texts are the first a column reader sees; this one
+    # comes after every repeat of its column's valid texts.
+    lines = (desk_run / name).read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[col] = "garbage"
+    path = tmp_path / name
+    path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+    with pytest.raises(UsageError, match="cannot read 'garbage' as float"):
+        ARTIFACTS[name][0](path)
