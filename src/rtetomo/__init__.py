@@ -22,7 +22,7 @@ from .carleman import (
     sample_in_ball,
     sample_test_function,
 )
-from .config import RunConfig, config_hash, geometry_of, load_config, with_overrides
+from .config import RunConfig, config_hash, geometry_of, load_config
 from .errors import (
     DegenerateSampleError,
     ForwardConvergenceError,
@@ -101,5 +101,4 @@ __all__ = [
     "support_centroid",
     "true_contrast",
     "u0_field",
-    "with_overrides",
 ]

@@ -13,16 +13,16 @@ property verification.
 
 import argparse
 import sys
-
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .boundary import derive_boundary_data, downsample_boundary, extract_boundary
 from .carleman import convexity_sweep, empirical_carleman_constant, gradient_check
-from .config import RunConfig, config_hash, geometry_of, load_config, with_overrides
+from .config import RunConfig, config_hash, load_config
 from .errors import NumericalError, UsageError, VerificationError
-from .forward import KernelModel, SourceModel, solve_forward
+from .forward import solve_forward
 from .geometry import GridSet
 from .inverse import CarlemanObjective, minimize
 from .phantom import make_phantom
@@ -86,44 +86,27 @@ def build_parser():
 
 
 def _configure(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
-    cfg = with_overrides(
-        cfg,
-        seed=getattr(args, "seed", None),
-        delta=getattr(args, "delta", None),
-        letter=getattr(args, "letter", None),
-        c_a=getattr(args, "c_a", None),
-        lam=getattr(args, "lam", None),
-        gamma=getattr(args, "gamma", None),
-        epsilon=getattr(args, "epsilon", None),
-        out=getattr(args, "out", None),
-    )
-    return cfg
-
-
-def _models(cfg):
-    source = SourceModel.build(cfg.sigma)
-    kernel = KernelModel(anisotropy=cfg.anisotropy, aperture_half_width=cfg.source_half_width)
-    return source, kernel
+    # Every flag's dest is the attribute it sets; flags left unset are None.
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return load_config(args.config, **flags)
 
 
 def _synthesize(cfg, h):
     """Boundary data of the configured phantom, solved on the grid of step
-    ``h``; returns (data, kernel, solver info)."""
-    grid = GridSet.uniform(geometry_of(cfg), h)
+    ``h``; returns (data, solver info)."""
+    grid = GridSet.uniform(cfg.geometry, h)
     phantom = make_phantom(cfg.letter, cfg.c_a, grid, cfg.mu_s)
-    source, kernel = _models(cfg)
-    field, info = solve_forward(phantom, source, kernel, grid, return_info=True)
+    field, info = solve_forward(phantom, cfg.source, cfg.kernel, grid, return_info=True)
     bds = derive_boundary_data(
-        extract_boundary(field), grid, kernel, mu_s_value=cfg.mu_s, delta=cfg.delta, seed=cfg.seed
+        extract_boundary(field), grid, cfg.kernel, mu_s_value=cfg.mu_s, delta=cfg.delta, seed=cfg.seed
     )
-    return bds, kernel, info
+    return bds, info
 
 
 def cmd_forward(args):
     cfg = _configure(args)
     out = Path(cfg.out)
-    bds, _, info = _synthesize(cfg, cfg.h_forward)
+    bds, info = _synthesize(cfg, cfg.h_forward)
     meta = {"config_hash": config_hash(cfg)}
     write_boundary(bds, out / "boundary.csv", meta=meta)
     write_sweeps(info["diffs"], out / "forward.csv", meta=meta)
@@ -146,15 +129,14 @@ def cmd_invert(args):
             f"boundary data were acquired at step {fine.h!r}, "
             f"but the configuration says h_forward={cfg.h_forward!r}"
         )
-    if geometry_of(cfg) != fine.geometry:
+    if cfg.geometry != fine.geometry:
         raise UsageError("boundary data geometry does not match the configuration")
     coarse = downsample_boundary(bds, cfg.downsample_factor)
-    _, kernel = _models(cfg)
     objective = CarlemanObjective(
-        coarse, kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
+        coarse, cfg.kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
     )
     state = minimize(objective)
-    rec = recover_attenuation(state.pair, kernel, mu_s_value=cfg.mu_s)
+    rec = recover_attenuation(state.pair, cfg.kernel, mu_s_value=cfg.mu_s)
     mask = make_phantom(cfg.letter, cfg.c_a, coarse.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
     meta = {"config_hash": config_hash(cfg)}
@@ -186,9 +168,9 @@ def cmd_invert(args):
 def cmd_verify(args):
     cfg = _configure(args)
     out = Path(cfg.out)
-    bds, kernel, _ = _synthesize(cfg, VERIFY_STEP)
+    bds, _ = _synthesize(cfg, VERIFY_STEP)
     objective = CarlemanObjective(
-        bds, kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
+        bds, cfg.kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
     )
 
     failures = []
@@ -201,7 +183,7 @@ def cmd_verify(args):
     if sweep.min_margin < 0.0:
         failures.append(f"convexity: gap fell below the bound by {-sweep.min_margin:.3e}")
 
-    estimate_grid = GridSet.uniform(geometry_of(cfg), ESTIMATE_STEP)
+    estimate_grid = GridSet.uniform(cfg.geometry, ESTIMATE_STEP)
     report = empirical_carleman_constant(args.samples, VERIFY_LAMBDAS, cfg.seed, estimate_grid)
     rows = report.rows()
     bad = [lam for lam, ratio, _, _ in rows if not ratio > 0.0]
@@ -222,10 +204,10 @@ def cmd_verify(args):
         body[f"carleman_used_lam_{tag}"] = str(used)
         body[f"carleman_excluded_lam_{tag}"] = str(excluded)
     body["passed"] = str(not failures).lower()
-    meta = {"config_hash": config_hash(cfg), "verify_step": format(VERIFY_STEP, ".17g")}
-    write_keyvalues(out / "report.txt", body, meta=meta)
-    write_carleman_table(report, out / "ratios.csv", meta={"config_hash": config_hash(cfg)})
-    write_convexity_table(sweep, out / "convexity.csv", meta={"config_hash": config_hash(cfg)})
+    meta = {"config_hash": config_hash(cfg)}
+    write_keyvalues(out / "report.txt", body, meta={**meta, "verify_step": format(VERIFY_STEP, ".17g")})
+    write_carleman_table(report, out / "ratios.csv", meta=meta)
+    write_convexity_table(sweep, out / "convexity.csv", meta=meta)
     print(
         f"verify: gradient {grad_max:.3e}, convexity margin {sweep.min_margin:.3e}, "
         f"estimate minima {[round(ratio, 2) for _, ratio, _, _ in rows]}, "
@@ -247,7 +229,7 @@ def cmd_score(args):
     # The run's configuration rules apply: a non-finite or out-of-range
     # value is refused here, not scored.
     try:
-        cfg = with_overrides(RunConfig(), **{key: manifest[key] for key in keys})
+        cfg = load_config(**{key: manifest[key] for key in keys})
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from None
     rec = read_reconstruction(run / "reconstruction.csv")

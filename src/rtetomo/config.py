@@ -7,12 +7,14 @@ acquisition step 1/40, inversion step 1/20, weight exponent 5, Tikhonov
 weight 1e-3, viscosity 1e-2.  Desk-scale runs override the two steps and
 keep everything else.  The file key for the weight exponent is
 ``lambda`` (so is the CLI flag); the attribute is ``lam`` to stay clear
-of the Python keyword.
+of the Python keyword.  :func:`load_config` converts file values as it
+reads them, lays the CLI's flags on top and builds one :class:`RunConfig`,
+which checks the merged values once and keeps what the checks built.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import UsageError
@@ -26,13 +28,13 @@ def _file_key(attr):
     return "lambda" if attr == "lam" else attr
 
 
-def _attr_name(key):
-    return "lam" if key == "lambda" else key
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one experiment needs, hashable as canonical text."""
+    """Everything one experiment needs, hashable as canonical text.
+
+    Construction keeps the checked ``geometry``, ``source`` and ``kernel``
+    as attributes that are not fields, so equality and hashing ignore them.
+    """
 
     half_width: float = 0.5
     slab_bottom: float = 1.0
@@ -57,10 +59,14 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{_file_key(f.name)} must be finite, got {value!r}")
+        if not isinstance(self.seed, int):
+            raise UsageError(f"seed must be an integer, got {self.seed!r}")
         # Each rule lives with the constructor that needs it.
-        geometry = geometry_of(self)
-        SourceModel.build(self.sigma)
-        KernelModel(anisotropy=self.anisotropy, aperture_half_width=self.source_half_width)
+        geometry = Geometry(self.half_width, self.slab_bottom, self.slab_top, self.source_half_width)
+        kernel = KernelModel(anisotropy=self.anisotropy, aperture_half_width=self.source_half_width)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "source", SourceModel.build(self.sigma))
+        object.__setattr__(self, "kernel", kernel)
         check_phantom(self.letter, self.c_a, self.mu_s)
         if self.h_forward <= 0 or self.h_inverse <= 0:
             raise UsageError("grid steps must be positive")
@@ -90,12 +96,7 @@ class RunConfig:
 
 def geometry_of(config):
     """The :class:`Geometry` the configuration describes."""
-    return Geometry(
-        half_width=config.half_width,
-        slab_bottom=config.slab_bottom,
-        slab_top=config.slab_top,
-        source_half_width=config.source_half_width,
-    )
+    return config.geometry
 
 
 def _coerce(attr, value):
@@ -117,25 +118,20 @@ def _coerce(attr, value):
         raise UsageError(f"{_file_key(attr)} expects a number, got {value!r}") from None
 
 
-def with_overrides(config, **overrides):
-    """Copy of ``config`` with the non-None overrides applied (re-validated)."""
-    typed = {k: _coerce(k, v) for k, v in overrides.items() if v is not None}
-    return replace(config, **typed) if typed else config
-
-
-def load_config(path):
-    """Parse a flat key=value file into a :class:`RunConfig`.
+def load_config(path=None, **overrides):
+    """The :class:`RunConfig` of a flat key=value file with overrides on top.
 
     The file is UTF-8 text.  Blank lines and '#' comments are skipped;
-    unknown keys, repeated keys, and unparsable values are usage errors.
-    Keys not present keep their defaults.
+    unknown keys, repeated keys, and unparsable values are usage errors
+    naming the file and line.  Overrides are attribute names (``lam``)
+    whose None values are dropped.  Keys set by neither keep their defaults.
     """
-    known = {_file_key(f.name) for f in fields(RunConfig)}
+    attrs = {_file_key(f.name): f.name for f in fields(RunConfig)}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = "" if path is None else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
-    seen = {}
+    keys = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -144,12 +140,17 @@ def load_config(path):
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in attrs:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
+        attr = attrs[key]
+        if attr in keys:
             raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
-        seen[key] = val.strip()
-    return with_overrides(RunConfig(), **{_attr_name(k): v for k, v in seen.items()})
+        try:
+            keys[attr] = _coerce(attr, val.strip())
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
+    keys.update((k, _coerce(k, v)) for k, v in overrides.items() if v is not None)
+    return RunConfig(**keys)
 
 
 def config_lines(config):

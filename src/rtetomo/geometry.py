@@ -41,9 +41,16 @@ class Geometry:
         return max(self.half_width, self.source_half_width)
 
 
+# Nodes one grid axis may have: far past any grid the 3-D solve can hold,
+# so a span or step off by orders of magnitude is refused, not allocated.
+_MAX_NODES = 10**5
+
+
 def _uniform_span(lo, hi, h, label):
     """Closed uniform nodes on [lo, hi]; the span must be a multiple of h."""
     n = (hi - lo) / h
+    if not n < _MAX_NODES:
+        raise UsageError(f"{label} span {hi - lo!r} at step {h!r} needs more than {_MAX_NODES} nodes")
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise UsageError(f"{label} span {hi - lo!r} is not a multiple of step {h!r}")
     return np.linspace(lo, hi, round(n) + 1)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import rtetomo
 from rtetomo import (
+    Geometry,
     GridSet,
     KernelModel,
     RunConfig,
@@ -23,7 +24,6 @@ from rtetomo import (
     load_config,
     make_phantom,
     solve_forward,
-    with_overrides,
 )
 from rtetomo.cli import build_parser, main
 from rtetomo.config import config_lines, geometry_of
@@ -43,6 +43,8 @@ def test_default_configuration_is_the_production_study():
     assert cfg.downsample_factor == 2
     assert (cfg.lam, cfg.gamma, cfg.epsilon) == (5.0, 1e-3, 1e-2)
     assert (cfg.delta, cfg.seed, cfg.out) == (0.0, 0, "run")
+    assert cfg.geometry == Geometry() and cfg.kernel == KernelModel()
+    assert vars(cfg.source) == vars(SourceModel.build(0.05))
 
 
 def test_configuration_validation():
@@ -56,6 +58,8 @@ def test_configuration_validation():
         RunConfig(gamma=1.0)
     with pytest.raises(UsageError):
         RunConfig(out="")
+    with pytest.raises(UsageError, match="seed must be an integer"):
+        RunConfig(seed=2.5)
     assert RunConfig(letter=None, c_a=0.0).letter is None
 
 
@@ -174,6 +178,14 @@ def test_any_config_text_loads_or_is_a_usage_error(tmp_path, blob):
     assert isinstance(cfg, RunConfig)
 
 
+@pytest.mark.parametrize("half_width", ["57474674.0", "1.4411518807585588e+16", "1e308"])
+def test_grid_too_large_to_hold_is_a_usage_error(tmp_path, half_width):
+    path = tmp_path / "wide.cfg"
+    path.write_text(f"half_width={half_width}\n")
+    with pytest.raises(UsageError, match="x1 span .* needs more than 100000 nodes"):
+        load_config(path)
+
+
 @pytest.mark.parametrize(
     "text",
     ["h_forward=5e-324\nh_inverse=1\n", "h_forward=1e-300\nh_inverse=1e300\n"],
@@ -200,15 +212,59 @@ def test_missing_config_file_is_a_usage_error(tmp_path):
 
 def test_overrides_drop_none_and_coerce_text():
     cfg = RunConfig()
-    same = with_overrides(cfg, seed=None, delta=None)
+    same = load_config(seed=None, delta=None)
     assert same == cfg
-    bumped = with_overrides(cfg, seed="3", delta="0.1", letter="OMEGA")
+    bumped = load_config(seed="3", delta="0.1", letter="OMEGA")
     assert bumped.seed == 3 and bumped.delta == 0.1 and bumped.letter == "OMEGA"
-    assert with_overrides(cfg, letter="none").letter is None
+    assert load_config(letter="none").letter is None
     with pytest.raises(UsageError):
-        with_overrides(cfg, c_a="-1")
+        load_config(c_a="-1")
     with pytest.raises(UsageError):
-        with_overrides(cfg, c_a="much")
+        load_config(c_a="much")
+
+
+def test_unparsable_file_value_names_its_line_even_under_a_flag(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("h_forward=0.1\nh_inverse=0.1\ngamma=fast\n")
+    with pytest.raises(UsageError, match=r"bad\.cfg:3: gamma expects a number, got 'fast'"):
+        load_config(path, gamma=1e-3)
+    out = tmp_path / "run"
+    assert main(["forward", "--config", str(path), "--gamma", "0.001", "--out", str(out)]) == 1
+    assert f"{path}:3: gamma expects a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_range_rules_apply_to_the_merged_configuration(tmp_path):
+    path = desk_config(tmp_path, "c_a=-1\n")
+    with pytest.raises(UsageError):
+        load_config(path)
+    assert load_config(path, c_a=10.0).c_a == 10.0
+    out = tmp_path / "run"
+    assert main(["forward", "--config", str(path), "--ca", "10", "--out", str(out)]) == 0
+    assert read_manifest(out / "manifest.txt")["c_a"] == "10"
+
+
+def test_each_command_builds_one_configuration(desk_run, tmp_path, monkeypatch):
+    calls = []
+    original = RunConfig.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(RunConfig, "__post_init__", counted)
+    out = tmp_path / "run"
+    common = ["--config", str(desk_run / "desk.cfg"), "--seed", "3", "--out"]
+    argvs = {
+        "forward": ["forward", *common, str(out)],
+        "invert": ["invert", *common, str(out)],
+        "score": ["score", "--run", str(out)],
+        "verify": ["verify", *common, str(tmp_path / "lab"), "--samples", "3", "--pairs", "3"],
+    }
+    for command, argv in argvs.items():
+        calls.clear()
+        assert main(argv) == 0, command
+        assert len(calls) == 1, command
 
 
 def test_hash_ignores_the_destination_only():
@@ -243,7 +299,7 @@ def test_forward_invert_score_flow(tmp_path, capsys):
     assert main(["forward", "--config", str(cfg_file), "--out", str(out)]) == 0
     assert (out / "boundary.csv").is_file()
     manifest = read_manifest(out / "manifest.txt")
-    expected = with_overrides(load_config(cfg_file), out=str(out))
+    expected = load_config(cfg_file, out=str(out))
     assert manifest["config_hash"] == config_hash(expected)
 
     assert main(["invert", "--config", str(cfg_file), "--out", str(out)]) == 0
