@@ -110,8 +110,7 @@ class BoundaryDataSet:
             raise UsageError("top-face normal data shape mismatch")
 
 
-def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0,
-                         attenuation_trace=None):
+def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0):
     """Log data and derived derivatives from (possibly noisy) traces.
 
     The normal derivative on the top face never touches the (unknown)
@@ -120,13 +119,11 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0,
 
         g3 = (1/nu_n) [ -nu_1 d_x1(ln g) - a_top + mu_s (int G g dbeta) / g ].
 
-    ``attenuation_trace`` is the known attenuation at the top face;
-    absorbers are assumed interior, so it defaults to the scattering
-    background ``mu_s_value``.  Passing 0 drops the term, which biases
-    the reconstruction near the top by about a_top / nu_n.
+    a_top is the attenuation at the top face; absorbers are assumed to lie
+    inside the medium, so it is the scattering background ``mu_s_value``,
+    recorded as the dataset's ``attenuation_trace``.  Dropping the term
+    would bias the reconstruction near the top by about a_top / nu_n.
     """
-    if attenuation_trace is None:
-        attenuation_trace = mu_s_value
     if delta > 0.0:
         faces = add_noise(faces, delta, seed)
     g1 = {}
@@ -147,12 +144,12 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0,
     w_x1 = diff_axis(g1["top"], grid.h, axis=0)
     smat = scatter_matrix(kernel, grid.alpha, grid.h)
     scattering = mu_s_value * (top @ smat.T) / top
-    g3 = (-nu1 * w_x1 + scattering - attenuation_trace) / nu_n
+    g3 = (-nu1 * w_x1 + scattering - mu_s_value) / nu_n
     g4 = diff_axis(g3, grid.h, axis=1)
     return BoundaryDataSet(
         grid=grid, g={k: faces[k].copy() for k in FACE_ORDER}, g1=g1, g2=g2,
         g3=g3, g4=g4, delta=float(delta), seed=int(seed),
-        attenuation_trace=float(attenuation_trace),
+        attenuation_trace=float(mu_s_value),
     )
 
 

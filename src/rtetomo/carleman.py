@@ -26,6 +26,8 @@ SAMPLE_PASSES = 5
 BALL_PASSES = 2
 TOP_MARGIN = 0.2
 GRADIENT_CHECK_STEP = 1e-2
+GRADIENT_DIRECTIONS = 20
+LAMBDAS = (2.0, 5.0, 10.0)  # the estimate probe's weight exponents, ascending
 
 
 def sample_test_function(grid, rng):
@@ -62,28 +64,31 @@ def carleman_sides(u, lam, grid):
       boundary = lam^3 w(b) (top-trace H1 norm^2 + normal-trace L2 norm^2).
 
     All derivatives are the shared second-order stencils, one-sided at
-    the faces; traces are taken along z = b.  The useful ratio is
-    lhs / (interior - boundary) where the denominator is positive, the
-    sign every sample with a strong top trace loses.
+    the faces; traces are taken along z = b.  Each side has the shape of
+    ``lam``, so an array of exponents shares one set of derivatives.  The
+    useful ratio is lhs / (interior - boundary) where the denominator is
+    positive, the sign every sample with a strong top trace loses.
     """
-    if lam < 1.0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 1.0):
         raise UsageError("weight exponent must be >= 1 for the estimate probe")
     v = np.asarray(u, dtype=float)
     if v.shape != (grid.x1.size, grid.z.size):
         raise UsageError(f"sample shape {v.shape} does not match the spatial grid")
     h = grid.h
-    w = carleman_weight(grid.z, lam)[None, :]
+    k = lam[..., None, None]
+    w = carleman_weight(grid.z, k)
     quad = trapezoid_weights(grid.x1.size, h)[:, None] * trapezoid_weights(grid.z.size, h)[None, :]
     lap = second_diff_axis(v, h, 0) + second_diff_axis(v, h, 1)
-    lhs = float(np.sum(quad * w * lap * lap))
+    lhs = np.sum(quad * w * lap * lap, axis=(-2, -1))
     gx = diff_axis(v, h, 0)
     gz = diff_axis(v, h, 1)
-    interior = float(np.sum(quad * w * (lam * (gx * gx + gz * gz) + lam**3 * v * v)))
+    interior = np.sum(quad * w * (k * (gx * gx + gz * gz) + k**3 * v * v), axis=(-2, -1))
     top = v[:, -1]
     dtop = diff_axis(top, h, 0)
     dn = gz[:, -1]
     wx = trapezoid_weights(grid.x1.size, h)
-    w_top = float(carleman_weight(grid.geometry.slab_top, lam))
+    w_top = carleman_weight(grid.geometry.slab_top, lam)
     boundary = lam**3 * w_top * float(np.sum(wx * (top * top + dtop * dtop + dn * dn)))
     return lhs, interior, boundary
 
@@ -92,9 +97,9 @@ def carleman_sides(u, lam, grid):
 class CarlemanReport:
     """Per-sample quadratures of an estimate sweep.
 
-    ``table`` rows are (lam, sample, lhs, interior, boundary, ratio) in
-    sweep order; excluded samples (nonpositive denominator) carry a NaN
-    ratio.
+    ``table`` rows are (lam, sample, lhs, interior, boundary, ratio), a
+    block of ``samples`` rows per exponent in ``LAMBDAS`` order; excluded
+    samples (nonpositive denominator) carry a NaN ratio.
     """
 
     table: np.ndarray
@@ -107,42 +112,36 @@ class CarlemanReport:
         The minimum is over the used samples; it is NaN when none is used.
         """
         out = []
-        for lam in dict.fromkeys(self.table[:, 0].tolist()):
-            ratio = self.table[self.table[:, 0] == lam, 5]
+        for block in self.table.reshape(-1, self.samples, 6):
+            ratio = block[:, 5]
             used = int(np.count_nonzero(~np.isnan(ratio)))
-            out.append((lam, float(np.fmin.reduce(ratio)), used, ratio.size - used))
+            out.append((float(block[0, 0]), float(np.fmin.reduce(ratio)), used, ratio.size - used))
         return out
 
 
-def empirical_carleman_constant(samples, lambda_list, seed, grid):
+def empirical_carleman_constant(samples, seed, grid):
     """Minimum positive-denominator ratio over smoothed random samples.
 
-    The same sample set (drawn once from the 'carleman-samples' stream)
-    is evaluated at every exponent, so the per-exponent minima are
+    Each sample (drawn from the 'carleman-samples' stream) is evaluated
+    at every exponent of ``LAMBDAS``, so the per-exponent minima are
     comparable.  Samples whose denominator is nonpositive prove nothing
     and are excluded with their count reported; an exponent with no
     usable sample raises :class:`DegenerateSampleError`.  The claim worth
     checking downstream is only that the minima stay positive once the
     exponent clears the empirical threshold, which is reported as data.
     """
-    lams = [float(lam) for lam in lambda_list]
-    if not lams:
-        raise UsageError("need at least one weight exponent")
-    if any(lam < 1.0 for lam in lams):
-        raise UsageError("all weight exponents must be >= 1")
-    if lams != sorted(lams):
-        raise UsageError("weight exponents must be ascending")
     if samples < 1:
         raise UsageError("need at least one sample")
     rng = stream(seed, "carleman-samples")
-    draws = [sample_test_function(grid, rng) for _ in range(samples)]
-    rows = []
-    for lam in lams:
-        for idx, draw in enumerate(draws):
-            lhs, interior, boundary = carleman_sides(draw, lam, grid)
-            den = interior - boundary
-            rows.append((lam, idx, lhs, interior, boundary, lhs / den if den > 0.0 else np.nan))
-    report = CarlemanReport(table=np.array(rows), samples=int(samples), seed=int(seed))
+    lams = np.array(LAMBDAS)
+    draws = (sample_test_function(grid, rng) for _ in range(samples))
+    # each side as a (lam, sample) array
+    lhs, interior, boundary = np.array([carleman_sides(u, lams, grid) for u in draws]).transpose(1, 2, 0)
+    den = interior - boundary
+    ratio = np.divide(lhs, den, out=np.full_like(den, np.nan), where=den > 0.0)
+    lam_col, idx_col = np.meshgrid(lams, np.arange(samples), indexing="ij")
+    table = np.stack([lam_col, idx_col, lhs, interior, boundary, ratio], axis=-1).reshape(-1, 6)
+    report = CarlemanReport(table=table, samples=int(samples), seed=int(seed))
     for lam, _, used, _ in report.rows():
         if not used:
             raise DegenerateSampleError(f"no sample kept a positive denominator at lam = {lam}")
@@ -166,13 +165,11 @@ def sample_in_ball(objective, rng, radius=10.0):
 def _draw_in_ball(objective, rng, radius, base, p0):
     """:func:`sample_in_ball` around ``base``, the first guess, whose full
     pair ``p0`` a sweep computes once for all its draws."""
-    blocks = []
-    for _ in range(2):
-        d = rng.standard_normal(objective.free_shape)
-        for _ in range(BALL_PASSES):
-            d = smooth_pass(d)
-        blocks.append(d.ravel())
-    direction = np.concatenate(blocks)
+    # Both fields' noise in one draw, smoothed together as a trailing axis.
+    d = np.moveaxis(rng.standard_normal((2, *objective.free_shape)), 0, -1)
+    for _ in range(BALL_PASSES):
+        d = smooth_pass(d)
+    direction = np.moveaxis(d, -1, 0).ravel()
     p1 = objective.apply_constraints(base + direction)
     s = np.sqrt(objective.s_norm_sq_arrays(p1.p - p0.p, p1.q - p0.q))
     r = radius * (1.0 - rng.random())
@@ -244,12 +241,12 @@ def convexity_sweep(objective, count=100, seed=0, radius=10.0):
     )
 
 
-def gradient_check(objective, directions=20, seed=0):
+def gradient_check(objective, seed=0):
     """Relative errors of difference quotients against the analytic gradient.
 
-    Directions are unit white-noise vectors from the 'gradient-check'
-    stream, evaluated at the first guess x.  Each directional derivative is
-    the fourth-order quotient
+    ``GRADIENT_DIRECTIONS`` unit white-noise vectors from the
+    'gradient-check' stream, at the first guess x.  Each directional
+    derivative is the fourth-order quotient
 
         (8 [J(x + t d) - J(x - t d)] - [J(x + 2t d) - J(x - 2t d)]) / 12 t
 
@@ -258,14 +255,12 @@ def gradient_check(objective, directions=20, seed=0):
     O(t^4) truncation error lets t stay large.  Errors are measured against
     max(|analytic derivative|, 1e-12) so such draws cannot divide by zero.
     """
-    if directions < 1:
-        raise UsageError("need at least one direction")
     rng = stream(seed, "gradient-check")
     free = objective.initial_guess()
     _, grad = objective.value_and_grad(free)
     t = GRADIENT_CHECK_STEP
-    errors = np.empty(directions)
-    for i in range(directions):
+    errors = np.empty(GRADIENT_DIRECTIONS)
+    for i in range(GRADIENT_DIRECTIONS):
         d = rng.standard_normal(free.shape)
         d /= np.linalg.norm(d)
         near = objective.value(free + t * d) - objective.value(free - t * d)

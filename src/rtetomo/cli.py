@@ -29,6 +29,7 @@ from .phantom import make_phantom
 from .recovery import recover_attenuation, score
 from .serialize import (
     read_boundary,
+    read_keyvalues,
     read_manifest,
     read_reconstruction,
     write_boundary,
@@ -46,7 +47,6 @@ VERIFY_STEP = 0.1
 # The estimate probe's grid step; every geometry the VERIFY_STEP grid
 # accepts is also a multiple of it.
 ESTIMATE_STEP = 1.0 / 40.0
-VERIFY_LAMBDAS = (2.0, 5.0, 10.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,7 +174,7 @@ def cmd_verify(args):
     )
 
     failures = []
-    errors = gradient_check(objective, directions=20, seed=cfg.seed)
+    errors = gradient_check(objective, seed=cfg.seed)
     grad_max = float(np.max(errors))
     if grad_max >= 1e-5:
         failures.append(f"gradient check: max relative error {grad_max:.3e} >= 1e-5")
@@ -184,14 +184,14 @@ def cmd_verify(args):
         failures.append(f"convexity: gap fell below the bound by {-sweep.min_margin:.3e}")
 
     estimate_grid = GridSet.uniform(cfg.geometry, ESTIMATE_STEP)
-    report = empirical_carleman_constant(args.samples, VERIFY_LAMBDAS, cfg.seed, estimate_grid)
+    report = empirical_carleman_constant(args.samples, cfg.seed, estimate_grid)
     rows = report.rows()
     bad = [lam for lam, ratio, _, _ in rows if not ratio > 0.0]
     if bad:
         failures.append(f"estimate sweep: nonpositive minimum ratio at lam in {bad}")
 
     body = {
-        "gradient_directions": "20",
+        "gradient_directions": str(errors.size),
         "gradient_max_rel_error": grad_max,
         "convexity_pairs": str(args.pairs),
         "convexity_min_margin": sweep.min_margin,
@@ -235,7 +235,10 @@ def cmd_score(args):
     rec = read_reconstruction(run / "reconstruction.csv")
     mask = make_phantom(cfg.letter, cfg.c_a, rec.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
-    write_keyvalues(run / "metrics.txt", metrics, meta={"config_hash": manifest.get("config_hash", "")})
+    # Keys score does not recompute (the descent's diagnostics) stay as written.
+    out = run / "metrics.txt"
+    kept = read_keyvalues(out)[0] if out.is_file() else {}
+    write_keyvalues(out, {**kept, **metrics}, meta={"config_hash": manifest.get("config_hash", "")})
     for key, value in metrics.items():
         print(f"{key}={format(value, '.17g') if isinstance(value, float) else value}")
     return 0

@@ -67,6 +67,9 @@ class RunConfig:
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "source", SourceModel.build(self.sigma))
         object.__setattr__(self, "kernel", kernel)
+        # A phantom may lack scattering; a run's contrast is relative to mu_s.
+        if not self.mu_s > 0:
+            raise UsageError(f"mu_s must be positive, got {self.mu_s!r}")
         check_phantom(self.letter, self.c_a, self.mu_s)
         if self.h_forward <= 0 or self.h_inverse <= 0:
             raise UsageError("grid steps must be positive")

@@ -21,6 +21,8 @@ from .geometry import direction_tables, trapezoid_weights
 from .phantom import true_contrast
 from .stencils import diff_axis, smooth_pass
 
+SMOOTH_PASSES = 1
+
 
 @dataclass(eq=False)
 class Reconstruction:
@@ -32,14 +34,13 @@ class Reconstruction:
     grid: "GridSet"
 
 
-def recover_attenuation(pair, kernel, mu_s_value=5.0, smooth_passes=1):
+def recover_attenuation(pair, kernel, mu_s_value=5.0):
     """Aperture-averaged attenuation from the log-radiance pair.
 
-    ``smooth_passes`` five-point averaging sweeps are applied to the
+    ``SMOOTH_PASSES`` five-point averaging sweeps are applied to the
     attenuation map before the absorber split.  The one-sided stencils
     feeding the average leave grid-scale ripples along the top face; one
     pass removes them while widening genuine strokes by under a cell.
-    Pass 0 to score the raw map.
     """
     grid = pair.grid
     p = pair.p
@@ -52,7 +53,7 @@ def recover_attenuation(pair, kernel, mu_s_value=5.0, smooth_passes=1):
     wa = trapezoid_weights(grid.alpha.size, grid.h)
     span = grid.alpha[-1] - grid.alpha[0]
     atten = (integrand @ wa) / span
-    for _ in range(int(smooth_passes)):
+    for _ in range(SMOOTH_PASSES):
         atten = smooth_pass(atten)
     return Reconstruction(
         attenuation=atten,

@@ -11,6 +11,7 @@ from rtetomo import (
     extract_boundary,
 )
 from rtetomo.boundary import FACE_ORDER
+from rtetomo.forward import scatter_matrix
 from rtetomo.stencils import diff_axis
 
 
@@ -85,10 +86,15 @@ def test_normal_derivative_median_converges(field10, field20, grid10, grid20, ke
 def test_attenuation_trace_shifts_g3_by_a_over_nu(field10, grid10, kernel):
     faces = extract_boundary(field10)
     with_trace = derive_boundary_data(faces, grid10, kernel)
-    without = derive_boundary_data(faces, grid10, kernel, attenuation_trace=0.0)
     zb = grid10.geometry.slab_top
-    r = np.hypot(grid10.x1[:, None] - grid10.alpha[None, :], zb)
-    np.testing.assert_allclose(without.g3 - with_trace.g3, 5.0 * r / zb, atol=1e-10)
+    dx = grid10.x1[:, None] - grid10.alpha[None, :]
+    r = np.hypot(dx, zb)
+    # g3 without the a_top term: the tangential and scattering terms alone
+    top = faces["top"]
+    tangential = -(dx / r) * diff_axis(np.log(top), grid10.h, axis=0)
+    scattering = 5.0 * (top @ scatter_matrix(kernel, grid10.alpha, grid10.h).T) / top
+    without = (tangential + scattering) / (zb / r)
+    np.testing.assert_allclose(without - with_trace.g3, 5.0 * r / zb, atol=1e-10)
     assert with_trace.attenuation_trace == 5.0
 
 

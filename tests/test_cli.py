@@ -60,6 +60,9 @@ def test_configuration_validation():
         RunConfig(out="")
     with pytest.raises(UsageError, match="seed must be an integer"):
         RunConfig(seed=2.5)
+    for mu_s in (0.0, -1.0):
+        with pytest.raises(UsageError, match="mu_s must be positive"):
+            RunConfig(mu_s=mu_s)
     assert RunConfig(letter=None, c_a=0.0).letter is None
 
 
@@ -73,6 +76,16 @@ def test_geometry_off_the_ray_lattice_is_refused_before_forward_writes(tmp_path,
     out = tmp_path / "run"
     assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 1
     assert "off the rays' lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_scattering_is_refused_before_forward_writes(tmp_path, capsys):
+    cfg = tmp_path / "clear.cfg"
+    cfg.write_text("h_forward=0.1\nh_inverse=0.1\nmu_s=0\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "mu_s must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -314,11 +327,17 @@ def test_forward_invert_score_flow(tmp_path, capsys):
     assert metrics["converged"] in ("true", "false")
     assert meta["config_hash"] == config_hash(expected)
 
+    written = (out / "metrics.txt").read_bytes()
     capsys.readouterr()
     assert main(["score", "--run", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "contrast=" in printed
+    # score recomputes five keys in place and keeps the descent's diagnostics
+    assert (out / "metrics.txt").read_bytes() == written
+    (out / "metrics.txt").unlink()
+    assert main(["score", "--run", str(out)]) == 0
     rescored, _ = read_keyvalues(out / "metrics.txt")
+    assert list(rescored) == ["l2_rel", "contrast", "true_contrast", "centroid_offset", "centroid_offset_cells"]
     assert rescored["contrast"] == metrics["contrast"]
 
 
@@ -467,9 +486,9 @@ def test_verify_probes_the_configured_geometry(tmp_path, monkeypatch):
     grids = []
     original = cli.empirical_carleman_constant
 
-    def spy(samples, lambdas, seed, grid=None):
+    def spy(samples, seed, grid=None):
         grids.append(grid)
-        return original(samples, lambdas, seed, grid)
+        return original(samples, seed, grid)
 
     monkeypatch.setattr(cli, "empirical_carleman_constant", spy)
     cfg_file = tmp_path / "wide.cfg"

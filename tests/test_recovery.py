@@ -12,11 +12,13 @@ from rtetomo import (
     score,
     support_centroid,
 )
+from rtetomo import recovery
 from rtetomo.recovery import mask_centroid
 
 
-def test_truth_pair_recovers_the_phantom(truth_pair20, grid20, kernel):
-    recon = recover_attenuation(truth_pair20, kernel, smooth_passes=0)
+def test_truth_pair_recovers_the_phantom(truth_pair20, grid20, kernel, monkeypatch):
+    monkeypatch.setattr(recovery, "SMOOTH_PASSES", 0)
+    recon = recover_attenuation(truth_pair20, kernel)
     metrics = score(recon, letter_mask("A", grid20), 5.0)
     assert metrics["true_contrast"] == 2.0
     # differentiation error of the exact log field concentrates at stroke
@@ -41,9 +43,10 @@ def test_absorber_is_attenuation_minus_background(truth_pair20, kernel):
     assert recon.mu_s_value == 5.0
 
 
-def test_smoothing_shrinks_top_face_ripples(truth_pair20, grid20, kernel):
-    raw = recover_attenuation(truth_pair20, kernel, smooth_passes=0)
-    smooth = recover_attenuation(truth_pair20, kernel, smooth_passes=1)
+def test_smoothing_shrinks_top_face_ripples(truth_pair20, grid20, kernel, monkeypatch):
+    smooth = recover_attenuation(truth_pair20, kernel)
+    monkeypatch.setattr(recovery, "SMOOTH_PASSES", 0)
+    raw = recover_attenuation(truth_pair20, kernel)
     top_raw = np.abs(raw.absorber[:, -1])
     top_smooth = np.abs(smooth.absorber[:, -1])
     assert top_smooth.max() < top_raw.max()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rtetomo import RunConfig, UsageError, config_hash, recover_attenuation
 from rtetomo.boundary import FACE_ORDER
-from rtetomo.carleman import convexity_sweep, empirical_carleman_constant
+from rtetomo.carleman import LAMBDAS, convexity_sweep, empirical_carleman_constant
 from rtetomo.cli import main
 from rtetomo.geometry import Geometry, GridSet
 import rtetomo.serialize as serialize
@@ -160,12 +160,12 @@ def test_iterations_reader_checks_the_header(tmp_path):
 
 def test_probe_tables_are_parseable(objective10, tmp_path):
     grid = GridSet.uniform(Geometry(), 0.05)
-    report = empirical_carleman_constant(4, (2.0, 5.0), 0, grid)
+    report = empirical_carleman_constant(4, 0, grid)
     cpath = tmp_path / "ratios.csv"
     write_carleman_table(report, cpath)
     rows = [r.split(",") for r in cpath.read_text().splitlines() if not r.startswith("#")]
     assert rows[0] == ["lam", "sample", "lhs", "interior", "boundary", "ratio"]
-    assert len(rows) - 1 == 2 * 4
+    assert len(rows) - 1 == len(LAMBDAS) * 4
     assert all(np.isfinite(float(r[5])) for r in rows[1:])
 
     sweep = convexity_sweep(objective10, count=3, seed=0)
