@@ -110,6 +110,12 @@ class BoundaryDataSet:
             raise UsageError("top-face normal data shape mismatch")
 
 
+def check_acquisition_grid(grid):
+    """Refuse a grid too coarse for :func:`derive_boundary_data`'s x1 and alpha stencils."""
+    if grid.x1.size < 3 or grid.alpha.size < 3:
+        raise UsageError(f"grid {grid.shape_medium} too coarse for the boundary stencils (3 x1, 3 alpha nodes)")
+
+
 def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0):
     """Log data and derived derivatives from (possibly noisy) traces.
 
@@ -124,6 +130,7 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0)
     recorded as the dataset's ``attenuation_trace``.  Dropping the term
     would bias the reconstruction near the top by about a_top / nu_n.
     """
+    check_acquisition_grid(grid)
     if delta > 0.0:
         faces = add_noise(faces, delta, seed)
     g1 = {}

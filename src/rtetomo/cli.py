@@ -30,7 +30,6 @@ from .recovery import recover_attenuation, score
 from .serialize import (
     read_boundary,
     read_keyvalues,
-    read_manifest,
     read_reconstruction,
     write_boundary,
     write_carleman_table,
@@ -58,13 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sp):
     sp.add_argument("--config", help="key=value configuration file")
-    sp.add_argument("--seed", type=int, help="run seed feeding every named stream")
-    sp.add_argument("--delta", type=float, help="multiplicative boundary noise level")
+    sp.add_argument("--seed", help="run seed feeding every named stream")
+    sp.add_argument("--delta", help="multiplicative boundary noise level")
     sp.add_argument("--letter", help="absorber letter (A, SZ, OMEGA, or none)")
-    sp.add_argument("--ca", dest="c_a", type=float, help="absorber level inside the letter")
-    sp.add_argument("--lambda", dest="lam", type=float, help="weight exponent")
-    sp.add_argument("--gamma", type=float, help="Tikhonov weight")
-    sp.add_argument("--epsilon", type=float, help="viscosity")
+    sp.add_argument("--ca", dest="c_a", help="absorber level inside the letter")
+    sp.add_argument("--lambda", dest="lam", help="weight exponent")
+    sp.add_argument("--gamma", help="Tikhonov weight")
+    sp.add_argument("--epsilon", help="viscosity")
     sp.add_argument("--out", help="output directory")
 
 
@@ -86,7 +85,8 @@ def build_parser():
 
 
 def _configure(args):
-    # Every flag's dest is the attribute it sets; flags left unset are None.
+    # Every flag's dest is the attribute it sets; flags left unset are None,
+    # and load_config reads the others' text as it reads file values.
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return load_config(args.config, **flags)
 
@@ -122,15 +122,21 @@ def cmd_invert(args):
     cfg = _configure(args)
     out = Path(cfg.out)
     data_dir = Path(args.data) if args.data else out
-    bds = read_boundary(data_dir / "boundary.csv")
+    path = data_dir / "boundary.csv"
+    bds = read_boundary(path)
+    # Every acquisition value the file records, under the config key it
+    # came from; noiseless data do not depend on the seed.
     fine = bds.grid
-    if abs(fine.h - cfg.h_forward) > 1e-12:
-        raise UsageError(
-            f"boundary data were acquired at step {fine.h!r}, "
-            f"but the configuration says h_forward={cfg.h_forward!r}"
-        )
-    if cfg.geometry != fine.geometry:
-        raise UsageError("boundary data geometry does not match the configuration")
+    recorded = dict(vars(fine.geometry), h_forward=fine.h, delta=bds.delta, mu_s=bds.attenuation_trace)
+    if bds.delta > 0:
+        recorded["seed"] = bds.seed
+    differ = [
+        f"{key}={value!r} (config: {getattr(cfg, key)!r})"
+        for key, value in recorded.items()
+        if value != getattr(cfg, key)
+    ]
+    if differ:
+        raise UsageError(f"{path} was acquired with " + ", ".join(differ))
     coarse = downsample_boundary(bds, cfg.downsample_factor)
     objective = CarlemanObjective(
         coarse, cfg.kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
@@ -221,24 +227,19 @@ def cmd_verify(args):
 def cmd_score(args):
     run = Path(args.run)
     path = run / "manifest.txt"
-    manifest = read_manifest(path)
-    keys = ("letter", "c_a", "mu_s")
-    for key in keys:
-        if key not in manifest:
-            raise UsageError(f"{path}: missing {key}")
-    # The run's configuration rules apply: a non-finite or out-of-range
-    # value is refused here, not scored.
+    # The manifest is the run's configuration, hash included: a value the
+    # configuration's rules refuse, or one changed since, is not scored.
     try:
-        cfg = load_config(**{key: manifest[key] for key in keys})
+        cfg = load_config(path)
     except UsageError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise UsageError(str(exc) if str(path) in str(exc) else f"{path}: {exc}") from None
     rec = read_reconstruction(run / "reconstruction.csv")
     mask = make_phantom(cfg.letter, cfg.c_a, rec.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
     # Keys score does not recompute (the descent's diagnostics) stay as written.
     out = run / "metrics.txt"
     kept = read_keyvalues(out)[0] if out.is_file() else {}
-    write_keyvalues(out, {**kept, **metrics}, meta={"config_hash": manifest.get("config_hash", "")})
+    write_keyvalues(out, {**kept, **metrics}, meta={"config_hash": config_hash(cfg)})
     for key, value in metrics.items():
         print(f"{key}={format(value, '.17g') if isinstance(value, float) else value}")
     return 0

@@ -7,20 +7,23 @@ acquisition step 1/40, inversion step 1/20, weight exponent 5, Tikhonov
 weight 1e-3, viscosity 1e-2.  Desk-scale runs override the two steps and
 keep everything else.  The file key for the weight exponent is
 ``lambda`` (so is the CLI flag); the attribute is ``lam`` to stay clear
-of the Python keyword.  :func:`load_config` converts file values as it
-reads them, lays the CLI's flags on top and builds one :class:`RunConfig`,
-which checks the merged values once and keeps what the checks built.
+of the Python keyword.  :func:`load_config` reads file and flag values
+through one table of text forms, which :func:`config_lines` writes by,
+lays the flags on top and builds one :class:`RunConfig`, which checks
+the merged values once and keeps what the checks built.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
+from .boundary import check_acquisition_grid
 from .errors import UsageError
 from .forward import KernelModel, SourceModel
 from .geometry import Geometry, GridSet
-from .inverse import check_weights
+from .inverse import check_inversion_grid, check_weights
 from .phantom import check_phantom
 
 
@@ -76,11 +79,11 @@ class RunConfig:
         ratio = self.h_inverse / self.h_forward
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise UsageError("inversion step must be an integer multiple of the forward step")
-        # Both grids must exist, so a geometry that `invert` would refuse
-        # is refused before `forward` writes anything.
-        for key in ("h_forward", "h_inverse"):
+        # Both grids must exist and suit their stencils, so a configuration
+        # that `invert` would refuse is refused before `forward` writes anything.
+        for key, check in (("h_forward", check_acquisition_grid), ("h_inverse", check_inversion_grid)):
             try:
-                GridSet.uniform(geometry, getattr(self, key))
+                check(GridSet.uniform(geometry, getattr(self, key)))
             except UsageError as exc:
                 raise UsageError(f"{key}={getattr(self, key)!r}: {exc}") from None
         check_weights(self.lam, self.gamma, self.epsilon)
@@ -102,23 +105,28 @@ def geometry_of(config):
     return config.geometry
 
 
+# The text form, as (read, write), of each field that is not a float and
+# of a manifest's config_hash line; every other field reads with ``float``
+# and writes at 17 significant digits.
+_FLOAT_FORM = (float, lambda v: format(float(v), ".17g"))
+_TEXT_FORMS = {
+    "letter": (lambda s: None if s.lower() in ("", "none") else s, lambda v: "none" if v is None else v),
+    "seed": (int, lambda v: str(int(v))),
+    "out": (str, str),
+    "config_hash": (str, str),
+}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
 def _coerce(attr, value):
     """File/flag text to the typed attribute value; typed input passes through."""
     if not isinstance(value, str):
         return value
-    if attr == "letter":
-        return None if value.lower() in ("", "none") else value
-    if attr == "out":
-        return value
-    if attr == "seed":
-        try:
-            return int(value)
-        except ValueError:
-            raise UsageError(f"seed expects an integer, got {value!r}") from None
     try:
-        return float(value)
+        return _TEXT_FORMS.get(attr, _FLOAT_FORM)[0](value)
     except ValueError:
-        raise UsageError(f"{_file_key(attr)} expects a number, got {value!r}") from None
+        kind = "an integer" if attr == "seed" else "a number"
+        raise UsageError(f"{_file_key(attr)} expects {kind}, got {value!r}") from None
 
 
 def load_config(path=None, **overrides):
@@ -126,15 +134,17 @@ def load_config(path=None, **overrides):
 
     The file is UTF-8 text.  Blank lines and '#' comments are skipped;
     unknown keys, repeated keys, and unparsable values are usage errors
-    naming the file and line.  Overrides are attribute names (``lam``)
-    whose None values are dropped.  Keys set by neither keep their defaults.
+    naming the file and line.  A ``config_hash`` line, as a manifest ends
+    with, must equal the hash of the configuration the file's keys
+    describe.  Overrides are attribute names (``lam``) whose None values
+    are dropped.  Keys set by neither keep their defaults.
     """
-    attrs = {_file_key(f.name): f.name for f in fields(RunConfig)}
+    attrs = {_file_key(name): name for name in [*_DEFAULTS, "config_hash"]}
     try:
         text = "" if path is None else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
-    keys = {}
+    keys, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,32 +155,24 @@ def load_config(path=None, **overrides):
         key = key.strip()
         if key not in attrs:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        attr = attrs[key]
-        if attr in keys:
+        if key in linenos:
             raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
+        linenos[key] = lineno
         try:
-            keys[attr] = _coerce(attr, val.strip())
+            keys[attrs[key]] = _coerce(attrs[key], val.strip())
         except UsageError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from None
+    stored = keys.pop("config_hash", None)
+    if stored is not None and stored != config_hash(SimpleNamespace(**_DEFAULTS | keys)):
+        raise UsageError(f"{path}:{linenos['config_hash']}: config_hash {stored} does not match the keys")
     keys.update((k, _coerce(k, v)) for k, v in overrides.items() if v is not None)
     return RunConfig(**keys)
 
 
 def config_lines(config):
-    """Canonical key=value lines, one per field, floats at 17 digits."""
-    out = []
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if f.name == "letter":
-            text = "none" if v is None else v
-        elif f.name == "seed":
-            text = str(int(v))
-        elif f.name == "out":
-            text = v
-        else:
-            text = format(float(v), ".17g")
-        out.append(f"{_file_key(f.name)}={text}")
-    return out
+    """Canonical key=value lines, one per field, through the text forms."""
+    forms = ((name, _TEXT_FORMS.get(name, _FLOAT_FORM)[1]) for name in _DEFAULTS)
+    return [f"{_file_key(name)}={write(getattr(config, name))}" for name, write in forms]
 
 
 def config_hash(config):

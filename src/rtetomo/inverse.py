@@ -87,6 +87,13 @@ def check_weights(lam, gamma, epsilon):
         raise UsageError("viscosity epsilon must be positive")
 
 
+def check_inversion_grid(grid):
+    """Refuse a grid too small for the objective's stencils."""
+    n1, nz, nk = grid.shape_medium
+    if n1 < 3 or nz < 5 or nk < 2:
+        raise UsageError(f"grid {grid.shape_medium} too small for the inversion stencils")
+
+
 def _difference_gram(n, h):
     """K = D1^T D1 / h + h D2^T D2 for n nodes of step h: the first- and
     second-difference part of the S-norm along one axis."""
@@ -125,9 +132,8 @@ class CarlemanObjective:
     def __init__(self, data, kernel, mu_s_value=5.0, lam=5.0, gamma=1e-3, epsilon=1e-2):
         check_weights(lam, gamma, epsilon)
         grid = data.grid
+        check_inversion_grid(grid)
         n1, nz, nk = grid.shape_medium
-        if n1 < 3 or nz < 5 or nk < 2:
-            raise UsageError(f"grid {grid.shape_medium} too small for the inversion stencils")
         self.grid = grid
         self.mu_s = float(mu_s_value)
         self.lam = float(lam)

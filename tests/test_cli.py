@@ -1,10 +1,11 @@
 """Configuration handling and the four subcommands end to end."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from rtetomo import (
     make_phantom,
     solve_forward,
 )
-from rtetomo.cli import build_parser, main
+from rtetomo.cli import _configure, build_parser, main
 from rtetomo.config import config_lines, geometry_of
 from rtetomo.serialize import read_boundary, read_keyvalues, read_manifest
 
@@ -63,6 +64,11 @@ def test_configuration_validation():
     for mu_s in (0.0, -1.0):
         with pytest.raises(UsageError, match="mu_s must be positive"):
             RunConfig(mu_s=mu_s)
+    for steps in ({"h_forward": 0.0}, {"h_forward": -0.025}, {"h_inverse": -0.05}):
+        with pytest.raises(UsageError, match="grid steps must be positive"):
+            RunConfig(**steps)
+    with pytest.raises(UsageError, match="noise level delta must be non-negative"):
+        RunConfig(delta=-0.01)
     assert RunConfig(letter=None, c_a=0.0).letter is None
 
 
@@ -86,6 +92,31 @@ def test_zero_scattering_is_refused_before_forward_writes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 1
     assert "mu_s must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("h_forward=1\nh_inverse=1\n", "h_forward=1.0: grid (2, 2, 2) too coarse for the boundary stencils"),
+        (
+            "h_forward=0.1\nh_inverse=0.1\nsource_half_width=0.05\n",
+            "h_forward=0.1: grid (11, 11, 2) too coarse for the boundary stencils",
+        ),
+        ("h_forward=0.5\nh_inverse=0.5\n", "h_inverse=0.5: grid (3, 3, 3) too small for the inversion stencils"),
+    ],
+    ids=["unit-step", "narrow-sources", "half-step"],
+)
+def test_grids_too_coarse_for_the_stencils_are_refused_before_forward_writes(tmp_path, capsys, text, message):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(text)
+    with pytest.raises(UsageError, match=re.escape(message)):
+        load_config(cfg)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -288,14 +319,17 @@ def test_hash_ignores_the_destination_only():
 
 
 def test_lambda_flag_maps_to_the_weight_exponent():
-    args = build_parser().parse_args(["invert", "--lambda", "7", "--ca", "10"])
-    assert args.lam == 7.0
-    assert args.c_a == 10.0
+    cfg = _configure(build_parser().parse_args(["invert", "--lambda", "7", "--ca", "10"]))
+    assert cfg.lam == 7.0
+    assert cfg.c_a == 10.0
 
 
 def test_unknown_flag_exits_one(capsys):
     assert main(["forward", "--turbo"]) == 1
     assert "error:" in capsys.readouterr().err
+    # a flag's value is read as a file value is
+    assert main(["forward", "--gamma", "fast"]) == 1
+    assert capsys.readouterr().err == "error: gamma expects a number, got 'fast'\n"
     assert main([]) == 1
     capsys.readouterr()
 
@@ -402,6 +436,34 @@ def test_invert_checks_the_acquisition_step(tmp_path):
     assert main(["invert", "--config", str(mismatched), "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"h_forward": "0.05"},
+        {"half_width": "1"},
+        {"slab_top": "2.5"},
+        {"delta": "0.1"},
+        {"seed": "9"},
+        {"mu_s": "4"},
+        {"mu_s": "4", "seed": "9", "letter": "SZ"},
+    ],
+    ids=lambda changes: "-".join(changes),
+)
+def test_invert_refuses_data_from_another_configuration(desk_run, tmp_path, capsys, changes):
+    keys = {"h_forward": "0.1", "h_inverse": "0.1", "delta": "0.05", "seed": "3", **changes}
+    cfg_file = tmp_path / "other.cfg"
+    cfg_file.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["invert", "--config", str(cfg_file), "--data", str(desk_run), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {desk_run / 'boundary.csv'} was acquired with ")
+    # letter is not recorded in the data, so it is not compared
+    named = [key for key in changes if key != "letter"]
+    assert [part.split("=")[0] for part in err.split(" with ")[1].split(", ")] == named
+    assert not out.exists()
+
+
 def test_noise_free_data_ignore_the_seed(tmp_path):
     cfg_file = tmp_path / "quiet.cfg"
     cfg_file.write_text("h_forward=0.1\nh_inverse=0.1\ndelta=0\n")
@@ -415,6 +477,8 @@ def test_noise_free_data_ignore_the_seed(tmp_path):
     for face in ("bottom", "top", "left", "right"):
         np.testing.assert_array_equal(bds_a.g[face], bds_b.g[face])
     assert bds_a.seed == 1 and bds_b.seed == 2
+    # so noiseless data invert under any seed
+    assert main(["invert", "--config", str(cfg_file), "--seed", "2", "--data", str(out_a), "--out", str(out_b)]) == 0
 
 
 def test_supercritical_scattering_exits_two(tmp_path):
@@ -510,3 +574,77 @@ def test_broken_gradient_exits_three(tmp_path, monkeypatch):
     assert code == 3
     report, _ = read_keyvalues(out / "report.txt")
     assert report["passed"] == "false"
+
+
+def _failing_convexity(original):
+    def sweep(*a, **k):
+        report = original(*a, **k)
+        return replace(report, bounds=report.bounds + 1e6)
+
+    return sweep
+
+
+def _failing_estimate(original):
+    def probe(*a, **k):
+        report = original(*a, **k)
+        table = report.table.copy()
+        table[:, 5] = -1.0
+        return replace(report, table=table)
+
+    return probe
+
+
+@pytest.mark.parametrize(
+    "name, patch, named",
+    [
+        ("convexity_sweep", _failing_convexity, "convexity: gap fell below the bound"),
+        ("empirical_carleman_constant", _failing_estimate, "estimate sweep: nonpositive minimum ratio"),
+    ],
+    ids=["convexity", "estimate"],
+)
+def test_failed_probe_exits_three(tmp_path, monkeypatch, capsys, name, patch, named):
+    import rtetomo.cli as cli
+
+    monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
+    out = tmp_path / "lab"
+    capsys.readouterr()
+    assert main(["verify", "--samples", "3", "--pairs", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ") and named in err
+    report, _ = read_keyvalues(out / "report.txt")
+    assert report["passed"] == "false"
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("\nc_a=5\n", "\nc_a=6\n", "config_hash"),
+        # without its hash line a manifest is a plain config file
+        ("\nmu_s=5\n", "\nmu_s=nan\n", "mu_s must be finite"),
+    ],
+    ids=["changed-since-hash", "unhashed"],
+)
+def test_score_checks_the_whole_manifest(desk_run, tmp_path, capsys, old, new, named):
+    out = tmp_path / "run"
+    shutil.copytree(desk_run, out)
+    manifest = out / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    text = text.replace(old, new)
+    if named != "config_hash":
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("config_hash="))
+    manifest.write_text(text)
+    written = (out / "metrics.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["score", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}") and err.count("manifest.txt") == 1
+    assert named in err
+    assert (out / "metrics.txt").read_bytes() == written
+
+
+def test_a_manifest_is_a_config_file(desk_run, tmp_path):
+    out = tmp_path / "again"
+    assert main(["forward", "--config", str(desk_run / "manifest.txt"), "--out", str(out)]) == 0
+    assert (out / "boundary.csv").read_bytes() == (desk_run / "boundary.csv").read_bytes()
+    assert read_manifest(out / "manifest.txt")["out"] == str(out)

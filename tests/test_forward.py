@@ -423,20 +423,26 @@ def test_divergence_names_the_row_whose_passes_grow(grid10, source, kernel):
 
 
 @pytest.mark.parametrize(
-    "source_half_width, letter, c_a",
-    [(0.5, "SZ", 3.0), (0.75, "A", 5.0)],
-    ids=["default", "wide-source"],
+    "source_half_width, letter, c_a, h, off_lattice",
+    [(0.5, "SZ", 3.0, 0.125, 0), (0.75, "A", 5.0, 0.125, 0), (0.5, "SZ", 3.0, 0.1, 3)],
+    ids=["default", "wide-source", "off-lattice"],
 )
-def test_direct_solver_matches_sweeps_on_a_coarse_grid(source, source_half_width, letter, c_a, monkeypatch):
+def test_direct_solver_matches_sweeps_on_a_coarse_grid(
+    source, source_half_width, letter, c_a, h, off_lattice, monkeypatch
+):
     # h = 1/4 leaves the aperture quadrature too coarse and the discrete
     # scattering operator supercritical; 1/8 is the coarsest sane step.
     # The absorber keeps the sweep contraction fast enough for a tight match
     # (a pure scatterer converges too slowly here).  With the wider source
     # segment some rays enter the slab beside the medium, where both solvers
-    # must read the media as zero.  The sweeps run far past the production
-    # tolerance, so the gap is the two quadratures'.
+    # must read the media as zero.  At h = 1/10 some z rows leave the rays'
+    # lattice in the last bit, so both solvers re-march u0 there.  The
+    # sweeps run far past the production tolerance, so the gap is the two
+    # quadratures'.
     monkeypatch.setattr(forward, "FORWARD_TOL", 1e-14)
-    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), 0.125)
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    x1, z = _ray_lattice(grid)
+    assert np.count_nonzero(x1 != grid.x1) + np.count_nonzero(z != grid.z) == off_lattice
     kernel = KernelModel(aperture_half_width=source_half_width)
     phantom = make_phantom(letter, c_a, grid)
     swept = solve_forward(phantom, source, kernel, grid)
