@@ -23,15 +23,7 @@ from .carleman import (
     sample_test_function,
 )
 from .config import RunConfig, config_hash, geometry_of, load_config
-from .errors import (
-    DegenerateSampleError,
-    ForwardConvergenceError,
-    NumericalError,
-    RteTomoError,
-    StagnationError,
-    UsageError,
-    VerificationError,
-)
+from .errors import NumericalError, RteTomoError, UsageError, VerificationError
 from .forward import (
     KernelModel,
     SourceModel,
@@ -58,8 +50,6 @@ __all__ = [
     "CarlemanObjective",
     "CarlemanReport",
     "ConvexityReport",
-    "DegenerateSampleError",
-    "ForwardConvergenceError",
     "Geometry",
     "GridSet",
     "InversionState",
@@ -72,7 +62,6 @@ __all__ = [
     "RteTomoError",
     "RunConfig",
     "SourceModel",
-    "StagnationError",
     "UsageError",
     "VerificationError",
     "add_noise",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, UsageError
+from .errors import NumericalError, UsageError
 from .geometry import carleman_weight, trapezoid_weights
 from .seeding import stream
 from .stencils import diff_axis, second_diff_axis, smooth_pass
@@ -126,7 +126,7 @@ def empirical_carleman_constant(samples, seed, grid):
     at every exponent of ``LAMBDAS``, so the per-exponent minima are
     comparable.  Samples whose denominator is nonpositive prove nothing
     and are excluded with their count reported; an exponent with no
-    usable sample raises :class:`DegenerateSampleError`.  The claim worth
+    usable sample raises :class:`NumericalError`.  The claim worth
     checking downstream is only that the minima stay positive once the
     exponent clears the empirical threshold, which is reported as data.
     """
@@ -144,7 +144,7 @@ def empirical_carleman_constant(samples, seed, grid):
     report = CarlemanReport(table=table, samples=int(samples), seed=int(seed))
     for lam, _, used, _ in report.rows():
         if not used:
-            raise DegenerateSampleError(f"no sample kept a positive denominator at lam = {lam}")
+            raise NumericalError(f"no sample kept a positive denominator at lam = {lam}")
     return report
 
 

@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import derive_boundary_data, downsample_boundary, extract_boundary
+from .boundary import check_acquisition_grid, derive_boundary_data, downsample_boundary, extract_boundary
 from .carleman import convexity_sweep, empirical_carleman_constant, gradient_check
 from .config import RunConfig, config_hash, load_config
 from .errors import NumericalError, UsageError, VerificationError
 from .forward import solve_forward
 from .geometry import GridSet
-from .inverse import CarlemanObjective, minimize
+from .inverse import CarlemanObjective, check_inversion_grid, minimize
 from .phantom import make_phantom
 from .recovery import recover_attenuation, score
 from .serialize import (
@@ -88,13 +88,17 @@ def _configure(args):
     # Every flag's dest is the attribute it sets; flags left unset are None,
     # and load_config reads the others' text as it reads file values.
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return load_config(args.config, **flags)
+    cfg = load_config(args.config, **flags)
+    # A destination that cannot hold the artifacts is refused before any
+    # command computes.
+    if Path(cfg.out).exists() and not Path(cfg.out).is_dir():
+        raise UsageError(f"out={cfg.out!r} exists and is not a directory")
+    return cfg
 
 
-def _synthesize(cfg, h):
-    """Boundary data of the configured phantom, solved on the grid of step
-    ``h``; returns (data, solver info)."""
-    grid = GridSet.uniform(cfg.geometry, h)
+def _synthesize(cfg, grid):
+    """Boundary data of the configured phantom, solved on ``grid``; returns
+    (data, solver info)."""
     phantom = make_phantom(cfg.letter, cfg.c_a, grid, cfg.mu_s)
     field, info = solve_forward(phantom, cfg.source, cfg.kernel, grid, return_info=True)
     bds = derive_boundary_data(
@@ -106,7 +110,7 @@ def _synthesize(cfg, h):
 def cmd_forward(args):
     cfg = _configure(args)
     out = Path(cfg.out)
-    bds, info = _synthesize(cfg, cfg.h_forward)
+    bds, info = _synthesize(cfg, GridSet.uniform(cfg.geometry, cfg.h_forward))
     meta = {"config_hash": config_hash(cfg)}
     write_boundary(bds, out / "boundary.csv", meta=meta)
     write_sweeps(info["diffs"], out / "forward.csv", meta=meta)
@@ -174,7 +178,15 @@ def cmd_invert(args):
 def cmd_verify(args):
     cfg = _configure(args)
     out = Path(cfg.out)
-    bds, _ = _synthesize(cfg, VERIFY_STEP)
+    # The probe grid must suit both stencils, as the run's two grids must,
+    # so a configuration verify cannot probe is refused before it solves.
+    try:
+        grid = GridSet.uniform(cfg.geometry, VERIFY_STEP)
+        check_acquisition_grid(grid)
+        check_inversion_grid(grid)
+    except UsageError as exc:
+        raise UsageError(f"verify step {VERIFY_STEP!r}: {exc}") from None
+    bds, _ = _synthesize(cfg, grid)
     objective = CarlemanObjective(
         bds, cfg.kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
     )

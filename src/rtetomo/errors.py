@@ -1,7 +1,7 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: three kinds, one type each.
 
-The CLI maps these onto exit codes: usage problems exit 1, numerical
-failures exit 2, verification failures exit 3.
+The CLI maps each kind onto an exit code: usage problems exit 1,
+numerical failures exit 2, verification failures exit 3.
 """
 
 
@@ -10,31 +10,11 @@ class RteTomoError(Exception):
 
 
 class UsageError(RteTomoError):
-    """Bad configuration, malformed input files, or invalid arguments."""
+    """Bad configuration, malformed or unreadable input files, or invalid arguments."""
 
 
 class NumericalError(RteTomoError):
-    """A computation failed to converge or hit degenerate data."""
-
-
-class ForwardConvergenceError(NumericalError):
-    """The fixed-point passes of one z-row of the transport field did not
-    contract.
-
-    Carries ``last_diff``, the max-norm update of the row's final pass.
-    """
-
-    def __init__(self, message, last_diff=None):
-        super().__init__(message)
-        self.last_diff = last_diff
-
-
-class StagnationError(NumericalError):
-    """Line search could not find a decreasing step."""
-
-
-class DegenerateSampleError(NumericalError):
-    """A statistical sweep produced no usable samples."""
+    """A computation diverged, stalled, stopped unconverged, or found no usable sample."""
 
 
 class VerificationError(RteTomoError):

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ForwardConvergenceError, UsageError
+from .errors import NumericalError, UsageError
 from .geometry import RadianceField, _ray_lattice, trapezoid_weights
 
 _PROFILE_TABLE_N = 8193
@@ -403,8 +403,7 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
     its row blocks', and the passes of every row converge exactly when
     whole-operator sweeps would: whenever the scattering albedo stays
     subcritical.  A row whose passes diverge, or do not converge within
-    ``MAX_SWEEPS`` passes, raises :class:`ForwardConvergenceError` naming
-    the row.
+    ``MAX_SWEEPS`` passes, raises :class:`NumericalError` naming the row.
 
     Returns the medium-grid radiance, and with ``return_info`` an info
     dict: ``sweeps``, the most passes any row took, and ``diffs``, for
@@ -438,7 +437,7 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
             new = b + np.matmul(rays.block, vj.T[:, :, None])[:, :, 0].T
             diff = float(np.max(np.abs(new - uj)))
             if not np.isfinite(diff):
-                raise ForwardConvergenceError(f"fixed-point passes diverged on z-row {j}", last_diff=diff)
+                raise NumericalError(f"fixed-point passes diverged on z-row {j}")
             if m < len(diffs):
                 diffs[m] = max(diffs[m], diff)
             else:
@@ -448,9 +447,8 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
             if diff <= row_tol * top:
                 break
         else:
-            raise ForwardConvergenceError(
-                f"no convergence on z-row {j} in {MAX_SWEEPS} passes (last update {diff:.3e})",
-                last_diff=diff,
+            raise NumericalError(
+                f"no convergence on z-row {j} in {MAX_SWEEPS} passes (last update {diff:.3e})"
             )
         u[:, j] = uj
         vt[:, :, j] = ((uj @ w_t) * mu_s[:, j, None]).T

@@ -16,10 +16,6 @@ import numpy as np
 from .errors import UsageError
 
 
-class DegenerateDirectionError(UsageError):
-    """The evaluation point coincides with the source point."""
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Slab extents and source-segment half-width, all in shared length units."""
@@ -154,7 +150,7 @@ def direction_vector(x, alpha):
     dz = x[1]
     r = np.hypot(dx, dz)
     if r == 0.0:
-        raise DegenerateDirectionError(f"point {x!r} coincides with source ({alpha!r}, 0)")
+        raise UsageError(f"point {x!r} coincides with source ({alpha!r}, 0)")
     return np.array([dx / r, dz / r])
 
 
@@ -167,7 +163,7 @@ def direction_alpha_derivative(x, alpha):
     dz = x[1]
     r = np.hypot(dx, dz)
     if r == 0.0:
-        raise DegenerateDirectionError(f"point {x!r} coincides with source ({alpha!r}, 0)")
+        raise UsageError(f"point {x!r} coincides with source ({alpha!r}, 0)")
     return np.array([-dz * dz / r**3, dz * dx / r**3])
 
 

@@ -42,7 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .boundary import face_field
-from .errors import StagnationError, UsageError
+from .errors import NumericalError, UsageError
 from .forward import scatter_alpha_derivative_matrix, scatter_matrix
 from .geometry import direction_tables, trapezoid_weights
 
@@ -439,7 +439,7 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     A trial is accepted once J falls by at least ``ARMIJO`` times rho g.d;
     rho is multiplied by ``SHRINK`` after each rejected trial, and
     ``MAX_BACKTRACKS`` rejected trials in a row raise
-    :class:`StagnationError`.
+    :class:`NumericalError`.
 
     Stops when the max-norm of the (Euclidean) gradient drops below
     ``grad_tol`` (``converged`` True) or after ``max_iters`` accepted
@@ -478,9 +478,7 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
                 break
             rho *= SHRINK
         if not accepted:
-            raise StagnationError(
-                f"line search stalled at iteration {it} (J = {jval:.6e}, step {rho:.3e})"
-            )
+            raise NumericalError(f"line search stalled at iteration {it} (J = {jval:.6e}, step {rho:.3e})")
         free = trial
         jval, new_grad = obj.value_and_grad(free)
         ginf = float(np.max(np.abs(new_grad)))

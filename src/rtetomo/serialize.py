@@ -9,7 +9,9 @@ the arrays bit for bit; int and str cells are written as ``str`` gives
 them.  Tables that a reader rebuilds arrays from lead with index columns,
 and each index row must appear exactly once.  Grids are never stored
 wholesale: meta lines carry the geometry and the step, and readers
-rebuild the node arrays, which are deterministic.
+rebuild the node arrays, which are deterministic.  Every artifact is
+UTF-8 text; a file that cannot be read or decoded, or a path that cannot
+be written, is a usage error naming it.
 
 Text conversion is the codec's cost, so it is done once per distinct
 cell where cells repeat.  The writer formats each distinct value of a
@@ -49,8 +51,11 @@ _BLOCK = 512
 
 def _open(path):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _write(path, lines):
@@ -96,8 +101,8 @@ def _write_table(path, head, columns, cells):
 
 def _read_text(path):
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 

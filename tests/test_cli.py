@@ -648,3 +648,84 @@ def test_a_manifest_is_a_config_file(desk_run, tmp_path):
     assert main(["forward", "--config", str(desk_run / "manifest.txt"), "--out", str(out)]) == 0
     assert (out / "boundary.csv").read_bytes() == (desk_run / "boundary.csv").read_bytes()
     assert read_manifest(out / "manifest.txt")["out"] == str(out)
+
+
+@pytest.mark.parametrize(
+    "command, name, tail",
+    [("score", "metrics.txt", None), ("invert", "boundary.csv", b"\xff")],
+    ids=["score-metrics", "invert-boundary"],
+)
+def test_undecodable_artifacts_exit_one(desk_run, tmp_path, capsys, command, name, tail):
+    out = tmp_path / "run"
+    shutil.copytree(desk_run, out)
+    # a byte-order mark of UTF-16 alone, or one stray byte after the data
+    (out / name).write_bytes(b"\xff\xfe" if tail is None else (out / name).read_bytes() + tail)
+    argv = ["--config", str(desk_run / "desk.cfg"), "--out", str(out)] if command == "invert" else ["--run", str(out)]
+    capsys.readouterr()
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {out / name}: ")
+
+
+def test_commands_use_no_locale_encoding(tmp_path):
+    """A desk session under EncodingWarning-as-error: every artifact is
+    opened with an explicit encoding."""
+    cfg = desk_config(tmp_path)
+    code = (
+        "import sys\n"
+        "from rtetomo.cli import main\n"
+        "cfg = sys.argv[1]\n"
+        "for argv in (['forward', '--config', cfg, '--out', 'run'], ['invert', '--config', cfg, '--out', 'run'],\n"
+        "             ['score', '--run', 'run'],\n"
+        "             ['verify', '--config', cfg, '--samples', '3', '--pairs', '3', '--out', 'lab']):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+    )
+    paths = [str(Path(rtetomo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", code, str(cfg)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "metrics.txt").is_file() and (tmp_path / "lab" / "report.txt").is_file()
+
+
+def _refuse_to_solve(*args, **kwargs):
+    raise AssertionError("solve_forward was called")
+
+
+@pytest.mark.parametrize("command", ["forward", "verify"])
+def test_out_that_is_not_a_directory_is_refused_before_solving(tmp_path, monkeypatch, capsys, command):
+    import rtetomo.cli as cli
+
+    monkeypatch.setattr(cli, "solve_forward", _refuse_to_solve)
+    cfg_file = desk_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_file), "--out", str(afile)]) == 1
+    assert capsys.readouterr().err == f"error: out={str(afile)!r} exists and is not a directory\n"
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "desk.cfg"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("source_half_width=0.05\n", "grid (11, 11, 2) too coarse for the boundary stencils (3 x1, 3 alpha nodes)"),
+        ("half_width=0.525\n", "x1 span 1.05 is not a multiple of step 0.1"),
+        ("slab_top=1.3\n", "grid (11, 4, 11) too small for the inversion stencils"),
+    ],
+    ids=["narrow-source", "off-step-width", "thin-slab"],
+)
+def test_verify_refuses_a_probe_grid_before_solving(tmp_path, monkeypatch, capsys, text, message):
+    import rtetomo.cli as cli
+
+    monkeypatch.setattr(cli, "solve_forward", _refuse_to_solve)
+    cfg_file = tmp_path / "probe.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "lab"
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: verify step 0.1: {message}\n"
+    assert not out.exists()

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from rtetomo import Geometry, GridSet, UsageError, carleman_weight
 from rtetomo.geometry import (
-    DegenerateDirectionError,
     direction_alpha_derivative,
     direction_tables,
     direction_vector,
@@ -91,7 +90,7 @@ def test_direction_tables_match_pointwise(grid10):
 
 
 def test_degenerate_direction_raises():
-    with pytest.raises(DegenerateDirectionError):
+    with pytest.raises(UsageError, match="coincides with source"):
         direction_vector((0.1, 0.0), 0.1)
 
 

@@ -8,8 +8,8 @@ from rtetomo import (
     CarlemanObjective,
     Geometry,
     GridSet,
+    NumericalError,
     PairField,
-    StagnationError,
     UsageError,
     derive_boundary_data,
     extract_boundary,
@@ -372,5 +372,5 @@ def test_minimize_raises_when_no_descent_exists():
         def apply_constraints(self, free):
             return None
 
-    with pytest.raises(StagnationError):
+    with pytest.raises(NumericalError, match="line search stalled"):
         minimize(Flat())

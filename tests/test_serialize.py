@@ -62,6 +62,14 @@ def test_keyvalues_rejects_malformed_lines(tmp_path):
         read_keyvalues(tmp_path / "absent.txt")
 
 
+def test_unwritable_artifact_path_is_a_usage_error(tmp_path):
+    path = tmp_path / "report.txt"
+    path.mkdir()
+    with pytest.raises(UsageError, match="cannot write") as exc:
+        write_keyvalues(path, {"alpha": 1.0})
+    assert str(path) in str(exc.value)
+
+
 def test_manifest_carries_the_config_hash(tmp_path):
     config = RunConfig(letter="SZ", c_a=7.0)
     path = tmp_path / "manifest.txt"
@@ -427,3 +435,13 @@ def test_unparsable_coordinate_cell_in_the_last_row_is_refused(desk_run, tmp_pat
     path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
     with pytest.raises(UsageError, match="cannot read 'garbage' as float"):
         ARTIFACTS[name][0](path)
+
+
+@pytest.mark.parametrize("name", [*sorted(ARTIFACTS), "metrics.txt"])
+def test_undecodable_artifact_is_a_usage_error(desk_run, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes((desk_run / name).read_bytes() + b"\xff")
+    reader = ARTIFACTS[name][0] if name in ARTIFACTS else read_keyvalues
+    with pytest.raises(UsageError, match="cannot read") as exc:
+        reader(path)
+    assert str(path) in str(exc.value)
