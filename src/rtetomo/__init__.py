@@ -31,7 +31,7 @@ from .forward import (
     solve_forward_direct,
     u0_field,
 )
-from .geometry import Geometry, GridSet, RadianceField, carleman_weight
+from .geometry import Geometry, GridSet, carleman_weight
 from .inverse import CarlemanObjective, InversionState, PairField, minimize
 from .phantom import Phantom, letter_mask, make_phantom, true_contrast
 from .recovery import (
@@ -57,7 +57,6 @@ __all__ = [
     "NumericalError",
     "PairField",
     "Phantom",
-    "RadianceField",
     "Reconstruction",
     "RteTomoError",
     "RunConfig",

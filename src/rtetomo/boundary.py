@@ -57,9 +57,9 @@ def face_field(faces, grid):
     return full
 
 
-def extract_boundary(field):
-    """Radiance traces on the four medium faces, shaped as :func:`face_shapes`."""
-    u = field.values
+def extract_boundary(u):
+    """Radiance traces on the four medium faces of the (n1, nz, n_alpha)
+    array ``u``, shaped as :func:`face_shapes`."""
     return {name: u[_FACE_NODES[name]].copy() for name in FACE_ORDER}
 
 
@@ -168,6 +168,8 @@ def downsample_boundary(bds, factor):
     are restricted, not recomputed: differentiation stays on the fine
     grid, which is the point of acquiring finely.
     """
+    if not float(factor).is_integer():
+        raise UsageError(f"downsampling factor {factor!r} is not an integer")
     factor = int(factor)
     if factor < 1:
         raise UsageError("downsampling factor must be >= 1")

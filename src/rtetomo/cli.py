@@ -55,6 +55,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _positive_int(text):
+    """A count flag's value: a whole number of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp):
     sp.add_argument("--config", help="key=value configuration file")
     sp.add_argument("--seed", help="run seed feeding every named stream")
@@ -77,8 +84,8 @@ def build_parser():
     inv.add_argument("--data", help="directory holding boundary.csv (default: the output directory)")
     ver = sub.add_parser("verify", help="run the gradient, convexity, and estimate checks")
     _add_common(ver)
-    ver.add_argument("--samples", type=int, default=50, help="estimate-sweep sample count")
-    ver.add_argument("--pairs", type=int, default=100, help="convexity-sweep couple count")
+    ver.add_argument("--samples", type=_positive_int, default=50, help="estimate-sweep sample count")
+    ver.add_argument("--pairs", type=_positive_int, default=100, help="convexity-sweep couple count")
     sco = sub.add_parser("score", help="recompute metrics for a finished run directory")
     sco.add_argument("--run", required=True, help="run directory with reconstruction.csv and manifest.txt")
     return parser

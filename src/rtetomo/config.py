@@ -93,6 +93,9 @@ class RunConfig:
             raise UsageError("seed must be non-negative")
         if not self.out:
             raise UsageError("output directory must be non-empty")
+        # A manifest must read back the out it was written with.
+        if "#" in self.out or self.out.splitlines() != [self.out.strip()]:
+            raise UsageError(f"out={self.out!r} must hold no '#' or line break, nor start or end with whitespace")
 
     @property
     def downsample_factor(self):

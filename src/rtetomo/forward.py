@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .geometry import RadianceField, _ray_lattice, trapezoid_weights
+from .geometry import _ray_lattice, trapezoid_weights
 
 _PROFILE_TABLE_N = 8193
 # int_0^1 t exp(t^2 / (t^2 - 1)) dt = (1 - e E_1(1)) / 2 = 0.20182631883840296...
@@ -376,12 +376,12 @@ def _check_source_radius(source, grid):
 
 
 def u0_field(phantom, source, grid):
-    """Ballistic (unscattered) radiance on the medium grid, its rays
+    """Ballistic (unscattered) radiance array on the medium grid, its rays
     aimed at the rays' lattice and marched one z-row at a time."""
     _check_source_radius(source, grid)
     x1, z = _ray_lattice(grid)
     c = np.stack([_march_row(x1, zj, phantom.attenuation, grid).c for zj in z], axis=1)
-    return RadianceField(source.profile_integral / c, grid)
+    return source.profile_integral / c
 
 
 def solve_forward(phantom, source, kernel, grid, return_info=False):
@@ -405,9 +405,9 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
     subcritical.  A row whose passes diverge, or do not converge within
     ``MAX_SWEEPS`` passes, raises :class:`NumericalError` naming the row.
 
-    Returns the medium-grid radiance, and with ``return_info`` an info
-    dict: ``sweeps``, the most passes any row took, and ``diffs``, for
-    each m the largest m-th pass update over the rows.
+    Returns the (n1, nz, n_alpha) medium-grid radiance, and with
+    ``return_info`` an info dict: ``sweeps``, the most passes any row took,
+    and ``diffs``, for each m the largest m-th pass update over the rows.
 
     u0 aims at the rays' lattice (:func:`~rtetomo.geometry._ray_lattice`).
     A row on it takes u0's c from the row's own march; a row off it, in z
@@ -453,10 +453,9 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
         u[:, j] = uj
         vt[:, :, j] = ((uj @ w_t) * mu_s[:, j, None]).T
 
-    field = RadianceField(u, grid)
     if return_info:
-        return field, {"sweeps": len(diffs), "diffs": diffs}
-    return field
+        return u, {"sweeps": len(diffs), "diffs": diffs}
+    return u
 
 
 def _ray_row(x1t, zt, alpha, atten, grid):
@@ -525,7 +524,7 @@ def solve_forward_direct(phantom, source, kernel, grid, return_info=False):
     sol = np.linalg.solve(mat, rhs)
     residual = float(np.max(np.abs(mat @ sol - rhs)))
 
-    field = RadianceField(sol.reshape(grid.shape_medium), grid)
+    u = sol.reshape(grid.shape_medium)
     if return_info:
-        return field, {"residual": residual, "unknowns": n_unknown}
-    return field
+        return u, {"residual": residual, "unknowns": n_unknown}
+    return u

@@ -9,7 +9,7 @@ carries a grid: the media vanish outside it, and every field lives on its
 nodes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,12 @@ _MAX_NODES = 10**5
 
 
 def _uniform_span(lo, hi, h, label):
-    """Closed uniform nodes on [lo, hi]; the span must be a multiple of h."""
+    """Closed uniform nodes on [lo, hi], at least two; the span must be a multiple of h."""
     n = (hi - lo) / h
     if not n < _MAX_NODES:
         raise UsageError(f"{label} span {hi - lo!r} at step {h!r} needs more than {_MAX_NODES} nodes")
+    if round(n) < 1:
+        raise UsageError(f"{label} span {hi - lo!r} is shorter than step {h!r}")
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise UsageError(f"{label} span {hi - lo!r} is not a multiple of step {h!r}")
     return np.linspace(lo, hi, round(n) + 1)
@@ -74,37 +76,26 @@ def _ray_lattice(grid):
 class GridSet:
     """Closed uniform tensor grids over Omega and the source segment.
 
-    ``x1`` / ``z`` are the medium-rectangle nodes (both endpoints included)
-    and ``alpha`` the source abscissae, all spaced by the one step ``h``.
+    Built from the geometry and the one step ``h``: ``x1`` / ``z`` are the
+    medium-rectangle nodes (both endpoints included) and ``alpha`` the
+    source abscissae, all spaced by ``h``.
     """
 
     geometry: Geometry
-    x1: np.ndarray
-    z: np.ndarray
-    alpha: np.ndarray
     h: float
 
     @classmethod
     def uniform(cls, geometry, h):
         """Build all grids with the single step ``h`` on every axis."""
-        if not h > 0:
-            raise UsageError("grid step must be positive")
-        g = geometry
-        return cls(
-            geometry=g,
-            x1=_uniform_span(-g.half_width, g.half_width, h, "x1"),
-            z=_uniform_span(g.slab_bottom, g.slab_top, h, "z"),
-            alpha=_uniform_span(-g.source_half_width, g.source_half_width, h, "alpha"),
-            h=h,
-        )
+        return cls(geometry, h)
 
     def __post_init__(self):
-        for name in ("x1", "z", "alpha"):
-            nodes = getattr(self, name)
-            if nodes.ndim != 1 or nodes.size < 2:
-                raise UsageError(f"{name} nodes must be a 1D array with >= 2 entries")
-            if not np.allclose(np.diff(nodes), self.h, rtol=0, atol=1e-9):
-                raise UsageError(f"{name} nodes are not uniform with the declared step")
+        if not self.h > 0:
+            raise UsageError("grid step must be positive")
+        g, h = self.geometry, self.h
+        object.__setattr__(self, "x1", _uniform_span(-g.half_width, g.half_width, h, "x1"))
+        object.__setattr__(self, "z", _uniform_span(g.slab_bottom, g.slab_top, h, "z"))
+        object.__setattr__(self, "alpha", _uniform_span(-g.source_half_width, g.source_half_width, h, "alpha"))
         _ray_lattice(self)
 
     @property
@@ -127,21 +118,6 @@ class GridSet:
         if region != "medium":
             raise UsageError(f"unknown region {region!r}")
         return np.meshgrid(self.x1, self.z, indexing="ij")
-
-
-@dataclass(eq=False)
-class RadianceField:
-    """Nodal samples of a directional field u(x, alpha) on the medium grid."""
-
-    values: np.ndarray
-    grid: GridSet
-
-    def __post_init__(self):
-        expected = self.grid.shape_medium
-        if self.values.shape != expected:
-            raise UsageError(f"field shape {self.values.shape} does not match the grid {expected}")
-        if not np.all(np.isfinite(self.values)):
-            raise UsageError("field contains non-finite entries")
 
 
 def direction_vector(x, alpha):

@@ -69,6 +69,11 @@ def grid20(geometry):
 
 
 @pytest.fixture(scope="session")
+def grid40(geometry):
+    return GridSet.uniform(geometry, 0.025)
+
+
+@pytest.fixture(scope="session")
 def field10(grid10, source, kernel):
     """Letter-A forward field on the 11-node desk grid."""
     phantom = make_phantom("A", 5.0, grid10)
@@ -83,15 +88,14 @@ def field20(grid20, source, kernel):
 
 
 @pytest.fixture(scope="session")
-def field40(geometry, source, kernel):
-    """Letter-A forward field at the production acquisition step 1/40,
-    returned as (field, solve seconds) so tests can report the cost."""
+def field40(grid40, source, kernel):
+    """Letter-A forward field on ``grid40``, the production acquisition
+    step 1/40, returned as (field, solve seconds) so tests can report the cost."""
     import time
 
-    grid = GridSet.uniform(geometry, 0.025)
-    phantom = make_phantom("A", 5.0, grid)
+    phantom = make_phantom("A", 5.0, grid40)
     t0 = time.monotonic()
-    field = solve_forward(phantom, source, kernel, grid)
+    field = solve_forward(phantom, source, kernel, grid40)
     return field, time.monotonic() - t0
 
 
@@ -117,7 +121,7 @@ def truth_pair20(field20, grid20):
     from rtetomo.inverse import PairField
     from rtetomo.stencils import diff_axis
 
-    p = np.log(field20.values)
+    p = np.log(field20)
     q = diff_axis(p, grid20.h, axis=2)
     return PairField(p, q, grid20)
 

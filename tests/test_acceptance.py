@@ -49,13 +49,13 @@ def _invert_and_score(faces, fine_grid, kernel, letter, c_a, delta=0.0, seed=0):
     return score(rec, mask, c_a), state
 
 
-def test_criterion_1_forward_positivity(field40, geometry, source, acceptance_report):
+def test_criterion_1_forward_positivity(field40, grid40, geometry, source, acceptance_report):
     field, solve_seconds = field40
     t0 = time.monotonic()
-    grid = field.grid
+    grid = grid40
     phantom = make_phantom("A", 5.0, grid)
-    u_min = float(np.min(field.values))
-    u0_min = float(np.min(u0_field(phantom, source, grid).values))
+    u_min = float(np.min(field))
+    u0_min = float(np.min(u0_field(phantom, source, grid)))
     elapsed = solve_seconds + time.monotonic() - t0
     ok = u_min > 0.0 and u_min >= u0_min - 1e-12 and elapsed < 300.0
     acceptance_report(
@@ -73,7 +73,7 @@ def test_criterion_2_solver_cross_validation(geometry, source, kernel, acceptanc
     phantom = make_phantom("A", 5.0, grid)
     fixed = solve_forward(phantom, source, kernel, grid)
     direct = solve_forward_direct(phantom, source, kernel, grid)
-    gap = float(np.max(np.abs(fixed.values - direct.values)))
+    gap = float(np.max(np.abs(fixed - direct)))
     elapsed = time.monotonic() - t0
     ok = gap < 1e-8 and elapsed < 10.0
     acceptance_report(2, ok, f"fixed-point vs dense sup gap {gap:.3e} < 1e-8, {elapsed:.1f}s")
@@ -103,10 +103,10 @@ def test_criterion_4_strict_convexity(objective10, acceptance_report):
     )
 
 
-def test_criterion_5_descent_contract(field40, kernel, acceptance_report):
+def test_criterion_5_descent_contract(field40, grid40, kernel, acceptance_report):
     field40, _ = field40
     t0 = time.monotonic()
-    bds = derive_boundary_data(extract_boundary(field40), field40.grid, kernel)
+    bds = derive_boundary_data(extract_boundary(field40), grid40, kernel)
     coarse = downsample_boundary(bds, 2)
     assert coarse.grid.shape_medium == (21, 21, 21)
     state = minimize(CarlemanObjective(coarse, kernel), grad_tol=1e-2)
@@ -125,8 +125,8 @@ def test_criterion_5_descent_contract(field40, kernel, acceptance_report):
     )
 
 
-def test_criterion_6_contrast_recovery(field20, kernel, acceptance_report):
-    metrics, _ = _invert_and_score(extract_boundary(field20), field20.grid, kernel, "A", 5.0)
+def test_criterion_6_contrast_recovery(field20, grid20, kernel, acceptance_report):
+    metrics, _ = _invert_and_score(extract_boundary(field20), grid20, kernel, "A", 5.0)
     contrast = metrics["contrast"]
     offset = metrics["centroid_offset_cells"]
     ok = 1.5 <= contrast <= 2.5 and offset <= 3.0
@@ -152,13 +152,13 @@ def test_criterion_7_contrast_sweep(grid20, source, kernel, acceptance_report):
     acceptance_report(7, ok, "; ".join(results))
 
 
-def test_criterion_8_noise_robustness(field20, kernel, acceptance_report):
+def test_criterion_8_noise_robustness(field20, grid20, kernel, acceptance_report):
     faces = extract_boundary(field20)
     results = []
     ok = True
     for seed in (1, 7):
         metrics, state = _invert_and_score(
-            faces, field20.grid, kernel, "A", 5.0, delta=0.05, seed=seed
+            faces, grid20, kernel, "A", 5.0, delta=0.05, seed=seed
         )
         contrast = metrics["contrast"]
         ok = ok and state.converged and 1.3 <= contrast <= 2.7

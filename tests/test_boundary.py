@@ -20,9 +20,8 @@ def test_extract_boundary_shapes_and_values(field10, grid10):
     n1, nz, nk = grid10.shape_medium
     assert faces["bottom"].shape == faces["top"].shape == (n1, nk)
     assert faces["left"].shape == faces["right"].shape == (nz - 2, nk)
-    u = field10.values
-    np.testing.assert_array_equal(faces["top"], u[:, -1, :])
-    np.testing.assert_array_equal(faces["left"], u[0, 1:-1, :])
+    np.testing.assert_array_equal(faces["top"], field10[:, -1, :])
+    np.testing.assert_array_equal(faces["left"], field10[0, 1:-1, :])
 
 
 def test_add_noise_bounds_and_determinism(field10):
@@ -61,8 +60,7 @@ def test_derive_applies_the_requested_noise(field10, grid10, kernel):
 
 
 def test_log_data_and_alpha_quotient(boundary10, field10, grid10):
-    u = field10.values
-    np.testing.assert_allclose(boundary10.g1["top"], np.log(u[:, -1, :]), atol=1e-14)
+    np.testing.assert_allclose(boundary10.g1["top"], np.log(field10[:, -1, :]), atol=1e-14)
     # d_alpha ln g and (d_alpha g) / g agree up to the O(h^2) stencil error
     gap = boundary10.g2["top"] - diff_axis(boundary10.g1["top"], grid10.h, axis=1)
     assert np.max(np.abs(gap)) < 0.05
@@ -71,7 +69,7 @@ def test_log_data_and_alpha_quotient(boundary10, field10, grid10):
 def test_normal_derivative_median_converges(field10, field20, grid10, grid20, kernel):
     def median_error(field, grid):
         bds = derive_boundary_data(extract_boundary(field), grid, kernel)
-        lnu = np.log(field.values)
+        lnu = np.log(field)
         oracle = diff_axis(lnu, grid.h, axis=1)[:, -1]
         return float(np.median(np.abs(bds.g3 - oracle)))
 
@@ -116,10 +114,15 @@ def test_downsample_restricts_without_recomputing(boundary20, grid10):
     assert coarse.delta == boundary20.delta
 
 
-def test_downsample_factor_validation(boundary20):
+def test_downsample_factor_validation(boundary20, grid10):
     same = downsample_boundary(boundary20, 1)
     np.testing.assert_array_equal(same.g3, boundary20.g3)
     with pytest.raises(UsageError):
         downsample_boundary(boundary20, 3)
     with pytest.raises(UsageError):
         downsample_boundary(boundary20, 0)
+    # A fractional factor is refused, not truncated to the integer below it.
+    with pytest.raises(UsageError, match="2.5 is not an integer"):
+        downsample_boundary(boundary20, 2.5)
+    for factor in (2, 2.0):
+        assert downsample_boundary(boundary20, factor).grid.h == grid10.h

@@ -28,7 +28,7 @@ from rtetomo import (
 )
 from rtetomo.cli import _configure, build_parser, main
 from rtetomo.config import config_lines, geometry_of
-from rtetomo.serialize import read_boundary, read_keyvalues, read_manifest
+from rtetomo.serialize import read_boundary, read_keyvalues, read_manifest, write_manifest
 
 
 def test_default_configuration_is_the_production_study():
@@ -141,6 +141,27 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.out == "results"
     assert "lambda=7.5" in config_lines(cfg)
     assert not any(line.startswith("lam=") for line in config_lines(cfg))
+
+
+@pytest.mark.parametrize("out", ["r#1", " r", "r ", "a\nb", "a\rb"])
+def test_out_the_config_grammar_cannot_hold_is_refused(tmp_path, monkeypatch, capsys, out):
+    import rtetomo.cli as cli
+
+    with pytest.raises(UsageError, match=r"^out=.* must hold no '#' or line break"):
+        RunConfig(out=out)
+    monkeypatch.setattr(cli, "solve_forward", _refuse_to_solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(["forward", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: out={out!r} must hold")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["run", "my run/1", "a=b"])
+def test_a_manifest_reads_back_its_out(tmp_path, out):
+    cfg = RunConfig(h_forward=0.1, h_inverse=0.1, out=out)
+    write_manifest(cfg, tmp_path / "manifest.txt")
+    back = load_config(tmp_path / "manifest.txt")
+    assert back.out == out and back == cfg
 
 
 @pytest.mark.parametrize(
@@ -707,6 +728,20 @@ def test_out_that_is_not_a_directory_is_refused_before_solving(tmp_path, monkeyp
     assert capsys.readouterr().err == f"error: out={str(afile)!r} exists and is not a directory\n"
     assert afile.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "desk.cfg"]
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--pairs"])
+@pytest.mark.parametrize("value", ["0", "-2", "many"])
+def test_verify_counts_are_positive_integers_checked_before_solving(tmp_path, monkeypatch, capsys, flag, value):
+    import rtetomo.cli as cli
+
+    monkeypatch.setattr(cli, "solve_forward", _refuse_to_solve)
+    out = tmp_path / "lab"
+    capsys.readouterr()
+    assert main(["verify", "--config", str(desk_config(tmp_path)), flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: rtetomo verify: argument {flag}: expects a positive integer, got {value!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -287,7 +287,7 @@ def test_forward_solve_grows_resident_memory_little():
 def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
     phantom = make_phantom("A", 5.0, grid10)
     u0 = u0_field(phantom, source, grid10)
-    gap = field10.values - u0.values
+    gap = field10 - u0
     assert gap.min() >= -1e-12
     assert gap.max() > 0.0
 
@@ -307,7 +307,7 @@ def test_unscattered_solve_is_the_ballistic_field_to_the_bit(source, h, source_h
     assert np.any(x1 != grid.x1) == off_x1
     phantom = make_phantom("A", 5.0, grid, mu_s_value=0.0)
     field = solve_forward(phantom, source, KernelModel(aperture_half_width=source_half_width), grid)
-    np.testing.assert_array_equal(field.values, u0_field(phantom, source, grid).values)
+    np.testing.assert_array_equal(field, u0_field(phantom, source, grid))
 
 
 def test_solve_forward_marches_each_ray_once(grid20, source, kernel, monkeypatch):
@@ -338,7 +338,7 @@ def _two_march_solve(phantom, source, kernel, grid, tol):
     """Plain whole-field sweeps: u0 from its own march, then u <- u0 + K u
     with K assembled from the reference march's rows, until the update falls
     below ``tol`` relative to the field's max."""
-    u0 = u0_field(phantom, source, grid).values
+    u0 = u0_field(phantom, source, grid)
     w = scatter_matrix(kernel, grid.alpha, grid.h)
     n1, nz, n_alpha = grid.shape_medium
     rows = np.stack([_reference_rows(grid, phantom.attenuation, j) for j in range(nz)], axis=2)
@@ -384,7 +384,7 @@ def test_row_by_row_solve_matches_plain_sweeps(source, h, source_half_width):
     phantom = make_phantom("A", 5.0, grid)
     field = solve_forward(phantom, source, kernel, grid)
     expected = _two_march_solve(phantom, source, kernel, grid, tol=1e-15)
-    np.testing.assert_allclose(field.values, expected, rtol=0.0, atol=1e-11 * expected.max())
+    np.testing.assert_allclose(field, expected, rtol=0.0, atol=1e-11 * expected.max())
 
 
 def test_source_reaching_the_medium_is_refused_before_marching(grid10, kernel, monkeypatch):
@@ -401,7 +401,7 @@ def test_forward_info_reports_contracting_sweeps(grid10, source, kernel):
     field, info = solve_forward(phantom, source, kernel, grid10, return_info=True)
     assert info["sweeps"] >= 2
     assert info["diffs"][-1] < info["diffs"][0]
-    assert np.all(field.values >= 0.0)
+    assert np.all(field >= 0.0)
     assert set(info) == {"sweeps", "diffs"}
 
 
@@ -448,7 +448,7 @@ def test_direct_solver_matches_sweeps_on_a_coarse_grid(
     swept = solve_forward(phantom, source, kernel, grid)
     dense, info = solve_forward_direct(phantom, source, kernel, grid, return_info=True)
     assert info["residual"] < 1e-10
-    gap = np.max(np.abs(swept.values - dense.values))
+    gap = np.max(np.abs(swept - dense))
     assert gap < 1e-8
 
 

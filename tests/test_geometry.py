@@ -32,10 +32,31 @@ def test_uniform_grid_shapes_and_offsets(grid10):
     assert grid10.shape_hull == (11, 21, 11)
 
 
-def test_every_axis_shares_the_grid_step(grid10):
-    alpha = np.linspace(-0.5, 0.5, 6)
-    with pytest.raises(UsageError, match="alpha"):
-        GridSet(grid10.geometry, grid10.x1, grid10.z, alpha, grid10.h)
+def test_every_axis_shares_the_grid_step():
+    wide_low = Geometry(half_width=0.75, slab_bottom=0.5, slab_top=1.5, source_half_width=0.25)
+    cases = [
+        *((Geometry(), h) for h in (0.5, 0.25, 0.1, 0.05, 0.025)),
+        *((wide_low, h) for h in (0.25, 0.125, 0.05)),
+        (Geometry(source_half_width=0.75), 0.25),
+    ]
+    for geometry, h in cases:
+        grid = GridSet(geometry, h)
+        for nodes, lo, hi in (
+            (grid.x1, -geometry.half_width, geometry.half_width),
+            (grid.z, geometry.slab_bottom, geometry.slab_top),
+            (grid.alpha, -geometry.source_half_width, geometry.source_half_width),
+        ):
+            np.testing.assert_allclose(np.diff(nodes), h, rtol=0, atol=1e-9)
+            assert (nodes[0], nodes[-1]) == (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "geometry, h, axis",
+    [(Geometry(), 1e12, "x1"), (Geometry(source_half_width=0.05), 0.2, "alpha")],
+)
+def test_step_longer_than_a_span_names_the_axis(geometry, h, axis):
+    with pytest.raises(UsageError, match=f"^{axis} span .* is shorter than step"):
+        GridSet.uniform(geometry, h)
 
 
 def test_uniform_grid_rejects_misfit_step(geometry):
