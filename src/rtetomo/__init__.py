@@ -13,8 +13,6 @@ from .boundary import (
     extract_boundary,
 )
 from .carleman import (
-    CarlemanReport,
-    ConvexityReport,
     carleman_sides,
     convexity_sweep,
     empirical_carleman_constant,
@@ -48,8 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryDataSet",
     "CarlemanObjective",
-    "CarlemanReport",
-    "ConvexityReport",
     "Geometry",
     "GridSet",
     "InversionState",

@@ -5,15 +5,14 @@ constants are existential: a lower bound on the weighted Laplacian energy
 of fields vanishing on every face but the top, and strict convexity of
 the objective beyond its explicit Tikhonov term.  Neither constant can be
 asserted pointwise, so this module measures instead of proving: it draws
-smoothed random samples, evaluates both sides of each inequality, and
-reports ratios, margins, and an empirical gradient-variation constant.
+smoothed random samples and evaluates both sides of each inequality,
+with the ratios and an empirical gradient-variation constant.
 
-Samples are plain arrays: :func:`sample_test_function` returns an
-(n_x1, n_z) field and :func:`sample_in_ball` a free vector of the
-objective.
+Samples and results are plain arrays: :func:`sample_test_function`
+returns an (n_x1, n_z) field, :func:`sample_in_ball` a free vector of
+the objective, and the two sweeps return their per-sample quadratures
+and per-couple gaps; the caller summarizes and labels them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,7 @@ TOP_MARGIN = 0.2
 GRADIENT_CHECK_STEP = 1e-2
 GRADIENT_DIRECTIONS = 20
 LAMBDAS = (2.0, 5.0, 10.0)  # the estimate probe's weight exponents, ascending
+BALL_RADIUS = 10.0  # data-norm radius of the sampling ball around the first guess
 
 
 def sample_test_function(grid, rng):
@@ -93,40 +93,15 @@ def carleman_sides(u, lam, grid):
     return lhs, interior, boundary
 
 
-@dataclass(eq=False)
-class CarlemanReport:
-    """Per-sample quadratures of an estimate sweep.
-
-    ``table`` rows are (lam, sample, lhs, interior, boundary, ratio), a
-    block of ``samples`` rows per exponent in ``LAMBDAS`` order; excluded
-    samples (nonpositive denominator) carry a NaN ratio.
-    """
-
-    table: np.ndarray
-    samples: int
-    seed: int
-
-    def rows(self):
-        """(lam, min_ratio, used, excluded) per exponent, in sweep order.
-
-        The minimum is over the used samples; it is NaN when none is used.
-        """
-        out = []
-        for block in self.table.reshape(-1, self.samples, 6):
-            ratio = block[:, 5]
-            used = int(np.count_nonzero(~np.isnan(ratio)))
-            out.append((float(block[0, 0]), float(np.fmin.reduce(ratio)), used, ratio.size - used))
-        return out
-
-
 def empirical_carleman_constant(samples, seed, grid):
-    """Minimum positive-denominator ratio over smoothed random samples.
+    """Estimate sides and ratios over smoothed random samples.
 
     Each sample (drawn from the 'carleman-samples' stream) is evaluated
     at every exponent of ``LAMBDAS``, so the per-exponent minima are
-    comparable.  Samples whose denominator is nonpositive prove nothing
-    and are excluded with their count reported; an exponent with no
-    usable sample raises :class:`NumericalError`.  The claim worth
+    comparable.  Returns a (len(LAMBDAS), samples, 4) array whose last
+    axis is (lhs, interior, boundary, ratio).  Samples whose denominator
+    is nonpositive prove nothing and carry a NaN ratio; an exponent with
+    no usable sample raises :class:`NumericalError`.  The claim worth
     checking downstream is only that the minima stay positive once the
     exponent clears the empirical threshold, which is reported as data.
     """
@@ -139,16 +114,19 @@ def empirical_carleman_constant(samples, seed, grid):
     lhs, interior, boundary = np.array([carleman_sides(u, lams, grid) for u in draws]).transpose(1, 2, 0)
     den = interior - boundary
     ratio = np.divide(lhs, den, out=np.full_like(den, np.nan), where=den > 0.0)
-    lam_col, idx_col = np.meshgrid(lams, np.arange(samples), indexing="ij")
-    table = np.stack([lam_col, idx_col, lhs, interior, boundary, ratio], axis=-1).reshape(-1, 6)
-    report = CarlemanReport(table=table, samples=int(samples), seed=int(seed))
-    for lam, _, used, _ in report.rows():
-        if not used:
+    for lam, row in zip(LAMBDAS, ratio):
+        if np.isnan(row).all():
             raise NumericalError(f"no sample kept a positive denominator at lam = {lam}")
-    return report
+    return np.stack([lhs, interior, boundary, ratio], axis=-1)
 
 
-def sample_in_ball(objective, rng, radius=10.0):
+def _check_radius(radius):
+    # NaN fails both comparisons.
+    if not 0.0 < radius < np.inf:
+        raise UsageError(f"sampling radius must be finite and positive, got {radius!r}")
+
+
+def sample_in_ball(objective, rng, radius=BALL_RADIUS):
     """Free vector at a uniform data-norm distance from the first guess.
 
     The perturbation is noise on the free block, smoothed by
@@ -156,8 +134,7 @@ def sample_in_ball(objective, rng, radius=10.0):
     is quadratic, so one exact rescale puts the full pair difference at
     a radius drawn uniformly from (0, ``radius``].
     """
-    if radius <= 0:
-        raise UsageError("sampling radius must be positive")
+    _check_radius(radius)
     base = objective.initial_guess()
     return _draw_in_ball(objective, rng, radius, base, objective.apply_constraints(base))
 
@@ -176,32 +153,7 @@ def _draw_in_ball(objective, rng, radius, base, p0):
     return base + (r / s) * direction
 
 
-@dataclass(eq=False)
-class ConvexityReport:
-    """Gap-versus-bound and gradient-variation statistics over couples.
-
-    ``gaps`` holds the forward and reverse Bregman gaps per couple,
-    ``bounds`` the shared lower bound, ``lipschitz`` the ratio
-    |grad J(v1) - grad J(v2)| / |v1 - v2| on free vectors (reported as
-    an empirical constant, never asserted against a specific value).
-    """
-
-    gaps: np.ndarray
-    bounds: np.ndarray
-    lipschitz: np.ndarray
-    radius: float
-    seed: int
-
-    @property
-    def min_margin(self):
-        return float(np.min(self.gaps - self.bounds[:, None]))
-
-    @property
-    def max_lipschitz(self):
-        return float(np.max(self.lipschitz))
-
-
-def convexity_sweep(objective, count=100, seed=0, radius=10.0):
+def convexity_sweep(objective, count=100, seed=0, radius=BALL_RADIUS):
     """Check gap >= bound over seeded random couples in the sampling ball.
 
     Each couple (v1, v2) is two independent draws around the first guess.
@@ -210,35 +162,35 @@ def convexity_sweep(objective, count=100, seed=0, radius=10.0):
     gamma * squared data norm of the full pair difference, which is
     symmetric.  The Tikhonov term, being the quadratic form of that norm,
     contributes exactly the bound to each gap, so gap >= bound says the
-    weighted residual part is itself convex between the two points.  Draws come from the 'convexity-pairs' stream, so the
-    report depends only on (objective, count, seed, radius).
+    weighted residual part is itself convex between the two points.
+
+    Returns a (count, 4) array with columns (gap_forward, gap_reverse,
+    bound, gradient_ratio), the last being |grad J(v1) - grad J(v2)| /
+    |v1 - v2| on free vectors (an empirical constant, never asserted
+    against a specific value).  Draws come from the 'convexity-pairs'
+    stream, so the result depends only on (objective, count, seed, radius).
     """
     if count < 1:
         raise UsageError("need at least one couple")
-    if radius <= 0:
-        raise UsageError("sampling radius must be positive")
+    _check_radius(radius)
     rng = stream(seed, "convexity-pairs")
     base = objective.initial_guess()
     p0 = objective.apply_constraints(base)
-    gaps = np.empty((count, 2))
-    bounds = np.empty(count)
-    lips = np.empty(count)
+    out = np.empty((count, 4))
     for i in range(count):
         f1 = _draw_in_ball(objective, rng, radius, base, p0)
         f2 = _draw_in_ball(objective, rng, radius, base, p0)
         j1, g1 = objective.value_and_grad(f1)
         j2, g2 = objective.value_and_grad(f2)
         d = f2 - f1
-        gaps[i, 0] = j2 - j1 - float(g1 @ d)
-        gaps[i, 1] = j1 - j2 + float(g2 @ d)
+        out[i, 0] = j2 - j1 - float(g1 @ d)
+        out[i, 1] = j1 - j2 + float(g2 @ d)
         p1 = objective.apply_constraints(f1)
         p2 = objective.apply_constraints(f2)
-        bounds[i] = objective.gamma * objective.s_norm_sq_arrays(p2.p - p1.p, p2.q - p1.q)
+        out[i, 2] = objective.gamma * objective.s_norm_sq_arrays(p2.p - p1.p, p2.q - p1.q)
         dn = float(np.linalg.norm(d))
-        lips[i] = float(np.linalg.norm(g2 - g1)) / dn if dn > 0 else 0.0
-    return ConvexityReport(
-        gaps=gaps, bounds=bounds, lipschitz=lips, radius=float(radius), seed=int(seed)
-    )
+        out[i, 3] = float(np.linalg.norm(g2 - g1)) / dn if dn > 0 else 0.0
+    return out
 
 
 def gradient_check(objective, seed=0):

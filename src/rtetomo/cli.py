@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import check_acquisition_grid, derive_boundary_data, downsample_boundary, extract_boundary
-from .carleman import convexity_sweep, empirical_carleman_constant, gradient_check
+from .carleman import BALL_RADIUS, LAMBDAS, convexity_sweep, empirical_carleman_constant, gradient_check
 from .config import RunConfig, config_hash, load_config
 from .errors import NumericalError, UsageError, VerificationError
 from .forward import solve_forward
@@ -28,6 +28,7 @@ from .inverse import CarlemanObjective, check_inversion_grid, minimize
 from .phantom import make_phantom
 from .recovery import recover_attenuation, score
 from .serialize import (
+    fnum,
     read_boundary,
     read_keyvalues,
     read_reconstruction,
@@ -103,6 +104,18 @@ def _configure(args):
     return cfg
 
 
+def _refuse_other_run(path, verb, recorded, expected):
+    """Refuse the file at ``path`` unless every value it records equals the
+    expected one; both mappings are keyed by config attribute."""
+    differ = [
+        f"{key}={value!r} (config: {expected[key]!r})"
+        for key, value in recorded.items()
+        if value != expected[key]
+    ]
+    if differ:
+        raise UsageError(f"{path} was {verb} with " + ", ".join(differ))
+
+
 def _synthesize(cfg, grid):
     """Boundary data of the configured phantom, solved on ``grid``; returns
     (data, solver info)."""
@@ -141,13 +154,7 @@ def cmd_invert(args):
     recorded = dict(vars(fine.geometry), h_forward=fine.h, delta=bds.delta, mu_s=bds.attenuation_trace)
     if bds.delta > 0:
         recorded["seed"] = bds.seed
-    differ = [
-        f"{key}={value!r} (config: {getattr(cfg, key)!r})"
-        for key, value in recorded.items()
-        if value != getattr(cfg, key)
-    ]
-    if differ:
-        raise UsageError(f"{path} was acquired with " + ", ".join(differ))
+    _refuse_other_run(path, "acquired", recorded, vars(cfg))
     coarse = downsample_boundary(bds, cfg.downsample_factor)
     objective = CarlemanObjective(
         coarse, cfg.kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
@@ -198,20 +205,26 @@ def cmd_verify(args):
         bds, cfg.kernel, mu_s_value=cfg.mu_s, lam=cfg.lam, gamma=cfg.gamma, epsilon=cfg.epsilon
     )
 
+    # Each verdict is written so that a NaN fails it.
     failures = []
     errors = gradient_check(objective, seed=cfg.seed)
     grad_max = float(np.max(errors))
-    if grad_max >= 1e-5:
+    if not grad_max < 1e-5:
         failures.append(f"gradient check: max relative error {grad_max:.3e} >= 1e-5")
 
+    # (count, 4): gap_forward, gap_reverse, bound, gradient_ratio
     sweep = convexity_sweep(objective, count=args.pairs, seed=cfg.seed)
-    if sweep.min_margin < 0.0:
-        failures.append(f"convexity: gap fell below the bound by {-sweep.min_margin:.3e}")
+    margin = float(np.min(sweep[:, :2] - sweep[:, 2:3]))
+    if not margin >= 0.0:
+        failures.append(f"convexity: gap fell below the bound by {-margin:.3e}")
 
     estimate_grid = GridSet.uniform(cfg.geometry, ESTIMATE_STEP)
-    report = empirical_carleman_constant(args.samples, cfg.seed, estimate_grid)
-    rows = report.rows()
-    bad = [lam for lam, ratio, _, _ in rows if not ratio > 0.0]
+    # (lam, sample, 4): lhs, interior, boundary, ratio; NaN ratios are excluded
+    sides = empirical_carleman_constant(args.samples, cfg.seed, estimate_grid)
+    ratios = sides[..., 3]
+    minima = np.fmin.reduce(ratios, axis=1).tolist()
+    used = np.count_nonzero(~np.isnan(ratios), axis=1).tolist()
+    bad = [lam for lam, ratio in zip(LAMBDAS, minima) if not ratio > 0.0]
     if bad:
         failures.append(f"estimate sweep: nonpositive minimum ratio at lam in {bad}")
 
@@ -219,23 +232,24 @@ def cmd_verify(args):
         "gradient_directions": str(errors.size),
         "gradient_max_rel_error": grad_max,
         "convexity_pairs": str(args.pairs),
-        "convexity_min_margin": sweep.min_margin,
-        "convexity_max_gradient_ratio": sweep.max_lipschitz,
+        "convexity_min_margin": margin,
+        "convexity_max_gradient_ratio": float(np.max(sweep[:, 3])),
         "carleman_samples": str(args.samples),
     }
-    for lam, ratio, used, excluded in rows:
+    for lam, ratio, n in zip(LAMBDAS, minima, used):
         tag = format(lam, "g")
         body[f"carleman_min_ratio_lam_{tag}"] = ratio
-        body[f"carleman_used_lam_{tag}"] = str(used)
-        body[f"carleman_excluded_lam_{tag}"] = str(excluded)
+        body[f"carleman_used_lam_{tag}"] = str(n)
+        body[f"carleman_excluded_lam_{tag}"] = str(args.samples - n)
     body["passed"] = str(not failures).lower()
     meta = {"config_hash": config_hash(cfg)}
     write_keyvalues(out / "report.txt", body, meta={**meta, "verify_step": format(VERIFY_STEP, ".17g")})
-    write_carleman_table(report, out / "ratios.csv", meta=meta)
-    write_convexity_table(sweep, out / "convexity.csv", meta=meta)
+    seed = str(cfg.seed)
+    write_carleman_table(sides, out / "ratios.csv", meta={"samples": str(args.samples), "seed": seed, **meta})
+    write_convexity_table(sweep, out / "convexity.csv", meta={"radius": fnum(BALL_RADIUS), "seed": seed, **meta})
     print(
-        f"verify: gradient {grad_max:.3e}, convexity margin {sweep.min_margin:.3e}, "
-        f"estimate minima {[round(ratio, 2) for _, ratio, _, _ in rows]}, "
+        f"verify: gradient {grad_max:.3e}, convexity margin {margin:.3e}, "
+        f"estimate minima {[round(ratio, 2) for ratio in minima]}, "
         f"wrote {out / 'report.txt'}"
     )
     if failures:
@@ -252,7 +266,13 @@ def cmd_score(args):
         cfg = load_config(path)
     except UsageError as exc:
         raise UsageError(str(exc) if str(path) in str(exc) else f"{path}: {exc}") from None
-    rec = read_reconstruction(run / "reconstruction.csv")
+    path = run / "reconstruction.csv"
+    rec = read_reconstruction(path)
+    # invert writes the step of its downsampled grid, h_forward * factor,
+    # which may differ from h_inverse in the last place.
+    recorded = dict(vars(rec.grid.geometry), h_inverse=rec.grid.h, mu_s=rec.mu_s_value)
+    expected = {**vars(cfg), "h_inverse": cfg.h_forward * cfg.downsample_factor}
+    _refuse_other_run(path, "reconstructed", recorded, expected)
     mask = make_phantom(cfg.letter, cfg.c_a, rec.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
     # Keys score does not recompute (the descent's diagnostics) stay as written.

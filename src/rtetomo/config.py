@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 from .boundary import check_acquisition_grid
 from .errors import UsageError
-from .forward import KernelModel, SourceModel
+from .forward import KernelModel, SourceModel, check_source_radius
 from .geometry import Geometry, GridSet
 from .inverse import check_inversion_grid, check_weights
 from .phantom import check_phantom
@@ -70,6 +70,7 @@ class RunConfig:
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "source", SourceModel.build(self.sigma))
         object.__setattr__(self, "kernel", kernel)
+        check_source_radius(self.source, geometry)
         # A phantom may lack scattering; a run's contrast is relative to mu_s.
         if not self.mu_s > 0:
             raise UsageError(f"mu_s must be positive, got {self.mu_s!r}")

@@ -366,11 +366,11 @@ def _march_row(tx, tz, atten, grid, vt=None):
     return _RowRays(c.reshape(n_t, n_alpha), n[group], below.reshape(n_t, n_alpha), block)
 
 
-def _check_source_radius(source, grid):
+def check_source_radius(source, geometry):
     """The bump must lie in the source-free gap below the medium, so every
     ray from a source to a medium node crosses the whole bump and carries
     ``profile_integral``; a radius reaching the medium is a usage error."""
-    floor = grid.geometry.slab_bottom
+    floor = geometry.slab_bottom
     if source.sigma >= floor:
         raise UsageError(f"source radius {source.sigma!r} must stay below the medium floor z = {floor!r}")
 
@@ -378,7 +378,7 @@ def _check_source_radius(source, grid):
 def u0_field(phantom, source, grid):
     """Ballistic (unscattered) radiance array on the medium grid, its rays
     aimed at the rays' lattice and marched one z-row at a time."""
-    _check_source_radius(source, grid)
+    check_source_radius(source, grid.geometry)
     x1, z = _ray_lattice(grid)
     c = np.stack([_march_row(x1, zj, phantom.attenuation, grid).c for zj in z], axis=1)
     return source.profile_integral / c
@@ -413,7 +413,7 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
     A row on it takes u0's c from the row's own march; a row off it, in z
     or in x1, is marched once more to the lattice for u0.
     """
-    _check_source_radius(source, grid)
+    check_source_radius(source, grid.geometry)
     shape = n1, nz, n_alpha = grid.shape_medium
     atten = phantom.attenuation
     x1, z = _ray_lattice(grid)
@@ -504,7 +504,7 @@ def solve_forward_direct(phantom, source, kernel, grid, return_info=False):
     n_unknown = n1 * nz * nk
     if n_unknown > DIRECT_MAX_UNKNOWNS:
         raise UsageError(f"{n_unknown} unknowns exceed the dense-solver cap {DIRECT_MAX_UNKNOWNS}")
-    _check_source_radius(source, grid)
+    check_source_radius(source, grid.geometry)
     atten, mu_s = phantom.attenuation, phantom.mu_s.ravel()
     w = scatter_matrix(kernel, grid.alpha, grid.h)
     x1, z = _ray_lattice(grid)

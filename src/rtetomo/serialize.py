@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import BoundaryDataSet, face_nodes, face_shapes
+from .carleman import LAMBDAS
 from .config import config_hash, config_lines
 from .errors import UsageError
 from .geometry import Geometry, GridSet
@@ -462,16 +463,17 @@ def read_reconstruction(path):
     )
 
 
-def write_carleman_table(report, path, meta=None):
-    """Per-sample estimate quadratures; excluded samples keep NaN ratios."""
-    head = {"samples": str(report.samples), "seed": str(report.seed), **(meta or {})}
-    lam, idx, *sides = np.asarray(report.table).T
-    _write_table(path, head, ("lam", "sample", "lhs", "interior", "boundary", "ratio"),
-                 [lam, idx.astype(int), *sides])
+def write_carleman_table(sides, path, meta=None):
+    """Per-sample estimate quadratures, one row per (lam, sample) of the
+    (len(LAMBDAS), samples, 4) ``sides`` array; excluded samples keep NaN
+    ratios."""
+    lam, idx = np.meshgrid(LAMBDAS, np.arange(sides.shape[1]), indexing="ij")
+    _write_table(path, meta, ("lam", "sample", "lhs", "interior", "boundary", "ratio"),
+                 [lam.ravel(), idx.ravel(), *sides.reshape(-1, 4).T])
 
 
-def write_convexity_table(report, path, meta=None):
-    """Per-couple gaps, shared bound, and gradient-variation ratio."""
-    head = {"radius": fnum(report.radius), "seed": str(report.seed), **(meta or {})}
-    _write_table(path, head, ("couple", "gap_forward", "gap_reverse", "bound", "gradient_ratio"),
-                 [np.arange(report.gaps.shape[0]), *report.gaps.T, report.bounds, report.lipschitz])
+def write_convexity_table(sweep, path, meta=None):
+    """Per-couple gaps, shared bound, and gradient-variation ratio of a
+    (count, 4) sweep."""
+    _write_table(path, meta, ("couple", "gap_forward", "gap_reverse", "bound", "gradient_ratio"),
+                 [np.arange(sweep.shape[0]), *sweep.T])

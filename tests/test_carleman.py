@@ -1,5 +1,7 @@
 """Sampling probes of the weighted estimate and the convexity margin."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -98,12 +100,13 @@ def test_constant_sweep_is_deterministic():
     grid = small_grid()
     a = empirical_carleman_constant(5, 0, grid)
     b = empirical_carleman_constant(5, 0, grid)
-    np.testing.assert_array_equal(a.table, b.table)
-    assert a.rows() == b.rows()
-    assert [row[0] for row in a.rows()] == [2.0, 5.0, 10.0]
-    for lam, ratio, used, excluded in a.rows():
-        assert ratio == np.min(a.table[a.table[:, 0] == lam, 5]) > 0.0
-        assert used == 5 and excluded == 0
+    np.testing.assert_array_equal(a, b)
+    assert carleman.LAMBDAS == (2.0, 5.0, 10.0)
+    assert a.shape == (3, 5, 4)
+    lhs, interior, boundary, ratio = np.moveaxis(a, -1, 0)
+    # every sample is used: no NaN ratio, each the quotient of its sides
+    np.testing.assert_array_equal(ratio, lhs / (interior - boundary))
+    assert (np.fmin.reduce(ratio, axis=1) > 0.0).all()
 
 
 def test_free_top_samples_are_all_excluded(monkeypatch):
@@ -122,7 +125,7 @@ def test_sweep_argument_validation():
 
 
 def test_forward_and_reverse_gaps_sum_to_the_gradient_jump(objective10):
-    report = convexity_sweep(objective10, count=2, seed=2, radius=5.0)
+    sweep = convexity_sweep(objective10, count=2, seed=2, radius=5.0)
     # the sweep's first couple, redrawn from its stream
     rng = stream(2, "convexity-pairs")
     f1 = sample_in_ball(objective10, rng, radius=5.0)
@@ -130,7 +133,7 @@ def test_forward_and_reverse_gaps_sum_to_the_gradient_jump(objective10):
     j1, g1 = objective10.value_and_grad(f1)
     j2, g2 = objective10.value_and_grad(f2)
     d = f2 - f1
-    forward, reverse = report.gaps[0]
+    forward, reverse = sweep[0, :2]
     assert forward == j2 - j1 - float(g1 @ d)
     assert reverse == j1 - j2 + float(g2 @ d)
     np.testing.assert_allclose(forward + reverse, float((g2 - g1) @ d), rtol=1e-9)
@@ -166,14 +169,27 @@ def test_sample_in_ball_stays_in_the_ball(objective10):
 
 
 def test_small_convexity_sweep(objective10):
-    report = convexity_sweep(objective10, count=5, seed=0)
+    sweep = convexity_sweep(objective10, count=5, seed=0)
     again = convexity_sweep(objective10, count=5, seed=0)
-    np.testing.assert_array_equal(report.gaps, again.gaps)
-    assert report.gaps.shape == (5, 2)
-    assert report.min_margin >= 0.0
-    assert report.max_lipschitz > 0.0
+    np.testing.assert_array_equal(sweep, again)
+    assert sweep.shape == (5, 4)
+    assert np.min(sweep[:, :2] - sweep[:, 2:3]) >= 0.0
+    assert np.max(sweep[:, 3]) > 0.0
     with pytest.raises(UsageError):
         convexity_sweep(objective10, count=0)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+def test_ball_radius_must_be_finite_and_positive(objective10, radius):
+    with pytest.raises(UsageError, match="sampling radius must be finite and positive"):
+        sample_in_ball(objective10, stream(0, "convexity-pairs"), radius=radius)
+    with pytest.raises(UsageError, match="sampling radius must be finite and positive"):
+        convexity_sweep(objective10, count=1, radius=radius)
+
+
+def test_both_ball_samplers_default_to_one_radius():
+    for probe in (sample_in_ball, convexity_sweep):
+        assert inspect.signature(probe).parameters["radius"].default is carleman.BALL_RADIUS
 
 
 def test_gradient_check_catches_a_perturbed_gradient(objective10):

@@ -5,7 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from rtetomo import (
     Geometry,
     GridSet,
     KernelModel,
+    Reconstruction,
     RunConfig,
     SourceModel,
     UsageError,
@@ -28,7 +29,14 @@ from rtetomo import (
 )
 from rtetomo.cli import _configure, build_parser, main
 from rtetomo.config import config_lines, geometry_of
-from rtetomo.serialize import read_boundary, read_keyvalues, read_manifest, write_manifest
+from rtetomo.serialize import (
+    read_boundary,
+    read_keyvalues,
+    read_manifest,
+    read_reconstruction,
+    write_manifest,
+    write_reconstruction,
+)
 
 
 def test_default_configuration_is_the_production_study():
@@ -508,13 +516,16 @@ def test_supercritical_scattering_exits_two(tmp_path):
     assert main(["forward", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 2
 
 
-@pytest.mark.parametrize("command", ["forward", "verify"])
+@pytest.mark.parametrize("command", ["forward", "invert", "verify"])
 @pytest.mark.parametrize("sigma", ["1.5", "1"])
 def test_source_radius_reaching_the_medium_exits_one(tmp_path, capsys, command, sigma):
+    # RunConfig refuses it, so no manifest is written that forward could
+    # not repeat
     cfg_file = desk_config(tmp_path, f"sigma={sigma}\n")
     capsys.readouterr()
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
     assert "source radius" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("sigma", ["1e-308", "1e-160"])
@@ -523,6 +534,16 @@ def test_source_radius_too_small_to_normalize_exits_one(tmp_path, capsys, sigma)
     capsys.readouterr()
     assert main(["forward", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
     assert "source radius" in capsys.readouterr().err
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from rtetomo import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(rtetomo.__all__)
+    assert len(set(rtetomo.__all__)) == len(rtetomo.__all__) == 41
+    for name in rtetomo.__all__:
+        assert namespace[name] is getattr(rtetomo, name)
 
 
 def test_cli_import_leaves_scipy_out():
@@ -560,9 +581,12 @@ def test_verify_writes_a_report_and_passes(tmp_path):
     assert float(report["convexity_min_margin"]) >= 0.0
     for tag in ("2", "5", "10"):
         assert float(report[f"carleman_min_ratio_lam_{tag}"]) > 0.0
-    assert (out / "ratios.csv").is_file()
-    assert (out / "convexity.csv").is_file()
     assert meta["verify_step"] == "0.10000000000000001"
+    # verify labels the probes' tables: the meta lines the sweeps ran with,
+    # then the run's hash
+    head = f"# config_hash={meta['config_hash']}\n"
+    assert (out / "ratios.csv").read_text().startswith("# samples=5\n# seed=0\n" + head + "lam,sample,")
+    assert (out / "convexity.csv").read_text().startswith("# radius=10\n# seed=0\n" + head + "couple,")
 
 
 def test_verify_probes_the_configured_geometry(tmp_path, monkeypatch):
@@ -599,20 +623,33 @@ def test_broken_gradient_exits_three(tmp_path, monkeypatch):
 
 def _failing_convexity(original):
     def sweep(*a, **k):
-        report = original(*a, **k)
-        return replace(report, bounds=report.bounds + 1e6)
+        out = original(*a, **k)
+        out[:, 2] += 1e6  # the bound column
+        return out
 
     return sweep
 
 
 def _failing_estimate(original):
     def probe(*a, **k):
-        report = original(*a, **k)
-        table = report.table.copy()
-        table[:, 5] = -1.0
-        return replace(report, table=table)
+        sides = original(*a, **k)
+        sides[..., 3] = -1.0  # the ratio column
+        return sides
 
     return probe
+
+
+def _nan_gradient(original):
+    return lambda *a, **k: np.full(20, np.nan)
+
+
+def _nan_gap(original):
+    def sweep(*a, **k):
+        out = original(*a, **k)
+        out[0, 0] = np.nan
+        return out
+
+    return sweep
 
 
 @pytest.mark.parametrize(
@@ -620,8 +657,10 @@ def _failing_estimate(original):
     [
         ("convexity_sweep", _failing_convexity, "convexity: gap fell below the bound"),
         ("empirical_carleman_constant", _failing_estimate, "estimate sweep: nonpositive minimum ratio"),
+        ("gradient_check", _nan_gradient, "gradient check: max relative error nan"),
+        ("convexity_sweep", _nan_gap, "convexity: gap fell below the bound by nan"),
     ],
-    ids=["convexity", "estimate"],
+    ids=["convexity", "estimate", "nan-gradient", "nan-gap"],
 )
 def test_failed_probe_exits_three(tmp_path, monkeypatch, capsys, name, patch, named):
     import rtetomo.cli as cli
@@ -662,6 +701,43 @@ def test_score_checks_the_whole_manifest(desk_run, tmp_path, capsys, old, new, n
     assert err.startswith(f"error: {manifest}") and err.count("manifest.txt") == 1
     assert named in err
     assert (out / "metrics.txt").read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "geometry, h, mu_s, named",
+    [
+        (Geometry(), 0.05, 5.0, "h_inverse=0.05 (config: 0.1)"),
+        (Geometry(half_width=1.0), 0.1, 5.0, "half_width=1.0 (config: 0.5)"),
+        (Geometry(), 0.1, 4.0, "mu_s=4.0 (config: 5.0)"),
+    ],
+    ids=["h", "geometry", "mu_s"],
+)
+def test_score_refuses_a_reconstruction_from_another_run(desk_run, tmp_path, capsys, geometry, h, mu_s, named):
+    out = tmp_path / "run"
+    shutil.copytree(desk_run, out)
+    grid = GridSet.uniform(geometry, h)
+    ones = np.ones(grid.shape_medium[:2])
+    path = out / "reconstruction.csv"
+    write_reconstruction(Reconstruction(ones, 0.0 * ones, mu_s, grid), path)
+    written = (out / "metrics.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["score", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} was reconstructed with ") and named in err
+    assert (out / "metrics.txt").read_bytes() == written
+
+
+def test_score_accepts_the_step_invert_reconstructs_on(desk_run, tmp_path):
+    # invert reconstructs on h_forward * 7 = 0.09999999999999999, one ulp
+    # below h_inverse, and score must take that step as this run's
+    cfg = RunConfig(h_forward=1 / 70, h_inverse=0.1, out=str(tmp_path))
+    rec = read_reconstruction(desk_run / "reconstruction.csv")
+    grid = GridSet.uniform(cfg.geometry, cfg.h_forward * cfg.downsample_factor)
+    assert grid.h != cfg.h_inverse
+    moved = Reconstruction(rec.attenuation, rec.absorber, cfg.mu_s, grid)
+    write_reconstruction(moved, tmp_path / "reconstruction.csv")
+    write_manifest(cfg, tmp_path / "manifest.txt")
+    assert main(["score", "--run", str(tmp_path)]) == 0
 
 
 def test_a_manifest_is_a_config_file(desk_run, tmp_path):

@@ -168,13 +168,16 @@ def test_iterations_reader_checks_the_header(tmp_path):
 
 def test_probe_tables_are_parseable(objective10, tmp_path):
     grid = GridSet.uniform(Geometry(), 0.05)
-    report = empirical_carleman_constant(4, 0, grid)
+    sides = empirical_carleman_constant(4, 0, grid)
     cpath = tmp_path / "ratios.csv"
-    write_carleman_table(report, cpath)
+    write_carleman_table(sides, cpath)
     rows = [r.split(",") for r in cpath.read_text().splitlines() if not r.startswith("#")]
     assert rows[0] == ["lam", "sample", "lhs", "interior", "boundary", "ratio"]
     assert len(rows) - 1 == len(LAMBDAS) * 4
     assert all(np.isfinite(float(r[5])) for r in rows[1:])
+    # the writer labels each row with its exponent and sample index
+    assert [(float(r[0]), int(r[1])) for r in rows[1:]] == [(lam, i) for lam in LAMBDAS for i in range(4)]
+    np.testing.assert_array_equal([[float(c) for c in r[2:]] for r in rows[1:]], sides.reshape(-1, 4))
 
     sweep = convexity_sweep(objective10, count=3, seed=0)
     vpath = tmp_path / "convexity.csv"
@@ -183,7 +186,8 @@ def test_probe_tables_are_parseable(objective10, tmp_path):
     assert rows[0] == ["couple", "gap_forward", "gap_reverse", "bound", "gradient_ratio"]
     assert len(rows) - 1 == 3
     gaps = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
-    np.testing.assert_array_equal(gaps, sweep.gaps)
+    np.testing.assert_array_equal(gaps, sweep[:, :2])
+    assert [int(r[0]) for r in rows[1:]] == [0, 1, 2]
 
 
 @pytest.fixture(scope="module")
