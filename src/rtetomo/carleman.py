@@ -9,9 +9,13 @@ smoothed random samples and evaluates both sides of each inequality,
 with the ratios and an empirical gradient-variation constant.
 
 Samples and results are plain arrays: :func:`sample_test_function`
-returns an (n_x1, n_z) field, :func:`sample_in_ball` a free vector of
-the objective, and the two sweeps return their per-sample quadratures
-and per-couple gaps; the caller summarizes and labels them.
+returns a stack of (n_x1, n_z) fields, :func:`sample_in_ball` a free
+vector of the objective, and the two sweeps return their per-sample
+quadratures and per-couple gaps; the caller summarizes and labels them.
+Both sweeps draw, smooth, expand and measure their samples a block at a
+time, ``_BLOCK`` values per block array, so each sample's numpy calls are
+shared across its block and memory stays bounded for any sample count;
+each sample's numbers are the bits it gets alone.
 """
 
 import numpy as np
@@ -28,9 +32,15 @@ GRADIENT_CHECK_STEP = 1e-2
 GRADIENT_DIRECTIONS = 20
 LAMBDAS = (2.0, 5.0, 10.0)  # the estimate probe's weight exponents, ascending
 BALL_RADIUS = 10.0  # data-norm radius of the sampling ball around the first guess
+# The sweeps' bound on the values in each block array (128 KiB of float64):
+# 3 test functions at h = 1/40 (their (lam, sample) sides), 3 couples at
+# h = 0.1 (their stacked pairs).  The sweeps' transient memory grows with
+# it: 400 couples and 200 samples grew the resident set by 0.5-0.6 MB at
+# this bound and by 1.4-1.5 MB at twice it.
+_BLOCK = 1 << 14
 
 
-def sample_test_function(grid, rng):
+def sample_test_function(grid, rng, stack=()):
     """Smoothed white noise on the medium rectangle, zeroed where required.
 
     ``SAMPLE_PASSES`` five-point averaging sweeps bound the discrete second
@@ -40,18 +50,22 @@ def sample_test_function(grid, rng):
     lam^3 exp(2 lam b^2), which swamps the interior integral for every
     O(1) sample; with the band the trace terms vanish exactly and all
     samples are usable.  A zero margin leaves the top trace live, and the
-    samples then exercise the exclusion rule instead.  Returns the
-    (n_x1, n_z) array.
+    samples then exercise the exclusion rule instead.  Returns a
+    ``stack + (n_x1, n_z)`` array of independent draws, ``stack`` a shape
+    tuple, which consume the stream as that many single draws in C order
+    do.
     """
-    u = rng.standard_normal((grid.x1.size, grid.z.size))
+    noise = rng.standard_normal((*stack, grid.x1.size, grid.z.size))
+    # The smoothing runs over the first two axes: the stack trails there.
+    u = np.ascontiguousarray(np.moveaxis(noise, (-2, -1), (0, 1)))
     for _ in range(SAMPLE_PASSES):
         u = smooth_pass(u)
-    u[0, :] = 0.0
-    u[-1, :] = 0.0
+    u[0] = 0.0
+    u[-1] = 0.0
     u[:, 0] = 0.0
     if TOP_MARGIN > 0.0:
         u[:, grid.z >= grid.geometry.slab_top - TOP_MARGIN - 1e-9] = 0.0
-    return u
+    return np.moveaxis(u, (0, 1), (-2, -1))
 
 
 def carleman_sides(u, lam, grid):
@@ -64,32 +78,37 @@ def carleman_sides(u, lam, grid):
       boundary = lam^3 w(b) (top-trace H1 norm^2 + normal-trace L2 norm^2).
 
     All derivatives are the shared second-order stencils, one-sided at
-    the faces; traces are taken along z = b.  Each side has the shape of
-    ``lam``, so an array of exponents shares one set of derivatives.  The
-    useful ratio is lhs / (interior - boundary) where the denominator is
-    positive, the sign every sample with a strong top trace loses.
+    the faces; traces are taken along z = b.  ``u`` is one sample or a
+    stack of them, shape (..., n_x1, n_z), and each side has the shape
+    ``lam.shape + stack``, so an array of exponents shares one set of
+    derivatives.  The useful ratio is lhs / (interior - boundary) where
+    the denominator is positive, the sign every sample with a strong top
+    trace loses.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 1.0):
         raise UsageError("weight exponent must be >= 1 for the estimate probe")
-    v = np.asarray(u, dtype=float)
-    if v.shape != (grid.x1.size, grid.z.size):
+    # C order fixes the summation order of each sample's quadratures.
+    v = np.ascontiguousarray(u, dtype=float)
+    if v.shape[-2:] != (grid.x1.size, grid.z.size):
         raise UsageError(f"sample shape {v.shape} does not match the spatial grid")
     h = grid.h
+    # each exponent against the whole stack
+    lam = lam.reshape(lam.shape + (1,) * (v.ndim - 2))
     k = lam[..., None, None]
     w = carleman_weight(grid.z, k)
     quad = trapezoid_weights(grid.x1.size, h)[:, None] * trapezoid_weights(grid.z.size, h)[None, :]
-    lap = second_diff_axis(v, h, 0) + second_diff_axis(v, h, 1)
+    lap = second_diff_axis(v, h, -2) + second_diff_axis(v, h, -1)
     lhs = np.sum(quad * w * lap * lap, axis=(-2, -1))
-    gx = diff_axis(v, h, 0)
-    gz = diff_axis(v, h, 1)
+    gx = diff_axis(v, h, -2)
+    gz = diff_axis(v, h, -1)
     interior = np.sum(quad * w * (k * (gx * gx + gz * gz) + k**3 * v * v), axis=(-2, -1))
-    top = v[:, -1]
-    dtop = diff_axis(top, h, 0)
-    dn = gz[:, -1]
+    top = v[..., -1]
+    dtop = diff_axis(top, h, -1)
+    dn = gz[..., -1]
     wx = trapezoid_weights(grid.x1.size, h)
     w_top = carleman_weight(grid.geometry.slab_top, lam)
-    boundary = lam**3 * w_top * float(np.sum(wx * (top * top + dtop * dtop + dn * dn)))
+    boundary = lam**3 * w_top * np.sum(wx * (top * top + dtop * dtop + dn * dn), axis=-1)
     return lhs, interior, boundary
 
 
@@ -109,9 +128,13 @@ def empirical_carleman_constant(samples, seed, grid):
         raise UsageError("need at least one sample")
     rng = stream(seed, "carleman-samples")
     lams = np.array(LAMBDAS)
-    draws = (sample_test_function(grid, rng) for _ in range(samples))
+    block = max(1, _BLOCK // (lams.size * grid.x1.size * grid.z.size))
     # each side as a (lam, sample) array
-    lhs, interior, boundary = np.array([carleman_sides(u, lams, grid) for u in draws]).transpose(1, 2, 0)
+    lhs, interior, boundary = np.empty((3, lams.size, samples))
+    for start in range(0, samples, block):
+        u = sample_test_function(grid, rng, (min(block, samples - start),))
+        end = start + len(u)
+        lhs[:, start:end], interior[:, start:end], boundary[:, start:end] = carleman_sides(u, lams, grid)
     den = interior - boundary
     ratio = np.divide(lhs, den, out=np.full_like(den, np.nan), where=den > 0.0)
     for lam, row in zip(LAMBDAS, ratio):
@@ -127,30 +150,47 @@ def _check_radius(radius):
 
 
 def sample_in_ball(objective, rng, radius=BALL_RADIUS):
-    """Free vector at a uniform data-norm distance from the first guess.
-
-    The perturbation is noise on the free block, smoothed by
-    ``BALL_PASSES`` averaging sweeps over the spatial axes; the data norm
-    is quadratic, so one exact rescale puts the full pair difference at
-    a radius drawn uniformly from (0, ``radius``].
-    """
+    """Free vector at a uniform data-norm distance from the first guess:
+    a block of one draw of :func:`_draws_in_ball`, which says how."""
     _check_radius(radius)
     base = objective.initial_guess()
-    return _draw_in_ball(objective, rng, radius, base, objective.apply_constraints(base))
+    return _draws_in_ball(objective, rng, radius, base, objective.apply_constraints(base), 1)[0]
 
 
-def _draw_in_ball(objective, rng, radius, base, p0):
-    """:func:`sample_in_ball` around ``base``, the first guess, whose full
-    pair ``p0`` a sweep computes once for all its draws."""
-    # Both fields' noise in one draw, smoothed together as a trailing axis.
-    d = np.moveaxis(rng.standard_normal((2, *objective.free_shape)), 0, -1)
+def _draws_in_ball(objective, rng, radius, base, p0, count):
+    """``count`` free vectors at uniform data-norm distances from ``base``,
+    the first guess, whose full pair ``p0`` a sweep computes once.
+
+    Each perturbation is noise on the free block, smoothed by
+    ``BALL_PASSES`` averaging sweeps over the spatial axes; the data norm
+    is quadratic, so one exact rescale puts the full pair difference at
+    a radius drawn uniformly from (0, ``radius``].  Per draw the stream
+    gives both fields' noise and then the radius, in that order.
+    """
+    # Both fields of every draw, smoothed together as trailing axes.
+    d = np.empty((*objective.free_shape, 2, count))
+    u = np.empty(count)
+    for i in range(count):
+        d[..., i] = np.moveaxis(rng.standard_normal((2, *objective.free_shape)), 0, -1)
+        u[i] = rng.random()
     for _ in range(BALL_PASSES):
         d = smooth_pass(d)
-    direction = np.moveaxis(d, -1, 0).ravel()
-    p1 = objective.apply_constraints(base + direction)
-    s = np.sqrt(objective.s_norm_sq_arrays(p1.p - p0.p, p1.q - p0.q))
-    r = radius * (1.0 - rng.random())
-    return base + (r / s) * direction
+    d = np.moveaxis(d, (-1, -2), (0, 1)).reshape(count, -1)
+    diff = objective.apply_constraints(base + d)
+    diff.p -= p0.p
+    diff.q -= p0.q
+    s = np.sqrt(objective.s_norm_sq_arrays(diff.p, diff.q))
+    r = radius * (1.0 - u)
+    return base + (r / s)[:, None] * d
+
+
+def _couple_norms(objective, f):
+    """Squared data norms of the full pair differences of the couples
+    (f[0], f[1]), (f[2], f[3]), ... of a stack of free vectors."""
+    pair = objective.apply_constraints(f)
+    pair.p[1::2] -= pair.p[0::2]
+    pair.q[1::2] -= pair.q[0::2]
+    return objective.s_norm_sq_arrays(pair.p[1::2], pair.q[1::2])
 
 
 def convexity_sweep(objective, count=100, seed=0, radius=BALL_RADIUS):
@@ -169,6 +209,8 @@ def convexity_sweep(objective, count=100, seed=0, radius=BALL_RADIUS):
     |v1 - v2| on free vectors (an empirical constant, never asserted
     against a specific value).  Draws come from the 'convexity-pairs'
     stream, so the result depends only on (objective, count, seed, radius).
+    Couples are drawn and their bounds taken a block at a time; J and its
+    gradient are one call per point.
     """
     if count < 1:
         raise UsageError("need at least one couple")
@@ -176,20 +218,20 @@ def convexity_sweep(objective, count=100, seed=0, radius=BALL_RADIUS):
     rng = stream(seed, "convexity-pairs")
     base = objective.initial_guess()
     p0 = objective.apply_constraints(base)
+    block = max(1, _BLOCK // (4 * int(np.prod(objective.grid.shape_medium))))
     out = np.empty((count, 4))
-    for i in range(count):
-        f1 = _draw_in_ball(objective, rng, radius, base, p0)
-        f2 = _draw_in_ball(objective, rng, radius, base, p0)
-        j1, g1 = objective.value_and_grad(f1)
-        j2, g2 = objective.value_and_grad(f2)
-        d = f2 - f1
-        out[i, 0] = j2 - j1 - float(g1 @ d)
-        out[i, 1] = j1 - j2 + float(g2 @ d)
-        p1 = objective.apply_constraints(f1)
-        p2 = objective.apply_constraints(f2)
-        out[i, 2] = objective.gamma * objective.s_norm_sq_arrays(p2.p - p1.p, p2.q - p1.q)
-        dn = float(np.linalg.norm(d))
-        out[i, 3] = float(np.linalg.norm(g2 - g1)) / dn if dn > 0 else 0.0
+    for start in range(0, count, block):
+        m = min(block, count - start)
+        f = _draws_in_ball(objective, rng, radius, base, p0, 2 * m)
+        out[start : start + m, 2] = objective.gamma * _couple_norms(objective, f)
+        for i, (f1, f2) in enumerate(zip(f[0::2], f[1::2]), start):
+            j1, g1 = objective.value_and_grad(f1)
+            j2, g2 = objective.value_and_grad(f2)
+            d = f2 - f1
+            out[i, 0] = j2 - j1 - float(g1 @ d)
+            out[i, 1] = j1 - j2 + float(g2 @ d)
+            dn = float(np.linalg.norm(d))
+            out[i, 3] = float(np.linalg.norm(g2 - g1)) / dn if dn > 0 else 0.0
     return out
 
 

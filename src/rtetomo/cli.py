@@ -268,10 +268,8 @@ def cmd_score(args):
         raise UsageError(str(exc) if str(path) in str(exc) else f"{path}: {exc}") from None
     path = run / "reconstruction.csv"
     rec = read_reconstruction(path)
-    # invert writes the step of its downsampled grid, h_forward * factor,
-    # which may differ from h_inverse in the last place.
     recorded = dict(vars(rec.grid.geometry), h_inverse=rec.grid.h, mu_s=rec.mu_s_value)
-    expected = {**vars(cfg), "h_inverse": cfg.h_forward * cfg.downsample_factor}
+    expected = {**vars(cfg), "h_inverse": cfg.inversion_step}
     _refuse_other_run(path, "reconstructed", recorded, expected)
     mask = make_phantom(cfg.letter, cfg.c_a, rec.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)

@@ -82,9 +82,13 @@ class RunConfig:
             raise UsageError("inversion step must be an integer multiple of the forward step")
         # Both grids must exist and suit their stencils, so a configuration
         # that `invert` would refuse is refused before `forward` writes anything.
-        for key, check in (("h_forward", check_acquisition_grid), ("h_inverse", check_inversion_grid)):
+        # The inversion grid checked is the one `invert` builds.
+        for key, step, check in (
+            ("h_forward", self.h_forward, check_acquisition_grid),
+            ("h_inverse", self.inversion_step, check_inversion_grid),
+        ):
             try:
-                check(GridSet.uniform(geometry, getattr(self, key)))
+                check(GridSet.uniform(geometry, step))
             except UsageError as exc:
                 raise UsageError(f"{key}={getattr(self, key)!r}: {exc}") from None
         check_weights(self.lam, self.gamma, self.epsilon)
@@ -102,6 +106,13 @@ class RunConfig:
     def downsample_factor(self):
         """Acquisition-to-inversion grid ratio (validated to be integral)."""
         return round(self.h_inverse / self.h_forward)
+
+    @property
+    def inversion_step(self):
+        """The step `invert` reconstructs on, h_forward times the factor: the
+        step of its downsampled grid, which may differ from h_inverse in
+        the last place."""
+        return self.h_forward * self.downsample_factor
 
 
 def geometry_of(config):

@@ -69,7 +69,7 @@ class PairField:
 
     def __post_init__(self):
         want = self.grid.shape_medium
-        if self.p.shape != want or self.q.shape != want:
+        if self.p.shape[-3:] != want or self.q.shape != self.p.shape:
             raise UsageError(f"pair shapes {self.p.shape}/{self.q.shape} do not match grid {want}")
 
 
@@ -210,23 +210,29 @@ class CarlemanObjective:
         return self._wres.copy()
 
     def _expand(self, free, f):
-        """Complete ``f``, a stacked (2, n1, nz, nk) pair holding the face
-        data, with the free block of a free vector and the eliminated layer
-        from the one-sided normal-derivative identity at the top."""
+        """Complete ``f``, a stacked (..., 2, n1, nz, nk) pair holding the
+        face data, with the free block of the free vectors ``free``, shape
+        (..., n_free), and the eliminated layer from the one-sided
+        normal-derivative identity at the top."""
         free = np.asarray(free, dtype=float)
-        if free.shape != (self.n_free,):
-            raise UsageError(f"free vector has shape {free.shape}, want ({self.n_free},)")
+        want = f.shape[:-4] + (self.n_free,)
+        if free.shape != want:
+            raise UsageError(f"free vector has shape {free.shape}, want {want}")
         nz = self.grid.z.size
-        f[:, 1:-1, 1 : nz - 2] = free.reshape(2, *self.free_shape)
-        f[:, 1:-1, nz - 2] = (self._top3 + f[:, 1:-1, nz - 3] - self._normal2h) / 4.0
+        f[..., 1:-1, 1 : nz - 2, :] = free.reshape(*want[:-1], 2, *self.free_shape)
+        f[..., 1:-1, nz - 2, :] = (self._top3 + f[..., 1:-1, nz - 3, :] - self._normal2h) / 4.0
         return f
 
     def apply_constraints(self, free):
         """Expand a free vector into the full pair satisfying the Dirichlet
-        data and the one-sided normal-derivative identity at the top."""
+        data and the one-sided normal-derivative identity at the top.  A
+        stack of free vectors, shape (..., n_free), gives a pair whose
+        fields have shape (..., n1, nz, nk)."""
+        free = np.asarray(free, dtype=float)
         # The faces of the work field hold the data; everything else is rewritten.
-        f = self._expand(free, self._w.field.reshape(self._shape).copy())
-        return PairField(f[0], f[1], self.grid)
+        field = np.broadcast_to(self._w.field.reshape(self._shape), free.shape[:-1] + self._shape)
+        p, q = np.moveaxis(self._expand(free, field.copy()), -4, 0)
+        return PairField(p, q, self.grid)
 
     def extract_free(self, pair):
         """Free vector of a pair (drops faces and the eliminated layer)."""
@@ -263,12 +269,15 @@ class CarlemanObjective:
         return f[:, self._sx + shift : f.shape[1] - self._sx + shift]
 
     def _apply_s(self, f, out, scratch):
-        """S f for a stacked (2, N) pair, written into ``out``: one matmul
-        along x1 and one along z, ``scratch`` holding the z term."""
-        n1 = self._shape[1]
-        xterm = np.matmul(self._gx, f.reshape(2, n1, -1), out=out.reshape(2, n1, -1))
+        """S f for a stacked (..., 2, N) pair, written into ``out``: one
+        matmul along x1 and one along z, ``scratch`` holding the z term.
+        Over leading stack axes matmul multiplies slice by slice, so each
+        point gets the bits it gets alone."""
+        full = f.shape[:-2] + self._shape
+        xshape = full[:-2] + (-1,)
+        xterm = np.matmul(self._gx, f.reshape(xshape), out=out.reshape(xshape))
         xterm *= self._wzk
-        zterm = np.matmul(self._gz, f.reshape(self._shape), out=scratch.reshape(self._shape))
+        zterm = np.matmul(self._gz, f.reshape(full), out=scratch.reshape(full))
         zterm *= self._wxk
         out += scratch
         return out
@@ -331,11 +340,19 @@ class CarlemanObjective:
         second differences stay undivided so curvature of the genuine
         log field is not penalized ahead of the residual term.  For the
         constant pair p = 1, q = 0 on the default geometry the value is
-        the measure of the medium-times-aperture box, exactly 1.  Works
+        the measure of the medium-times-aperture box, exactly 1.  A stack
+        of pairs, fields of shape (..., n1, nz, nk), gives an array of
+        shape (...) whose entries are each pair's norm to the bit.  Works
         on the gradient's scratch, so the memo is untouched.
         """
-        f = np.stack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)])
-        return float(np.vdot(f, self._apply_s(f, self._w.grad, self._w.zterm)))
+        f = np.stack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)], axis=-4)
+        stack = f.shape[:-4]
+        f = f.reshape(*stack, 2, -1)
+        if not stack:
+            return float(np.vdot(f, self._apply_s(f, self._w.grad, self._w.zterm)))
+        sf = self._apply_s(f, np.empty_like(f), np.empty_like(f))
+        flat = (-1, *f.shape[-2:])
+        return np.array([np.vdot(a, b) for a, b in zip(f.reshape(flat), sf.reshape(flat))]).reshape(stack)
 
     def value(self, free):
         return self._evaluate(free)

@@ -9,6 +9,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import UsageError
+
 
 def stream(seed, name):
     """Return a ``numpy.random.Generator`` for the consumer ``name``.
@@ -19,7 +21,7 @@ def stream(seed, name):
     platform and for any number of worker threads.
     """
     if not name:
-        raise ValueError("stream name must be a non-empty string")
+        raise UsageError("stream name must be a non-empty string")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = tuple(int(k) for k in np.frombuffer(digest[:16], dtype=np.uint32))
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)

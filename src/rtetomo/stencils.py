@@ -6,6 +6,8 @@ three-point formulas at the first and last node.
 
 import numpy as np
 
+from .errors import UsageError
+
 
 def diff_axis(f, h, axis):
     """First derivative along ``axis``: central inside, one-sided at the ends.
@@ -15,7 +17,7 @@ def diff_axis(f, h, axis):
     """
     f = np.asarray(f, dtype=float)
     if f.shape[axis] < 3:
-        raise ValueError("need at least three nodes to differentiate")
+        raise UsageError("need at least three nodes to differentiate")
     f = np.moveaxis(f, axis, 0)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
@@ -29,7 +31,7 @@ def second_diff_axis(f, h, axis):
     four-point one-sided formula (2 f0 - 5 f1 + 4 f2 - f3) / h^2 at the ends."""
     f = np.asarray(f, dtype=float)
     if f.shape[axis] < 4:
-        raise ValueError("need at least four nodes for the one-sided second derivative")
+        raise UsageError("need at least four nodes for the one-sided second derivative")
     f = np.moveaxis(f, axis, 0)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)

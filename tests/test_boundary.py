@@ -12,7 +12,8 @@ from rtetomo import (
 )
 from rtetomo.boundary import FACE_ORDER
 from rtetomo.forward import scatter_matrix
-from rtetomo.stencils import diff_axis
+from rtetomo.seeding import stream
+from rtetomo.stencils import diff_axis, second_diff_axis
 
 
 def test_extract_boundary_shapes_and_values(field10, grid10):
@@ -126,3 +127,15 @@ def test_downsample_factor_validation(boundary20, grid10):
         downsample_boundary(boundary20, 2.5)
     for factor in (2, 2.0):
         assert downsample_boundary(boundary20, factor).grid.h == grid10.h
+
+
+def test_short_axes_and_unnamed_streams_are_usage_errors():
+    # a 3-node axis has a first derivative but no one-sided second one
+    f = np.arange(12.0).reshape(3, 4)
+    assert diff_axis(f, 0.1, 0).shape == f.shape
+    with pytest.raises(UsageError, match="need at least four nodes"):
+        second_diff_axis(f, 0.1, 0)
+    with pytest.raises(UsageError, match="need at least three nodes"):
+        diff_axis(f[:2], 0.1, 0)
+    with pytest.raises(UsageError, match="stream name must be a non-empty string"):
+        stream(0, "")

@@ -1,6 +1,11 @@
 """Sampling probes of the weighted estimate and the convexity margin."""
 
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,8 @@ from rtetomo import (
 )
 from rtetomo import carleman
 from rtetomo.carleman import carleman_sides
-from rtetomo.stencils import smooth_pass
+from rtetomo.geometry import carleman_weight, trapezoid_weights
+from rtetomo.stencils import diff_axis, second_diff_axis, smooth_pass
 
 # Analytic quadratures of the three sides for
 # u = sin(pi (x + 1/2)) (z - 1)^2 at lam = 5, frozen from mpmath.
@@ -205,3 +211,190 @@ def test_gradient_check_catches_a_perturbed_gradient(objective10):
     assert errors.shape == (carleman.GRADIENT_DIRECTIONS,)
     assert errors.max() < 1e-5
     assert gradient_check(Perturbed(), seed=5).min() >= 1e-5
+
+
+# The probes draw and evaluate their samples a block at a time; what follows
+# are the per-sample algorithms they replace, kept as bit-for-bit oracles.
+
+
+def single_test_function(grid, rng):
+    u = rng.standard_normal((grid.x1.size, grid.z.size))
+    for _ in range(carleman.SAMPLE_PASSES):
+        u = smooth_pass(u)
+    u[0, :] = 0.0
+    u[-1, :] = 0.0
+    u[:, 0] = 0.0
+    u[:, grid.z >= grid.geometry.slab_top - carleman.TOP_MARGIN - 1e-9] = 0.0
+    return u
+
+
+def single_sides(v, lam, grid):
+    h = grid.h
+    k = lam[..., None, None]
+    w = carleman_weight(grid.z, k)
+    quad = trapezoid_weights(grid.x1.size, h)[:, None] * trapezoid_weights(grid.z.size, h)[None, :]
+    lap = second_diff_axis(v, h, 0) + second_diff_axis(v, h, 1)
+    lhs = np.sum(quad * w * lap * lap, axis=(-2, -1))
+    gx = diff_axis(v, h, 0)
+    gz = diff_axis(v, h, 1)
+    interior = np.sum(quad * w * (k * (gx * gx + gz * gz) + k**3 * v * v), axis=(-2, -1))
+    top = v[:, -1]
+    dtop = diff_axis(top, h, 0)
+    dn = gz[:, -1]
+    wx = trapezoid_weights(grid.x1.size, h)
+    w_top = carleman_weight(grid.geometry.slab_top, lam)
+    boundary = lam**3 * w_top * float(np.sum(wx * (top * top + dtop * dtop + dn * dn)))
+    return lhs, interior, boundary
+
+
+def single_draw_in_ball(objective, rng, radius, base, p0):
+    d = np.moveaxis(rng.standard_normal((2, *objective.free_shape)), 0, -1)
+    for _ in range(carleman.BALL_PASSES):
+        d = smooth_pass(d)
+    direction = np.moveaxis(d, -1, 0).ravel()
+    p1 = objective.apply_constraints(base + direction)
+    s = np.sqrt(objective.s_norm_sq_arrays(p1.p - p0.p, p1.q - p0.q))
+    r = radius * (1.0 - rng.random())
+    return base + (r / s) * direction
+
+
+def single_convexity_sweep(objective, count, seed, radius):
+    rng = stream(seed, "convexity-pairs")
+    base = objective.initial_guess()
+    p0 = objective.apply_constraints(base)
+    out = np.empty((count, 4))
+    for i in range(count):
+        f1 = single_draw_in_ball(objective, rng, radius, base, p0)
+        f2 = single_draw_in_ball(objective, rng, radius, base, p0)
+        j1, g1 = objective.value_and_grad(f1)
+        j2, g2 = objective.value_and_grad(f2)
+        d = f2 - f1
+        out[i, 0] = j2 - j1 - float(g1 @ d)
+        out[i, 1] = j1 - j2 + float(g2 @ d)
+        p1 = objective.apply_constraints(f1)
+        p2 = objective.apply_constraints(f2)
+        out[i, 2] = objective.gamma * objective.s_norm_sq_arrays(p2.p - p1.p, p2.q - p1.q)
+        dn = float(np.linalg.norm(d))
+        out[i, 3] = float(np.linalg.norm(g2 - g1)) / dn if dn > 0 else 0.0
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def test_estimate_probe_equals_single_draws(grid40):
+    # 50 samples over blocks of 3, so the last block is partial
+    rng = stream(7, "carleman-samples")
+    lams = np.array(carleman.LAMBDAS)
+    sides = [single_sides(single_test_function(grid40, rng), lams, grid40) for _ in range(50)]
+    lhs, interior, boundary = np.array(sides).transpose(1, 2, 0)
+    ratio = lhs / (interior - boundary)
+    expected = np.stack([lhs, interior, boundary, ratio], axis=-1)
+    assert_same_bits(empirical_carleman_constant(50, 7, grid40), expected)
+
+
+def test_stacked_test_functions_are_single_draws_in_order():
+    grid = small_grid()
+    stack = sample_test_function(grid, stream(1, "carleman-samples"), (2, 3))
+    assert stack.shape == (2, 3, grid.x1.size, grid.z.size)
+    rng = stream(1, "carleman-samples")
+    assert_same_bits(stack, np.array([single_test_function(grid, rng) for _ in range(6)]).reshape(stack.shape))
+    assert_same_bits(sample_test_function(grid, stream(1, "carleman-samples")), stack[0, 0])
+
+
+def test_sides_of_a_stack_are_the_sides_of_each_sample():
+    grid = small_grid()
+    stack = sample_test_function(grid, stream(2, "carleman-samples"), (2, 3))
+    lams = np.array(carleman.LAMBDAS)
+    sides = carleman_sides(stack, lams, grid)
+    for side in sides:
+        assert side.shape == (lams.size, 2, 3)
+    for i, j in np.ndindex(2, 3):
+        single = single_sides(stack[i, j], lams, grid)
+        for side, one in zip(sides, single):
+            assert_same_bits(side[:, i, j], one)
+    # a scalar exponent gives the stack's shape
+    assert carleman_sides(stack, 5.0, grid)[0].shape == (2, 3)
+
+
+def test_sides_refuse_a_stack_with_the_wrong_trailing_shape():
+    grid = small_grid()
+    stack = sample_test_function(grid, stream(0, "carleman-samples"), (2,))
+    with pytest.raises(UsageError, match="does not match the spatial grid"):
+        carleman_sides(stack[..., :-1], 5.0, grid)
+    with pytest.raises(UsageError, match="does not match the spatial grid"):
+        carleman_sides(np.moveaxis(stack, 0, -1), 5.0, grid)
+    with pytest.raises(UsageError, match="weight exponent"):
+        carleman_sides(stack, np.array([2.0, 0.5]), grid)
+
+
+@pytest.mark.parametrize("count", [9, 10])
+def test_convexity_sweep_equals_single_draws(objective10, count):
+    # a block of two or more couples divides at most one of the counts, so
+    # the other ends on a partial block
+    expected = single_convexity_sweep(objective10, count, 4, carleman.BALL_RADIUS)
+    assert_same_bits(convexity_sweep(objective10, count=count, seed=4), expected)
+
+
+def test_first_draw_of_a_block_is_sample_in_ball(objective10):
+    base = objective10.initial_guess()
+    p0 = objective10.apply_constraints(base)
+    block = carleman._draws_in_ball(objective10, stream(6, "convexity-pairs"), 3.0, base, p0, 5)
+    assert block.shape == (5, objective10.n_free)
+    rng = stream(6, "convexity-pairs")
+    assert_same_bits(sample_in_ball(objective10, rng, radius=3.0), block[0])
+    # and the rest of the block is the draws that follow it
+    rest = [single_draw_in_ball(objective10, rng, 3.0, base, p0) for _ in range(4)]
+    assert_same_bits(block[1:], np.array(rest))
+
+
+def test_stacked_constraints_and_s_norm_equal_their_slices(objective10):
+    rng = np.random.default_rng(8)
+    free = objective10.initial_guess() + rng.standard_normal((2, 3, objective10.n_free))
+    pair = objective10.apply_constraints(free)
+    assert pair.p.shape == pair.q.shape == (2, 3, *objective10.grid.shape_medium)
+    norms = objective10.s_norm_sq_arrays(pair.p, pair.q)
+    assert norms.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        one = objective10.apply_constraints(free[i, j])
+        assert_same_bits(pair.p[i, j], one.p)
+        assert_same_bits(pair.q[i, j], one.q)
+        assert norms[i, j] == objective10.s_norm_sq_arrays(one.p, one.q)
+    with pytest.raises(UsageError, match="free vector has shape"):
+        objective10.apply_constraints(free[..., :-1])
+
+
+def test_probes_grow_resident_memory_little():
+    # Blocks bound every array a probe allocates, whatever the count.  In a
+    # fresh interpreter, after one-sample warm-ups, 400 couples at h = 0.1
+    # and 200 samples at h = 1/40 grew ru_maxrss by 128-256 KB when each
+    # sample was drawn alone and by 512-640 KB drawn in blocks; the bound is
+    # the former plus 1 MB.
+    code = textwrap.dedent(
+        """
+        import resource
+        from rtetomo import (
+            CarlemanObjective, Geometry, GridSet, KernelModel, SourceModel, convexity_sweep,
+            derive_boundary_data, empirical_carleman_constant, extract_boundary, make_phantom, solve_forward,
+        )
+
+        grid = GridSet.uniform(Geometry(), 0.1)
+        kernel = KernelModel()
+        field = solve_forward(make_phantom("A", 5.0, grid), SourceModel.build(0.05), kernel, grid)
+        objective = CarlemanObjective(derive_boundary_data(extract_boundary(field), grid, kernel), kernel)
+        fine = GridSet.uniform(Geometry(), 1.0 / 40.0)
+        convexity_sweep(objective, count=1)
+        empirical_carleman_constant(1, 0, fine)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        convexity_sweep(objective, count=400)
+        empirical_carleman_constant(200, 0, fine)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """
+    )
+    paths = [str(Path(carleman.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    growth_kb = int(done.stdout)
+    assert growth_kb <= 256 + 1024

@@ -18,11 +18,15 @@ from rtetomo import (
     Geometry,
     GridSet,
     KernelModel,
+    PairField,
     Reconstruction,
     RunConfig,
     SourceModel,
     UsageError,
     config_hash,
+    derive_boundary_data,
+    downsample_boundary,
+    extract_boundary,
     load_config,
     make_phantom,
     solve_forward,
@@ -33,8 +37,10 @@ from rtetomo.serialize import (
     read_boundary,
     read_keyvalues,
     read_manifest,
+    read_pair,
     read_reconstruction,
     write_manifest,
+    write_pair,
     write_reconstruction,
 )
 
@@ -738,6 +744,27 @@ def test_score_accepts_the_step_invert_reconstructs_on(desk_run, tmp_path):
     write_reconstruction(moved, tmp_path / "reconstruction.csv")
     write_manifest(cfg, tmp_path / "manifest.txt")
     assert main(["score", "--run", str(tmp_path)]) == 0
+
+
+def test_config_checks_the_inversion_grid_invert_builds(monkeypatch, tmp_path):
+    steps = []
+    check = rtetomo.config.check_inversion_grid
+
+    def spy(grid):
+        steps.append(grid.h)
+        return check(grid)
+
+    monkeypatch.setattr(rtetomo.config, "check_inversion_grid", spy)
+    cfg = RunConfig(h_forward=1 / 70, h_inverse=0.1)
+    # the grid invert reconstructs on, as its pair.csv records it
+    fine = GridSet.uniform(cfg.geometry, cfg.h_forward)
+    data = derive_boundary_data(extract_boundary(np.ones(fine.shape_medium)), fine, cfg.kernel)
+    coarse = downsample_boundary(data, cfg.downsample_factor).grid
+    zeros = np.zeros(coarse.shape_medium)
+    write_pair(PairField(zeros, zeros, coarse), tmp_path / "pair.csv")
+    recorded = read_pair(tmp_path / "pair.csv").grid.h
+    assert steps == [recorded] == [cfg.inversion_step]
+    assert recorded != cfg.h_inverse
 
 
 def test_a_manifest_is_a_config_file(desk_run, tmp_path):
