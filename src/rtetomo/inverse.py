@@ -236,6 +236,8 @@ class CarlemanObjective:
 
     def extract_free(self, pair):
         """Free vector of a pair (drops faces and the eliminated layer)."""
+        if pair.p.ndim != 3:
+            raise UsageError(f"extract_free takes one pair, not a stack of shape {pair.p.shape[:-3]}")
         nz = self.grid.z.size
         return np.stack([pair.p, pair.q])[:, 1:-1, 1 : nz - 2].ravel()
 
@@ -342,17 +344,16 @@ class CarlemanObjective:
         constant pair p = 1, q = 0 on the default geometry the value is
         the measure of the medium-times-aperture box, exactly 1.  A stack
         of pairs, fields of shape (..., n1, nz, nk), gives an array of
-        shape (...) whose entries are each pair's norm to the bit.  Works
-        on the gradient's scratch, so the memo is untouched.
+        shape (...) whose entries are each pair's norm to the bit; one
+        pair gives a scalar.  The memo is untouched.
         """
         f = np.stack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)], axis=-4)
         stack = f.shape[:-4]
         f = f.reshape(*stack, 2, -1)
-        if not stack:
-            return float(np.vdot(f, self._apply_s(f, self._w.grad, self._w.zterm)))
         sf = self._apply_s(f, np.empty_like(f), np.empty_like(f))
         flat = (-1, *f.shape[-2:])
-        return np.array([np.vdot(a, b) for a, b in zip(f.reshape(flat), sf.reshape(flat))]).reshape(stack)
+        norms = [np.vdot(a, b) for a, b in zip(f.reshape(flat), sf.reshape(flat))]
+        return np.array(norms).reshape(stack)[()]
 
     def value(self, free):
         return self._evaluate(free)

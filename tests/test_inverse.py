@@ -140,6 +140,13 @@ def test_constraint_round_trip_is_exact(objective10):
     np.testing.assert_array_equal(objective10.extract_free(pair), free)
 
 
+def test_extract_free_refuses_a_stack(objective10):
+    free = objective10.initial_guess()
+    stacked = objective10.apply_constraints(np.stack([free, free]))
+    with pytest.raises(UsageError, match="one pair"):
+        objective10.extract_free(stacked)
+
+
 def test_expanded_pair_interpolates_the_data(objective10, boundary10):
     pair = objective10.apply_constraints(objective10.initial_guess())
     # the bottom and top rows carry the corners the side columns share
