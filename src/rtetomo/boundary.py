@@ -63,6 +63,12 @@ def extract_boundary(u):
     return {name: u[_FACE_NODES[name]].copy() for name in FACE_ORDER}
 
 
+def check_noise_level(delta):
+    """Refuse a noise level that is negative or not finite (NaN fails the comparison)."""
+    if not 0.0 <= delta < np.inf:
+        raise UsageError(f"noise level delta must be non-negative and finite, got {delta!r}")
+
+
 def add_noise(faces, delta, seed):
     """Multiplicative noise g -> g (1 + delta zeta), zeta uniform in [0, 1).
 
@@ -70,8 +76,7 @@ def add_noise(faces, delta, seed):
     face order, so the noisy data depend only on (seed, delta), not on
     call history.  delta = 0 returns copies unchanged.
     """
-    if delta < 0:
-        raise UsageError("noise level must be non-negative")
+    check_noise_level(delta)
     rng = stream(seed, "boundary-noise")
     out = {}
     for name in FACE_ORDER:
@@ -131,6 +136,7 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0)
     would bias the reconstruction near the top by about a_top / nu_n.
     """
     check_acquisition_grid(grid)
+    check_noise_level(delta)
     if delta > 0.0:
         faces = add_noise(faces, delta, seed)
     g1 = {}

@@ -12,8 +12,8 @@ Samples and results are plain arrays: :func:`sample_test_function`
 returns a stack of (n_x1, n_z) fields, :func:`sample_in_ball` a free
 vector of the objective, and the two sweeps return their per-sample
 quadratures and per-couple gaps; the caller summarizes and labels them.
-Both sweeps draw, smooth, expand and measure their samples a block at a
-time, ``_BLOCK`` values per block array, so each sample's numpy calls are
+Both sweeps draw, smooth and measure their samples a block at a time,
+``_BLOCK`` values per block array, so each sample's numpy calls are
 shared across its block and memory stays bounded for any sample count;
 each sample's numbers are the bits it gets alone.
 """
@@ -33,10 +33,10 @@ GRADIENT_DIRECTIONS = 20
 LAMBDAS = (2.0, 5.0, 10.0)  # the estimate probe's weight exponents, ascending
 BALL_RADIUS = 10.0  # data-norm radius of the sampling ball around the first guess
 # The sweeps' bound on the values in each block array (128 KiB of float64):
-# 3 test functions at h = 1/40 (their (lam, sample) sides), 3 couples at
-# h = 0.1 (their stacked pairs).  The sweeps' transient memory grows with
-# it: 400 couples and 200 samples grew the resident set by 0.5-0.6 MB at
-# this bound and by 1.4-1.5 MB at twice it.
+# 3 test functions at h = 1/40 (their (lam, sample) sides), 5 couples at
+# h = 0.1 (their free vectors).  The sweeps' transient memory grows with
+# it: 400 couples and 200 samples grew the resident set by 0.42-0.43 MB at
+# this bound and by 0.78 MB at twice it.
 _BLOCK = 1 << 14
 
 
@@ -124,8 +124,7 @@ def empirical_carleman_constant(samples, seed, grid):
     checking downstream is only that the minima stay positive once the
     exponent clears the empirical threshold, which is reported as data.
     """
-    if samples < 1:
-        raise UsageError("need at least one sample")
+    _check_count(samples, "samples")
     rng = stream(seed, "carleman-samples")
     lams = np.array(LAMBDAS)
     block = max(1, _BLOCK // (lams.size * grid.x1.size * grid.z.size))
@@ -143,6 +142,11 @@ def empirical_carleman_constant(samples, seed, grid):
     return np.stack([lhs, interior, boundary, ratio], axis=-1)
 
 
+def _check_count(count, name):
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise UsageError(f"{name} must be a positive integer, got {count!r}")
+
+
 def _check_radius(radius):
     # NaN fails both comparisons.
     if not 0.0 < radius < np.inf:
@@ -153,18 +157,18 @@ def sample_in_ball(objective, rng, radius=BALL_RADIUS):
     """Free vector at a uniform data-norm distance from the first guess:
     a block of one draw of :func:`_draws_in_ball`, which says how."""
     _check_radius(radius)
-    base = objective.initial_guess()
-    return _draws_in_ball(objective, rng, radius, base, objective.apply_constraints(base), 1)[0]
+    return _draws_in_ball(objective, rng, radius, objective.initial_guess(), 1)[0]
 
 
-def _draws_in_ball(objective, rng, radius, base, p0, count):
+def _draws_in_ball(objective, rng, radius, base, count):
     """``count`` free vectors at uniform data-norm distances from ``base``,
-    the first guess, whose full pair ``p0`` a sweep computes once.
+    the first guess.
 
     Each perturbation is noise on the free block, smoothed by
-    ``BALL_PASSES`` averaging sweeps over the spatial axes; the data norm
-    is quadratic, so one exact rescale puts the full pair difference at
-    a radius drawn uniformly from (0, ``radius``].  Per draw the stream
+    ``BALL_PASSES`` averaging sweeps over the spatial axes.  Its data norm,
+    that of the full pair difference it makes, is ``free_norm_sq`` of the
+    perturbation alone and quadratic, so one exact rescale puts it at a
+    radius drawn uniformly from (0, ``radius``].  Per draw the stream
     gives both fields' noise and then the radius, in that order.
     """
     # Both fields of every draw, smoothed together as trailing axes.
@@ -176,21 +180,9 @@ def _draws_in_ball(objective, rng, radius, base, p0, count):
     for _ in range(BALL_PASSES):
         d = smooth_pass(d)
     d = np.moveaxis(d, (-1, -2), (0, 1)).reshape(count, -1)
-    diff = objective.apply_constraints(base + d)
-    diff.p -= p0.p
-    diff.q -= p0.q
-    s = np.sqrt(objective.s_norm_sq_arrays(diff.p, diff.q))
+    s = np.sqrt(objective.free_norm_sq(d))
     r = radius * (1.0 - u)
     return base + (r / s)[:, None] * d
-
-
-def _couple_norms(objective, f):
-    """Squared data norms of the full pair differences of the couples
-    (f[0], f[1]), (f[2], f[3]), ... of a stack of free vectors."""
-    pair = objective.apply_constraints(f)
-    pair.p[1::2] -= pair.p[0::2]
-    pair.q[1::2] -= pair.q[0::2]
-    return objective.s_norm_sq_arrays(pair.p[1::2], pair.q[1::2])
 
 
 def convexity_sweep(objective, count=100, seed=0, radius=BALL_RADIUS):
@@ -212,18 +204,16 @@ def convexity_sweep(objective, count=100, seed=0, radius=BALL_RADIUS):
     Couples are drawn and their bounds taken a block at a time; J and its
     gradient are one call per point.
     """
-    if count < 1:
-        raise UsageError("need at least one couple")
+    _check_count(count, "count")
     _check_radius(radius)
     rng = stream(seed, "convexity-pairs")
     base = objective.initial_guess()
-    p0 = objective.apply_constraints(base)
-    block = max(1, _BLOCK // (4 * int(np.prod(objective.grid.shape_medium))))
+    block = max(1, _BLOCK // (2 * objective.n_free))
     out = np.empty((count, 4))
     for start in range(0, count, block):
         m = min(block, count - start)
-        f = _draws_in_ball(objective, rng, radius, base, p0, 2 * m)
-        out[start : start + m, 2] = objective.gamma * _couple_norms(objective, f)
+        f = _draws_in_ball(objective, rng, radius, base, 2 * m)
+        out[start : start + m, 2] = objective.gamma * objective.free_norm_sq(f[1::2] - f[0::2])
         for i, (f1, f2) in enumerate(zip(f[0::2], f[1::2]), start):
             j1, g1 = objective.value_and_grad(f1)
             j2, g2 = objective.value_and_grad(f2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
-from .boundary import check_acquisition_grid
+from .boundary import check_acquisition_grid, check_noise_level
 from .errors import UsageError
 from .forward import KernelModel, SourceModel, check_source_radius
 from .geometry import Geometry, GridSet
@@ -92,8 +92,7 @@ class RunConfig:
             except UsageError as exc:
                 raise UsageError(f"{key}={getattr(self, key)!r}: {exc}") from None
         check_weights(self.lam, self.gamma, self.epsilon)
-        if self.delta < 0:
-            raise UsageError("noise level delta must be non-negative")
+        check_noise_level(self.delta)
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
         if not self.out:

@@ -69,7 +69,7 @@ class PairField:
 
     def __post_init__(self):
         want = self.grid.shape_medium
-        if self.p.shape[-3:] != want or self.q.shape != self.p.shape:
+        if self.p.shape != want or self.q.shape != want:
             raise UsageError(f"pair shapes {self.p.shape}/{self.q.shape} do not match grid {want}")
 
 
@@ -103,11 +103,11 @@ def _difference_gram(n, h):
 
 
 def _pencil(a, b):
-    """Eigenvalues lam and basis V of the symmetric pencil (a, diag(b)):
-    V^T a V = diag(lam) and V^T diag(b) V = I."""
+    """Eigenvalues lam, basis V and its inverse V^T diag(b) of the symmetric
+    pencil (a, diag(b)): V^T a V = diag(lam) and V^T diag(b) V = I."""
     root = np.sqrt(b)
     lam, vec = np.linalg.eigh(a / root[:, None] / root[None, :])
-    return lam, vec / root[:, None]
+    return lam, vec / root[:, None], vec.T * root
 
 
 class CarlemanObjective:
@@ -176,12 +176,13 @@ class CarlemanObjective:
         #   wa[k] [Gx|free (x) L^T Wz L + Wx|free (x) L^T Gz L],
         # L the lift of the free z rows to the column (the eliminated row is
         # 1/4 of the last free one), so L^T Wz L is diagonal.  Both 1-D
-        # pencils are diagonalized once (fast diagonalization).
+        # pencils are diagonalized once (fast diagonalization); in the pencil
+        # coordinates (Vx^-1 (x) Vz^-1) f of a free vector f, M is diagonal.
         lift = np.zeros((nz, nz - 3))
         lift[1 : nz - 2] = np.eye(nz - 3)
         lift[nz - 2, -1] = 0.25
-        lamx, self._vx = _pencil(self._gx[1:-1, 1:-1], wx[1:-1])
-        lamz, self._vz = _pencil(lift.T @ self._gz @ lift, (lift * lift).T @ wz)
+        lamx, self._vx, self._vx_inv = _pencil(self._gx[1:-1, 1:-1], wx[1:-1])
+        lamz, self._vz, self._vz_inv = _pencil(lift.T @ self._gz @ lift, (lift * lift).T @ wz)
         self._m_inv = 1.0 / ((lamx[:, None, None] + lamz[:, None]) * wa)
 
         # Memo: the field and its Sf, its residual r (row 0 R1, row 1 R2) and
@@ -210,34 +211,26 @@ class CarlemanObjective:
         return self._wres.copy()
 
     def _expand(self, free, f):
-        """Complete ``f``, a stacked (..., 2, n1, nz, nk) pair holding the
-        face data, with the free block of the free vectors ``free``, shape
-        (..., n_free), and the eliminated layer from the one-sided
-        normal-derivative identity at the top."""
+        """Complete ``f``, a stacked (2, n1, nz, nk) pair holding the face
+        data, with the free block of a free vector and the eliminated layer
+        from the one-sided normal-derivative identity at the top."""
         free = np.asarray(free, dtype=float)
-        want = f.shape[:-4] + (self.n_free,)
-        if free.shape != want:
-            raise UsageError(f"free vector has shape {free.shape}, want {want}")
+        if free.shape != (self.n_free,):
+            raise UsageError(f"free vector has shape {free.shape}, want ({self.n_free},)")
         nz = self.grid.z.size
-        f[..., 1:-1, 1 : nz - 2, :] = free.reshape(*want[:-1], 2, *self.free_shape)
-        f[..., 1:-1, nz - 2, :] = (self._top3 + f[..., 1:-1, nz - 3, :] - self._normal2h) / 4.0
+        f[:, 1:-1, 1 : nz - 2] = free.reshape(2, *self.free_shape)
+        f[:, 1:-1, nz - 2] = (self._top3 + f[:, 1:-1, nz - 3] - self._normal2h) / 4.0
         return f
 
     def apply_constraints(self, free):
         """Expand a free vector into the full pair satisfying the Dirichlet
-        data and the one-sided normal-derivative identity at the top.  A
-        stack of free vectors, shape (..., n_free), gives a pair whose
-        fields have shape (..., n1, nz, nk)."""
-        free = np.asarray(free, dtype=float)
+        data and the one-sided normal-derivative identity at the top."""
         # The faces of the work field hold the data; everything else is rewritten.
-        field = np.broadcast_to(self._w.field.reshape(self._shape), free.shape[:-1] + self._shape)
-        p, q = np.moveaxis(self._expand(free, field.copy()), -4, 0)
-        return PairField(p, q, self.grid)
+        f = self._expand(free, self._w.field.reshape(self._shape).copy())
+        return PairField(f[0], f[1], self.grid)
 
     def extract_free(self, pair):
         """Free vector of a pair (drops faces and the eliminated layer)."""
-        if pair.p.ndim != 3:
-            raise UsageError(f"extract_free takes one pair, not a stack of shape {pair.p.shape[:-3]}")
         nz = self.grid.z.size
         return np.stack([pair.p, pair.q])[:, 1:-1, 1 : nz - 2].ravel()
 
@@ -271,15 +264,12 @@ class CarlemanObjective:
         return f[:, self._sx + shift : f.shape[1] - self._sx + shift]
 
     def _apply_s(self, f, out, scratch):
-        """S f for a stacked (..., 2, N) pair, written into ``out``: one
-        matmul along x1 and one along z, ``scratch`` holding the z term.
-        Over leading stack axes matmul multiplies slice by slice, so each
-        point gets the bits it gets alone."""
-        full = f.shape[:-2] + self._shape
-        xshape = full[:-2] + (-1,)
-        xterm = np.matmul(self._gx, f.reshape(xshape), out=out.reshape(xshape))
+        """S f for a stacked (2, N) pair, written into ``out``: one matmul
+        along x1 and one along z, ``scratch`` holding the z term."""
+        n1 = self._shape[1]
+        xterm = np.matmul(self._gx, f.reshape(2, n1, -1), out=out.reshape(2, n1, -1))
         xterm *= self._wzk
-        zterm = np.matmul(self._gz, f.reshape(full), out=scratch.reshape(full))
+        zterm = np.matmul(self._gz, f.reshape(self._shape), out=scratch.reshape(self._shape))
         zterm *= self._wxk
         out += scratch
         return out
@@ -342,18 +332,27 @@ class CarlemanObjective:
         second differences stay undivided so curvature of the genuine
         log field is not penalized ahead of the residual term.  For the
         constant pair p = 1, q = 0 on the default geometry the value is
-        the measure of the medium-times-aperture box, exactly 1.  A stack
-        of pairs, fields of shape (..., n1, nz, nk), gives an array of
-        shape (...) whose entries are each pair's norm to the bit; one
-        pair gives a scalar.  The memo is untouched.
+        the measure of the medium-times-aperture box, exactly 1.  Works
+        on the gradient's scratch, so the memo is untouched.
         """
-        f = np.stack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)], axis=-4)
-        stack = f.shape[:-4]
-        f = f.reshape(*stack, 2, -1)
-        sf = self._apply_s(f, np.empty_like(f), np.empty_like(f))
-        flat = (-1, *f.shape[-2:])
-        norms = [np.vdot(a, b) for a, b in zip(f.reshape(flat), sf.reshape(flat))]
-        return np.array(norms).reshape(stack)[()]
+        f = np.stack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)])
+        return float(np.vdot(f, self._apply_s(f, self._w.grad, self._w.zterm)))
+
+    def free_norm_sq(self, d):
+        """d.Md for free vectors ``d``, shape (..., n_free), M the S-norm's
+        Gram matrix on the free block: the squared S-norm of the pair
+        difference d makes.  Summed in the pencil coordinates of
+        ``precondition``, where M is diagonal; each vector of a stack gets
+        the bits it gets alone, and the memo is untouched."""
+        d = np.asarray(d, dtype=float)
+        stack = d.shape[:-1]
+        if d.shape[-1:] != (self.n_free,):
+            raise UsageError(f"free vector has shape {d.shape}, want (..., {self.n_free})")
+        n = self.free_shape[0]
+        y = self._vz_inv @ (self._vx_inv @ d.reshape(*stack, 2, n, -1)).reshape(*stack, 2, *self.free_shape)
+        y *= y
+        y /= self._m_inv
+        return np.sum(y.reshape(*stack, -1), axis=-1)
 
     def value(self, free):
         return self._evaluate(free)

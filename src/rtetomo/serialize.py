@@ -426,8 +426,6 @@ def read_iterations(path):
 
 def write_pair(pair, path, meta=None):
     """Nodal log-field pair on the inversion grid, one row per node."""
-    if pair.p.ndim != 3:
-        raise UsageError(f"write_pair takes one pair, not a stack of shape {pair.p.shape[:-3]}")
     g = pair.grid
     i, j, k = np.indices(g.shape_medium)
     cells = [i, j, k, g.x1[i], g.z[j], g.alpha[k], pair.p, pair.q]

@@ -48,6 +48,17 @@ def test_add_noise_zero_level_copies(field10):
         add_noise(faces, -0.01, seed=0)
 
 
+@pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
+def test_noise_level_must_be_finite_and_non_negative(field10, grid10, kernel, delta):
+    # unrefused, derive_boundary_data would return noiseless traces that
+    # record the bad delta, and write_boundary would write it out
+    faces = extract_boundary(field10)
+    with pytest.raises(UsageError, match="noise level delta must be non-negative and finite"):
+        derive_boundary_data(faces, grid10, kernel, delta=delta)
+    with pytest.raises(UsageError, match="noise level delta must be non-negative and finite"):
+        add_noise(faces, delta, seed=0)
+
+
 def test_derive_applies_the_requested_noise(field10, grid10, kernel):
     faces = extract_boundary(field10)
     clean = derive_boundary_data(faces, grid10, kernel)

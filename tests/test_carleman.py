@@ -124,10 +124,13 @@ def test_free_top_samples_are_all_excluded(monkeypatch):
         empirical_carleman_constant(3, 0, grid)
 
 
-def test_sweep_argument_validation():
-    grid = small_grid()
-    with pytest.raises(UsageError):
-        empirical_carleman_constant(0, 0, grid)
+def test_sweep_argument_validation(objective10):
+    # a count must be a positive integer, as minimize's max_iters must be
+    for count in (0, 2.5):
+        with pytest.raises(UsageError, match="samples must be a positive integer"):
+            empirical_carleman_constant(count, 0, small_grid())
+        with pytest.raises(UsageError, match="count must be a positive integer"):
+            convexity_sweep(objective10, count=count)
 
 
 def test_forward_and_reverse_gaps_sum_to_the_gradient_jump(objective10):
@@ -247,13 +250,12 @@ def single_sides(v, lam, grid):
     return lhs, interior, boundary
 
 
-def single_draw_in_ball(objective, rng, radius, base, p0):
+def single_draw_in_ball(objective, rng, radius, base):
     d = np.moveaxis(rng.standard_normal((2, *objective.free_shape)), 0, -1)
     for _ in range(carleman.BALL_PASSES):
         d = smooth_pass(d)
     direction = np.moveaxis(d, -1, 0).ravel()
-    p1 = objective.apply_constraints(base + direction)
-    s = np.sqrt(objective.s_norm_sq_arrays(p1.p - p0.p, p1.q - p0.q))
+    s = np.sqrt(objective.free_norm_sq(direction))
     r = radius * (1.0 - rng.random())
     return base + (r / s) * direction
 
@@ -261,19 +263,16 @@ def single_draw_in_ball(objective, rng, radius, base, p0):
 def single_convexity_sweep(objective, count, seed, radius):
     rng = stream(seed, "convexity-pairs")
     base = objective.initial_guess()
-    p0 = objective.apply_constraints(base)
     out = np.empty((count, 4))
     for i in range(count):
-        f1 = single_draw_in_ball(objective, rng, radius, base, p0)
-        f2 = single_draw_in_ball(objective, rng, radius, base, p0)
+        f1 = single_draw_in_ball(objective, rng, radius, base)
+        f2 = single_draw_in_ball(objective, rng, radius, base)
         j1, g1 = objective.value_and_grad(f1)
         j2, g2 = objective.value_and_grad(f2)
         d = f2 - f1
         out[i, 0] = j2 - j1 - float(g1 @ d)
         out[i, 1] = j1 - j2 + float(g2 @ d)
-        p1 = objective.apply_constraints(f1)
-        p2 = objective.apply_constraints(f2)
-        out[i, 2] = objective.gamma * objective.s_norm_sq_arrays(p2.p - p1.p, p2.q - p1.q)
+        out[i, 2] = objective.gamma * objective.free_norm_sq(d)
         dn = float(np.linalg.norm(d))
         out[i, 3] = float(np.linalg.norm(g2 - g1)) / dn if dn > 0 else 0.0
     return out
@@ -340,37 +339,20 @@ def test_convexity_sweep_equals_single_draws(objective10, count):
 
 def test_first_draw_of_a_block_is_sample_in_ball(objective10):
     base = objective10.initial_guess()
-    p0 = objective10.apply_constraints(base)
-    block = carleman._draws_in_ball(objective10, stream(6, "convexity-pairs"), 3.0, base, p0, 5)
+    block = carleman._draws_in_ball(objective10, stream(6, "convexity-pairs"), 3.0, base, 5)
     assert block.shape == (5, objective10.n_free)
     rng = stream(6, "convexity-pairs")
     assert_same_bits(sample_in_ball(objective10, rng, radius=3.0), block[0])
     # and the rest of the block is the draws that follow it
-    rest = [single_draw_in_ball(objective10, rng, 3.0, base, p0) for _ in range(4)]
+    rest = [single_draw_in_ball(objective10, rng, 3.0, base) for _ in range(4)]
     assert_same_bits(block[1:], np.array(rest))
-
-
-def test_stacked_constraints_and_s_norm_equal_their_slices(objective10):
-    rng = np.random.default_rng(8)
-    free = objective10.initial_guess() + rng.standard_normal((2, 3, objective10.n_free))
-    pair = objective10.apply_constraints(free)
-    assert pair.p.shape == pair.q.shape == (2, 3, *objective10.grid.shape_medium)
-    norms = objective10.s_norm_sq_arrays(pair.p, pair.q)
-    assert norms.shape == (2, 3)
-    for i, j in np.ndindex(2, 3):
-        one = objective10.apply_constraints(free[i, j])
-        assert_same_bits(pair.p[i, j], one.p)
-        assert_same_bits(pair.q[i, j], one.q)
-        assert norms[i, j] == objective10.s_norm_sq_arrays(one.p, one.q)
-    with pytest.raises(UsageError, match="free vector has shape"):
-        objective10.apply_constraints(free[..., :-1])
 
 
 def test_probes_grow_resident_memory_little():
     # Blocks bound every array a probe allocates, whatever the count.  In a
     # fresh interpreter, after one-sample warm-ups, 400 couples at h = 0.1
     # and 200 samples at h = 1/40 grew ru_maxrss by 128-256 KB when each
-    # sample was drawn alone and by 512-640 KB drawn in blocks; the bound is
+    # sample was drawn alone and by 424-640 KB drawn in blocks; the bound is
     # the former plus 1 MB.
     code = textwrap.dedent(
         """

@@ -109,6 +109,12 @@ def test_objective_refuses_tiny_grids(geometry, kernel):
 def test_free_vector_shape_guard(objective10):
     with pytest.raises(UsageError):
         objective10.value(np.zeros(3))
+    free = objective10.initial_guess()
+    for method in (objective10.apply_constraints, objective10.free_norm_sq):
+        with pytest.raises(UsageError, match="free vector has shape"):
+            method(free[:-1])
+    with pytest.raises(UsageError, match="free vector has shape"):
+        objective10.free_norm_sq(np.stack([free, free]).T)
 
 
 def test_s_norm_of_unit_constant_is_one(objective10, grid10):
@@ -138,13 +144,6 @@ def test_constraint_round_trip_is_exact(objective10):
     free = objective10.initial_guess()
     pair = objective10.apply_constraints(free)
     np.testing.assert_array_equal(objective10.extract_free(pair), free)
-
-
-def test_extract_free_refuses_a_stack(objective10):
-    free = objective10.initial_guess()
-    stacked = objective10.apply_constraints(np.stack([free, free]))
-    with pytest.raises(UsageError, match="one pair"):
-        objective10.extract_free(stacked)
 
 
 def test_expanded_pair_interpolates_the_data(objective10, boundary10):
@@ -238,6 +237,24 @@ def test_s_norm_matches_the_einsum_reference(request, boundary20, kernel, step):
         )
 
 
+@pytest.mark.parametrize("step", [0.1, 0.05, "uneven"])
+def test_free_norm_is_the_s_norm_of_the_pair_difference(request, boundary20, kernel, step):
+    if step == 0.05:
+        objective = CarlemanObjective(boundary20, kernel)
+    else:
+        objective = request.getfixturevalue("objective10" if step == 0.1 else "objective_uneven")
+    rng = np.random.default_rng(6)
+    x = objective.initial_guess()
+    a, b = x + rng.standard_normal((2, 3, objective.n_free))
+    norms = objective.free_norm_sq(b - a)
+    assert norms.shape == (3,)
+    for ai, bi, norm in zip(a, b, norms):
+        pa, pb = objective.apply_constraints(ai), objective.apply_constraints(bi)
+        np.testing.assert_allclose(norm, objective.s_norm_sq_arrays(pb.p - pa.p, pb.q - pa.q), rtol=1e-13)
+        # a stacked vector gets the bits it gets alone
+        assert norm == objective.free_norm_sq(bi - ai)
+
+
 def test_descent_evaluates_each_point_once(boundary10, kernel, monkeypatch):
     """One residual pass per distinct point: the gradient at an accepted
     trial reuses the pass its line search made, and a free vector changed
@@ -276,10 +293,14 @@ def test_descent_evaluates_each_point_once(boundary10, kernel, monkeypatch):
     jfresh, gfresh = fresh.value_and_grad(free.copy())
     assert jval == jfresh
     np.testing.assert_array_equal(grad, gfresh)
-    # The public S-norm shares the evaluation's scratch, not its memo.
+    # The public S-norms share the evaluation's scratch, not its memo: the
+    # next evaluation at the same point makes no residual pass.
+    passes = len(fields)
     pair = objective.apply_constraints(free)
     objective.s_norm_sq_arrays(2.0 * pair.p, 3.0 * pair.q)
+    objective.free_norm_sq(np.stack([free, 2.0 * free]))
     jagain, gagain = objective.value_and_grad(free)
+    assert len(fields) == passes
     assert jagain == jval
     np.testing.assert_array_equal(gagain, grad)
 
@@ -345,6 +366,7 @@ def test_precondition_solves_the_s_gram_system(objective10, objective_uneven):
             pairs = (objective.apply_constraints(x + t * d) for t in (1.0, -1.0, 0.0))
             plus, minus, mid = (objective.s_norm_sq_arrays(f.p, f.q) for f in pairs)
             np.testing.assert_allclose(plus + minus - 2.0 * mid, 2.0 * (d @ r), rtol=1e-12)
+            np.testing.assert_allclose(objective.free_norm_sq(d), d @ r, rtol=1e-12)
 
 
 @pytest.mark.parametrize("step, grad_tol, max_steps", [(0.05, 1e-5, 60), (0.1, 1e-8, 40)])

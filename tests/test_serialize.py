@@ -139,14 +139,6 @@ def test_pair_round_trip_is_bit_exact(objective10, tmp_path):
     assert back.grid.shape_medium == pair.grid.shape_medium
 
 
-def test_write_pair_refuses_a_stack(objective10, tmp_path):
-    free = objective10.initial_guess()
-    stacked = objective10.apply_constraints(np.stack([free, free]))
-    with pytest.raises(UsageError, match="one pair"):
-        write_pair(stacked, tmp_path / "pair.csv")
-    assert not (tmp_path / "pair.csv").exists()
-
-
 def test_reconstruction_round_trip_is_bit_exact(objective10, kernel, tmp_path):
     pair = objective10.apply_constraints(objective10.initial_guess())
     rec = recover_attenuation(pair, kernel)
