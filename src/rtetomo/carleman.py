@@ -171,12 +171,14 @@ def _draws_in_ball(objective, rng, radius, base, count):
     radius drawn uniformly from (0, ``radius``].  Per draw the stream
     gives both fields' noise and then the radius, in that order.
     """
-    # Both fields of every draw, smoothed together as trailing axes.
-    d = np.empty((*objective.free_shape, 2, count))
+    # Each draw fills its own contiguous block; the blocks' axes move once,
+    # so both fields of every draw are smoothed together as trailing axes.
+    noise = np.empty((count, 2, *objective.free_shape))
     u = np.empty(count)
     for i in range(count):
-        d[..., i] = np.moveaxis(rng.standard_normal((2, *objective.free_shape)), 0, -1)
+        rng.standard_normal(out=noise[i])
         u[i] = rng.random()
+    d = np.ascontiguousarray(np.moveaxis(noise, (0, 1), (-1, -2)))
     for _ in range(BALL_PASSES):
         d = smooth_pass(d)
     d = np.moveaxis(d, (-1, -2), (0, 1)).reshape(count, -1)

@@ -45,6 +45,13 @@ a shorter ray's leading columns repeat its first sample with trapezoid
 weight 0, and every other step of the march is elementwise or runs along
 one ray, so no ray's result depends on the order of the targets.
 
+What the rays share at every height is set up once per solve
+(:class:`_Rays`): their (target, source) indices, horizontal offsets and
+offset groups, the zero columns that widen the medium to hold every
+sample's corners, and the widened attenuation.  :func:`solve_forward`
+keeps one widened scattering density and writes each row's into it in
+place once the row is solved, for the marches of the rows above.
+
 The ballistic term u0 aims its rays at the nodes as
 :func:`~rtetomo.geometry._ray_lattice` places them: a uniform grid over
 the rays' rectangle with the medium's step.  They differ from ``grid.z``
@@ -63,12 +70,13 @@ only the bilinear corners and the step with the production march, so the
 two solvers check each other's quadrature.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .geometry import _ray_lattice, trapezoid_weights
+from .geometry import GridSet, _ray_lattice, trapezoid_weights
 
 _PROFILE_TABLE_N = 8193
 # int_0^1 t exp(t^2 / (t^2 - 1)) dt = (1 - e E_1(1)) / 2 = 0.20182631883840296...
@@ -222,6 +230,53 @@ _CHUNK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
+class _Rays:
+    """What the rays from every source abscissa to the targets at
+    abscissae ``tx`` share at every height (see :func:`_march_row`).
+
+    Ray ``t * n_alpha + k`` runs from source k to target t; ``dxr`` is its
+    horizontal offset and ``offset`` that offset's label.  ``pad`` zero
+    columns on each side of the medium hold every sample's corners (all
+    lie between a source and a target), one to spare; ``atten`` is the
+    flat attenuation widened by them.
+    """
+
+    grid: GridSet
+    tx: np.ndarray
+    ray_t: np.ndarray
+    ray_k: np.ndarray
+    dxr: np.ndarray
+    offset: np.ndarray
+    pad: int
+    atten: np.ndarray
+
+    @classmethod
+    def build(cls, tx, atten, grid):
+        """The rays to ``tx`` through the nodal attenuation ``atten`` (n1, nz)."""
+        if atten.shape != grid.shape_medium[:2]:
+            raise UsageError("attenuation shape disagrees with the grid")
+        alpha, h = grid.alpha, grid.h
+        beyond = max(grid.x1[0] - min(tx.min(), alpha[0]), max(tx.max(), alpha[-1]) - grid.x1[-1], 0.0)
+        pad = int(np.ceil(beyond / h)) + 2
+        ray_t, ray_k = np.divmod(np.arange(tx.size * alpha.size), alpha.size)
+        dxr = (tx[:, None] - alpha).ravel()
+        _, offset = np.unique(np.rint(dxr * (1e9 / h)), return_inverse=True)
+        widened = np.pad(atten, ((pad, pad), (0, 0))).ravel()
+        return cls(grid, tx, ray_t, ray_k, dxr, offset, pad, widened)
+
+
+def _interpolate(field, idx, corners):
+    """The bilinear interpolant of the flat ``field`` at samples whose
+    lower-left nodes are ``idx``, its (offset, weight) ``corners`` summed in
+    place in their order."""
+    (off, cw), *rest = corners
+    out = cw * np.take(field[off:], idx)
+    for off, cw in rest:
+        out += cw * np.take(field[off:], idx)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class _RowRays:
     """The rays from every source abscissa to the targets of one row.
 
@@ -239,47 +294,40 @@ class _RowRays:
     block: np.ndarray = None
 
 
-def _march_row(tx, tz, atten, grid, vt=None):
-    """March the rays from every source abscissa to the targets at
-    abscissae ``tx`` and height ``tz``; returns their :class:`_RowRays`.
+def _march_row(rays, tz, vt=None):
+    """March the :class:`_Rays` ``rays`` to the targets at height ``tz``;
+    returns their :class:`_RowRays`.
 
-    ``atten`` (n1, nz) is the nodal attenuation.  Each ray takes the
-    closest step to :func:`default_ds` that divides its segment above the
-    medium floor evenly, ``max(ceil(seg / ds) + 1, 2)`` samples.  Rays
-    with the same horizontal offset from source to target and the same
-    sample count have the same samples up to a shift of whole columns (the
-    sources lie on a lattice of step h), so the samples, their
+    Each ray takes the closest step to :func:`default_ds` that divides its
+    segment above the medium floor evenly, ``max(ceil(seg / ds) + 1, 2)``
+    samples.  Rays with the same horizontal offset from source to target
+    and the same sample count have the same samples up to a shift of whole
+    columns (the sources lie on a lattice of step h), so the samples, their
     :func:`_bilinear_corners` and trapezoid weights are computed once per
     such group and shifted; each ray then gathers its own attenuation for
     c.  A row's rays are aligned at their last samples, and the columns
     before a shorter ray's first sample repeat it with trapezoid weight 0.
 
-    With the nodal scattering density ``vt`` (n_alpha, n1, nz), each
-    sample's weight trap * c(s) / c(end) is also dotted with the bilinear
-    interpolant of the density of its source, giving ``below``, and the
-    weights that the samples in the last cell band put on the target's
-    z-row are summed into ``block``.  The row solve passes ``vt`` while
-    the rows from the targets' up are still zero, so ``below`` sums only
-    the rows below; the weights on the row above (at most about 1e-16,
-    rounding in the z of a ray's last sample) are dropped.
+    With the widened nodal scattering density ``vt`` (n_alpha, n1 + 2 pad,
+    nz), each sample's weight trap * c(s) / c(end) is also dotted with the
+    bilinear interpolant of the density of its source, giving ``below``,
+    and the weights that the samples in the last cell band put on the
+    target's z-row are summed into ``block``.  The row solve passes ``vt``
+    while the rows from the targets' up are still zero, so ``below`` sums
+    only the rows below; the weights on the row above (at most about
+    1e-16, rounding in the z of a ray's last sample) are dropped.
     """
-    if atten.shape != grid.shape_medium[:2]:
-        raise UsageError("attenuation shape disagrees with the grid")
-    n1, nz = atten.shape
+    grid, pad = rays.grid, rays.pad
+    n1, nz = grid.shape_medium[:2]
+    n1w = n1 + 2 * pad
     alpha, h = grid.alpha, grid.h
-    n_t, n_alpha = tx.size, alpha.size
-    if vt is not None and vt.shape != (n_alpha, n1, nz):
+    n_t, n_alpha = rays.tx.size, alpha.size
+    if vt is not None and vt.shape != (n_alpha, n1w, nz):
         raise UsageError("scattering-density shape disagrees with the grid")
     floor_z = grid.geometry.slab_bottom
-    # Zero columns on each side of the medium that hold the corners of
-    # every sample (all lie between a source and a target), one to spare.
-    beyond = max(grid.x1[0] - min(tx.min(), alpha[0]), max(tx.max(), alpha[-1]) - grid.x1[-1], 0.0)
-    pad = int(np.ceil(beyond / h)) + 2
-    n1w = n1 + 2 * pad
-    ray_t, ray_k = np.divmod(np.arange(n_t * n_alpha), n_alpha)
+    ray_t, ray_k, dxr = rays.ray_t, rays.ray_k, rays.dxr
     c = np.ones(ray_k.size)
     below = None if vt is None else np.zeros(ray_k.size)
-    dxr = (tx[:, None] - alpha).ravel()
     if not tz > floor_z + 1e-12:
         scatter = () if vt is None else (below.reshape(n_t, n_alpha), np.zeros((n_alpha, n_t, n1)))
         return _RowRays(c.reshape(n_t, n_alpha), np.zeros(ray_k.size, np.int64), *scatter)
@@ -290,8 +338,7 @@ def _march_row(tx, tz, atten, grid, vt=None):
     width = int(counts.max())
     # Group the rays by offset and count; each group is marched as its
     # ray from the lowest source, whatever the order of the targets.
-    _, offset = np.unique(np.rint(dxr * (1e9 / h)), return_inverse=True)
-    key = offset * (width + 1) + counts
+    key = rays.offset * (width + 1) + counts
     order = np.lexsort((ray_k, key))
     _, rep, inverse = np.unique(key[order], return_index=True, return_inverse=True)
     rep = order[rep]
@@ -313,11 +360,9 @@ def _march_row(tx, tz, atten, grid, vt=None):
     trap[np.arange(n.size), first] *= 0.5
     trap[:, -1] *= 0.5
     half_ds = 0.5 * ds[:, None] * live[:, :-1]
-    a = np.pad(atten, ((pad, pad), (0, 0))).ravel()
     if vt is not None:
-        v = np.pad(vt, ((0, 0), (pad, pad), (0, 0)))
-        stride = v[0].size
-        v = v.ravel()
+        stride = vt[0].size
+        v = vt.ravel()
         # The columns from the first that reaches the last cell band, and
         # the corners' weights on the targets' z-row there.
         z_row = min(int(np.searchsorted(grid.z, tz - 1e-9 * h)), nz - 1)
@@ -332,31 +377,36 @@ def _march_row(tx, tz, atten, grid, vt=None):
     for lo in range(0, ray_k.size, step):
         r = slice(lo, lo + step)
         g, sh = group[r], shift[r]
-        flat_r = flat[g] + (sh * nz)[:, None]
+        flat_r = flat[g]
+        flat_r += (sh * nz)[:, None]
         corners_r = [(off, cw[g]) for off, cw in corners]
-        a_s = sum(cw * np.take(a[off:], flat_r) for off, cw in corners_r)
+        a_s = _interpolate(rays.atten, flat_r, corners_r)
         ends = np.stack([fx[g, 0], fx[g, -1]]) + sh
         inside = None
         if np.any((ends < -1e-9) | (ends > n1 - 1 + 1e-9)):
             fx_r = fx[g] + sh[:, None]
             inside = (fx_r >= -1e-9) & (fx_r <= n1 - 1 + 1e-9)
             a_s *= inside
+        terms = a_s[:, 1:] + a_s[:, :-1]
+        terms *= half_ds[g]
+        if vt is None:
+            c[r] = np.exp(np.cumsum(terms, axis=1)[:, -1])
+            continue
         c_s = np.zeros_like(a_s)
-        np.cumsum((a_s[:, 1:] + a_s[:, :-1]) * half_ds[g], axis=1, out=c_s[:, 1:])
+        np.cumsum(terms, axis=1, out=c_s[:, 1:])
         np.exp(c_s, out=c_s)
         c[r] = c_s[:, -1]
-        if vt is None:
-            continue
-        weight = trap[g] * c_s / c_s[:, -1:]
+        weight = trap[g]
+        weight *= c_s
+        weight /= c_s[:, -1:]
         if inside is not None:
             weight *= inside
-        idx = flat_r + (ray_k[r] * stride)[:, None]
-        v_s = sum(cw * np.take(v[off:], idx) for off, cw in corners_r)
+        v_s = _interpolate(v, flat_r + (ray_k[r] * stride)[:, None], corners_r)
         below[r] = np.einsum("rm,rm->r", weight, v_s)
-        k_t = ((ray_k[r] * n_t + ray_t[r]) * n1w + sh)[:, None]
+        k_t = ((ray_k[r] * n_t + ray_t[r]) * n1w + sh)[:, None] + ix[g]
         for dx, cw in on_row:
             vals.append(weight[:, tail:] * cw[g])
-            keys.append(k_t + ix[g] + dx)
+            keys.append(k_t + dx)
     if vt is None:
         return _RowRays(c.reshape(n_t, n_alpha), n[group])
     # The widened columns beyond the medium hold only weights of 0 or of
@@ -380,7 +430,8 @@ def u0_field(phantom, source, grid):
     aimed at the rays' lattice and marched one z-row at a time."""
     check_source_radius(source, grid.geometry)
     x1, z = _ray_lattice(grid)
-    c = np.stack([_march_row(x1, zj, phantom.attenuation, grid).c for zj in z], axis=1)
+    rays = _Rays.build(x1, phantom.attenuation, grid)
+    c = np.stack([_march_row(rays, zj).c for zj in z], axis=1)
     return source.profile_integral / c
 
 
@@ -418,32 +469,37 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
     atten = phantom.attenuation
     x1, z = _ray_lattice(grid)
     x1_off = np.any(x1 != grid.x1)
+    rays = _Rays.build(grid.x1, atten, grid)
+    lattice = _Rays.build(x1, atten, grid) if x1_off else rays
     w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
     mu_s = phantom.mu_s
     u = np.empty(shape)
-    # vt[k, ix, iz]: the scattering density of the rows solved so far.
-    vt = np.zeros((n_alpha, n1, nz))
+    # vt[k, pad + ix, iz]: the widened scattering density of the rows
+    # solved so far, each row written in place once it is solved.
+    pad = rays.pad
+    vt = np.zeros((n_alpha, n1 + 2 * pad, nz))
     row_tol = max(FORWARD_TOL / 100.0, 4.0 * np.finfo(float).eps)
     diffs, top = [], 1.0
     for j in range(nz):
-        rays = _march_row(grid.x1, grid.z[j], atten, grid, vt)
-        c = rays.c
+        row = _march_row(rays, grid.z[j], vt)
+        c = row.c
         if x1_off or z[j] != grid.z[j]:
-            c = _march_row(x1, z[j], atten, grid).c
-        b = source.profile_integral / c + rays.below
+            c = _march_row(lattice, z[j]).c
+        b = source.profile_integral / c + row.below
+        block, mu_j = row.block, mu_s[:, j, None]
         uj = b
         for m in range(MAX_SWEEPS):
-            vj = (uj @ w_t) * mu_s[:, j, None]
-            new = b + np.matmul(rays.block, vj.T[:, :, None])[:, :, 0].T
-            diff = float(np.max(np.abs(new - uj)))
-            if not np.isfinite(diff):
+            vj = (uj @ w_t) * mu_j
+            new = b + np.matmul(block, vj.T[:, :, None])[:, :, 0].T
+            diff = float(np.abs(new - uj).max())
+            if not math.isfinite(diff):
                 raise NumericalError(f"fixed-point passes diverged on z-row {j}")
             if m < len(diffs):
                 diffs[m] = max(diffs[m], diff)
             else:
                 diffs.append(diff)
             uj = new
-            top = max(top, float(np.max(new)))
+            top = max(top, float(new.max()))
             if diff <= row_tol * top:
                 break
         else:
@@ -451,7 +507,7 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
                 f"no convergence on z-row {j} in {MAX_SWEEPS} passes (last update {diff:.3e})"
             )
         u[:, j] = uj
-        vt[:, :, j] = ((uj @ w_t) * mu_s[:, j, None]).T
+        vt[:, pad : pad + n1, j] = ((uj @ w_t) * mu_j).T
 
     if return_info:
         return u, {"sweeps": len(diffs), "diffs": diffs}

@@ -25,6 +25,7 @@ from rtetomo import forward
 from rtetomo.forward import (
     MAX_SWEEPS,
     _march_row,
+    _Rays,
     _ray_row,
     kernel_alpha_derivative,
     kernel_value,
@@ -118,11 +119,17 @@ def test_scatter_matrices_fold_in_weights(kernel):
     )
 
 
+def _widened(vt, rays):
+    """The (n_alpha, n1, nz) density ``vt`` with the zero columns of ``rays``
+    on each side, as :func:`_march_row` takes it."""
+    return np.pad(vt, ((0, 0), (rays.pad, rays.pad), (0, 0)))
+
+
 def _below_floor(atten, grid):
     """Scatter and c of two rows of targets below the floor (z = 0.5 and 0)."""
-    tx = np.array([0.0, 0.2])
-    vt = np.ones((grid.alpha.size, *grid.shape_medium[:2]))
-    rows = [_march_row(tx, z, atten, grid, vt) for z in (0.5, 0.0)]
+    rays = _Rays.build(np.array([0.0, 0.2]), atten, grid)
+    vt = _widened(np.ones((grid.alpha.size, *grid.shape_medium[:2])), rays)
+    rows = [_march_row(rays, z, vt) for z in (0.5, 0.0)]
     assert all(np.all(row.counts == 0) for row in rows)
     scat = np.concatenate([np.ravel(part) for row in rows for part in (row.below, row.block)])
     return scat, np.stack([row.c for row in rows])
@@ -143,7 +150,7 @@ def test_targets_below_the_floor_are_transparent(grid10):
 def test_attenuation_integral_constant_medium(grid10):
     atten = make_phantom(None, 0.0, grid10).attenuation
     tx = np.array([0.0, 0.3])
-    c = _march_row(tx, 2.0, atten, grid10).c
+    c = _march_row(_Rays.build(tx, atten, grid10), 2.0).c
     # Every ray crosses the unit-thick slab inside the medium, so half of
     # its length lies in the constant attenuation 5.
     ell = np.hypot(tx[:, None] - grid10.alpha[None, :], 2.0)
@@ -152,10 +159,14 @@ def test_attenuation_integral_constant_medium(grid10):
 
 def test_march_shape_guard(grid10):
     tx = grid10.x1
-    with pytest.raises(UsageError):
-        _march_row(tx, 1.5, np.zeros((3, 3)), grid10)
-    with pytest.raises(UsageError):
-        _march_row(tx, 1.5, np.zeros(grid10.shape_medium[:2]), grid10, np.zeros((4, 4, grid10.alpha.size)))
+    with pytest.raises(UsageError, match="attenuation shape disagrees with the grid"):
+        _Rays.build(tx, np.zeros((3, 3)), grid10)
+    rays = _Rays.build(tx, np.zeros(grid10.shape_medium[:2]), grid10)
+    with pytest.raises(UsageError, match="scattering-density shape disagrees with the grid"):
+        _march_row(rays, 1.5, np.zeros((4, 4, grid10.alpha.size)))
+    # the density must be widened by the set-up's columns
+    with pytest.raises(UsageError, match="scattering-density shape disagrees with the grid"):
+        _march_row(rays, 1.5, np.zeros((grid10.alpha.size, *grid10.shape_medium[:2])))
 
 
 def _reference_rows(grid, atten, j):
@@ -180,8 +191,9 @@ def test_operator_matches_the_row_by_row_quadrature(h, source_half_width):
     atten = make_phantom("A", 5.0, grid).attenuation
     n1, nz, n_alpha = grid.shape_medium
     vt = np.random.default_rng(5).uniform(0.0, 1.0, (n_alpha, n1, nz))
+    setup = _Rays.build(grid.x1, atten, grid)
     for j in range(1, nz):
-        rays = _march_row(grid.x1, grid.z[j], atten, grid, vt * (np.arange(nz) < j))
+        rays = _march_row(setup, grid.z[j], _widened(vt * (np.arange(nz) < j), setup))
         rows = _reference_rows(grid, atten, j)
         below = np.einsum("kiab,kab->ik", rows[..., :j], vt[..., :j])
         own = np.einsum("kia,ka->ik", rows[..., j], vt[..., j])
@@ -196,7 +208,8 @@ def test_operator_matches_the_row_by_row_quadrature(h, source_half_width):
 def test_path_attenuation_matches_the_row_by_row_march(h, source_half_width):
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     atten = make_phantom("A", 5.0, grid).attenuation
-    c = np.stack([_march_row(grid.x1, z, atten, grid).c for z in grid.z], axis=1)
+    rays = _Rays.build(grid.x1, atten, grid)
+    c = np.stack([_march_row(rays, z).c for z in grid.z], axis=1)
     oracle = np.array(
         [[[_ray_row(x, z, alpha, atten, grid)[0] for alpha in grid.alpha] for z in grid.z] for x in grid.x1]
     )
@@ -215,12 +228,13 @@ def test_shared_geometry_keeps_every_rays_sample_count(h, source_half_width):
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     atten = make_phantom("A", 5.0, grid).attenuation
     floor = grid.geometry.slab_bottom
+    rays = _Rays.build(grid.x1, atten, grid)
     for z in grid.z[1:]:
         ell = np.hypot(grid.x1[:, None] - grid.alpha, z)
         seg = ell - ell * (floor / z)
         expected = np.maximum(np.ceil(seg / (grid.h / 2)).astype(int) + 1, 2)
-        np.testing.assert_array_equal(_march_row(grid.x1, z, atten, grid).counts, expected.ravel())
-    assert np.all(_march_row(grid.x1, grid.z[0], atten, grid).counts == 0)
+        np.testing.assert_array_equal(_march_row(rays, z).counts, expected.ravel())
+    assert np.all(_march_row(rays, grid.z[0]).counts == 0)
 
 
 @pytest.mark.parametrize(
@@ -235,10 +249,11 @@ def test_march_order_cannot_move_a_rows_bits(h, source_half_width, monkeypatch):
     n1, nz, n_alpha = grid.shape_medium
     vt = np.random.default_rng(3).uniform(0.0, 1.0, (n_alpha, n1, nz))
     perm = np.random.default_rng(11).permutation(n1)
-    marched = [_march_row(grid.x1, z, atten, grid, vt * (np.arange(nz) < j)) for j, z in enumerate(grid.z)]
+    setup, setup_perm = _Rays.build(grid.x1, atten, grid), _Rays.build(grid.x1[perm], atten, grid)
+    marched = [_march_row(setup, z, _widened(vt * (np.arange(nz) < j), setup)) for j, z in enumerate(grid.z)]
     monkeypatch.setattr(forward, "_CHUNK", 97)
     for j, (z, rays) in enumerate(zip(grid.z, marched)):
-        permuted = _march_row(grid.x1[perm], z, atten, grid, vt * (np.arange(nz) < j))
+        permuted = _march_row(setup_perm, z, _widened(vt * (np.arange(nz) < j), setup_perm))
         np.testing.assert_array_equal(permuted.c, rays.c[perm])
         np.testing.assert_array_equal(permuted.below, rays.below[perm])
         np.testing.assert_array_equal(permuted.block, rays.block[:, perm])
@@ -249,8 +264,9 @@ def test_ray_blocks_march_little_padding(grid20):
     # sample slots stay within 20% of the live samples (1.12 at h = 1/20).
     atten = make_phantom("A", 5.0, grid20).attenuation
     slots = live = 0
+    rays = _Rays.build(grid20.x1, atten, grid20)
     for z in grid20.z:
-        counts = _march_row(grid20.x1, z, atten, grid20).counts
+        counts = _march_row(rays, z).counts
         slots += counts.size * counts.max()
         live += counts.sum()
     assert slots <= 1.2 * live
@@ -316,10 +332,10 @@ def test_solve_forward_marches_each_ray_once(grid20, source, kernel, monkeypatch
     marched = []
     march_row = forward._march_row
 
-    def counting(tx, tz, *args):
-        rays = march_row(tx, tz, *args)
-        marched.append((tz, tx.copy(), np.count_nonzero(rays.counts)))
-        return rays
+    def counting(rays, tz, *args):
+        row = march_row(rays, tz, *args)
+        marched.append((tz, rays.tx.copy(), np.count_nonzero(row.counts)))
+        return row
 
     monkeypatch.setattr(forward, "_march_row", counting)
     solve_forward(make_phantom("A", 5.0, grid20), source, kernel, grid20)
@@ -332,6 +348,84 @@ def test_solve_forward_marches_each_ray_once(grid20, source, kernel, monkeypatch
     assert sorted((zj, tuple(x)) for zj, x, _ in marched) == sorted((zj, tuple(x)) for zj, x in expected)
     active = np.count_nonzero(grid20.z > floor) + sum(z[j] > floor for j in off)
     assert sum(rays for _, _, rays in marched) == active * n1 * n_alpha
+
+
+def _row_by_row_setup_solve(phantom, source, kernel, grid):
+    """The row solve with nothing carried from row to row but the solved
+    field: each row sets up its own rays, widens its own copy of the
+    density, and runs its passes as plain whole-array expressions.
+    Returns the field and the per-pass largest updates."""
+    n1, nz, n_alpha = grid.shape_medium
+    atten = phantom.attenuation
+    x1, z = _ray_lattice(grid)
+    w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
+    u = np.empty(grid.shape_medium)
+    vt = np.zeros((n_alpha, n1, nz))
+    row_tol = max(forward.FORWARD_TOL / 100.0, 4.0 * np.finfo(float).eps)
+    diffs, top = [], 1.0
+    for j in range(nz):
+        rays = _Rays.build(grid.x1, atten, grid)
+        row = _march_row(rays, grid.z[j], _widened(vt, rays))
+        c = row.c
+        if np.any(x1 != grid.x1) or z[j] != grid.z[j]:
+            c = _march_row(_Rays.build(x1, atten, grid), z[j]).c
+        b = source.profile_integral / c + row.below
+        uj = b
+        for m in range(MAX_SWEEPS):
+            vj = (uj @ w_t) * phantom.mu_s[:, j, None]
+            new = b + np.matmul(row.block, vj.T[:, :, None])[:, :, 0].T
+            diff = float(np.max(np.abs(new - uj)))
+            assert np.isfinite(diff)
+            if m < len(diffs):
+                diffs[m] = max(diffs[m], diff)
+            else:
+                diffs.append(diff)
+            uj = new
+            top = max(top, float(np.max(new)))
+            if diff <= row_tol * top:
+                break
+        else:
+            raise AssertionError(f"no convergence on z-row {j}")
+        u[:, j] = uj
+        vt[:, :, j] = ((uj @ w_t) * phantom.mu_s[:, j, None]).T
+    return u, diffs
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.1, 0.5), (0.05, 0.5), (0.125, 0.75)], ids=["grid10", "grid20", "wide-source"]
+)
+def test_solve_carries_only_its_field_from_row_to_row(source, h, source_half_width):
+    # solve_forward sets its rays up once and writes each solved row into
+    # one widened density; a solve that redoes both on every row must give
+    # its field and its pass updates to the bit.
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    kernel = KernelModel(aperture_half_width=source_half_width)
+    phantom = make_phantom("A", 5.0, grid)
+    field, info = solve_forward(phantom, source, kernel, grid, return_info=True)
+    expected, diffs = _row_by_row_setup_solve(phantom, source, kernel, grid)
+    assert _same_bits(field, expected)
+    assert _same_bits(info["diffs"], diffs)
+    assert info["sweeps"] == len(diffs)
+
+
+def test_solves_leave_no_state_behind(geometry, source, kernel):
+    # Solves on other grids and media in between must not move a solve's
+    # bits: nothing the solve sets up outlives it.
+    grids = {h: GridSet.uniform(geometry, h) for h in (0.1, 0.05)}
+    cases = [(0.1, "A", 5.0), (0.05, "A", 5.0), (0.1, None, 2.0), (0.05, None, 2.0)]
+    first = {}
+    for h, letter, c_a in cases + cases[::-1]:
+        grid = grids[h]
+        phantom = make_phantom(letter, c_a, grid)
+        field, info = solve_forward(phantom, source, kernel, grid, return_info=True)
+        bits = (field, info["diffs"], u0_field(phantom, source, grid))
+        expected = first.setdefault((h, letter), bits)
+        assert all(_same_bits(got, want) for got, want in zip(bits, expected))
 
 
 def _two_march_solve(phantom, source, kernel, grid, tol):
@@ -370,9 +464,10 @@ def test_rays_put_no_weight_above_their_targets_row(h, source_half_width):
     )
     assert above <= 1e-15
 
+    rays = _Rays.build(grid.x1, atten, grid)
     for j, z in enumerate(grid.z):
         upper = np.ones((grid.alpha.size, n1, nz)) * (np.arange(nz) > j)
-        assert _march_row(grid.x1, z, atten, grid, upper).below.max() <= 1e-15
+        assert _march_row(rays, z, _widened(upper, rays)).below.max() <= 1e-15
 
 
 @pytest.mark.parametrize(
