@@ -190,8 +190,7 @@ def downsample_boundary(bds, factor):
     def pick(dct):
         # The faces of the restricted field: lay the traces back on the
         # grid, restrict, and read the faces off again.
-        full = face_field(dct, g)[::factor, ::factor, ::factor]
-        return {name: full[_FACE_NODES[name]].copy() for name in FACE_ORDER}
+        return extract_boundary(face_field(dct, g)[::factor, ::factor, ::factor])
 
     return BoundaryDataSet(
         grid=coarse,

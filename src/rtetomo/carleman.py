@@ -97,7 +97,8 @@ def carleman_sides(u, lam, grid):
     lam = lam.reshape(lam.shape + (1,) * (v.ndim - 2))
     k = lam[..., None, None]
     w = carleman_weight(grid.z, k)
-    quad = trapezoid_weights(grid.x1.size, h)[:, None] * trapezoid_weights(grid.z.size, h)[None, :]
+    wx = trapezoid_weights(grid.x1.size, h)
+    quad = wx[:, None] * trapezoid_weights(grid.z.size, h)[None, :]
     lap = second_diff_axis(v, h, -2) + second_diff_axis(v, h, -1)
     lhs = np.sum(quad * w * lap * lap, axis=(-2, -1))
     gx = diff_axis(v, h, -2)
@@ -106,7 +107,6 @@ def carleman_sides(u, lam, grid):
     top = v[..., -1]
     dtop = diff_axis(top, h, -1)
     dn = gz[..., -1]
-    wx = trapezoid_weights(grid.x1.size, h)
     w_top = carleman_weight(grid.geometry.slab_top, lam)
     boundary = lam**3 * w_top * np.sum(wx * (top * top + dtop * dtop + dn * dn), axis=-1)
     return lhs, interior, boundary

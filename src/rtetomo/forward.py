@@ -129,19 +129,6 @@ class SourceModel:
         )
 
 
-def source_value(x, alpha, source):
-    """Pointwise source density at ``x = (..., 2)`` for abscissa ``alpha``."""
-    x = np.asarray(x, dtype=float)
-    dx = x[..., 0] - alpha
-    dz = x[..., 1]
-    r2 = dx * dx + dz * dz
-    s2 = source.sigma * source.sigma
-    out = np.zeros_like(r2)
-    m = r2 < s2
-    out[m] = source.norm_constant * np.exp(r2[m] / (r2[m] - s2))
-    return out
-
-
 @dataclass(frozen=True)
 class KernelModel:
     """Henyey-Greenstein coupling between source abscissae.
@@ -538,9 +525,7 @@ def _ray_row(x1t, zt, alpha, atten, grid):
     flat, corners = _bilinear_corners(alpha + tpar * dxr, tpar * zt, grid)
     a_s = sum(cw * atten.ravel()[flat + off] for off, cw in corners)
     c_s = np.exp(np.concatenate([[0.0], np.cumsum(0.5 * ds * (a_s[1:] + a_s[:-1]))]))
-    trap = np.full(m_cnt, ds)
-    trap[0] = trap[-1] = 0.5 * ds
-    sample_w = trap * c_s / c_s[-1]
+    sample_w = trapezoid_weights(m_cnt, ds) * c_s / c_s[-1]
     key = np.concatenate([flat + off for off, _ in corners])
     w = np.concatenate([sample_w * cw for _, cw in corners])
     return c_s[-1], np.bincount(key, weights=w, minlength=n_nodes)

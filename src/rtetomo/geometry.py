@@ -120,29 +120,6 @@ class GridSet:
         return np.meshgrid(self.x1, self.z, indexing="ij")
 
 
-def direction_vector(x, alpha):
-    """Unit vector from the source (alpha, 0) to the point ``x = (x1, z)``."""
-    dx = x[0] - alpha
-    dz = x[1]
-    r = np.hypot(dx, dz)
-    if r == 0.0:
-        raise UsageError(f"point {x!r} coincides with source ({alpha!r}, 0)")
-    return np.array([dx / r, dz / r])
-
-
-def direction_alpha_derivative(x, alpha):
-    """Derivative of ``direction_vector(x, alpha)`` in the source abscissa.
-
-    With r = |x - x_alpha| the components are (-z^2 / r^3, z (x1 - alpha) / r^3).
-    """
-    dx = x[0] - alpha
-    dz = x[1]
-    r = np.hypot(dx, dz)
-    if r == 0.0:
-        raise UsageError(f"point {x!r} coincides with source ({alpha!r}, 0)")
-    return np.array([-dz * dz / r**3, dz * dx / r**3])
-
-
 def direction_tables(grid):
     """Direction components and their alpha-derivatives on the medium grid.
 

@@ -168,8 +168,7 @@ class CarlemanObjective:
 
         self._normal2h = 2.0 * h * np.stack([data.g3[1:-1], data.g4[1:-1]])
         self.free_shape = (n1 - 2, nz - 3, nk)
-        self.n_free_field = int(np.prod(self.free_shape))
-        self.n_free = 2 * self.n_free_field
+        self.n_free = 2 * int(np.prod(self.free_shape))
 
         # Its restriction M to the free block, for ``precondition``: per
         # field and abscissa k the block
@@ -318,7 +317,8 @@ class CarlemanObjective:
     def residuals(self, free):
         """Interior residual arrays (R1, R2) of the expanded pair."""
         n1, nz, nk = self.grid.shape_medium
-        self._evaluate(free)
+        with np.errstate(all="ignore"):
+            self._evaluate(free)
         r = self._w.r.reshape(2, n1 - 2, nz, nk)[:, :, 1:-1]
         return r[0].copy(), r[1].copy()
 
@@ -355,7 +355,9 @@ class CarlemanObjective:
         return np.sum(y.reshape(*stack, -1), axis=-1)
 
     def value(self, free):
-        return self._evaluate(free)
+        """J at ``free``: not finite, and with no warning, where exp(p) under- or overflows."""
+        with np.errstate(all="ignore"):
+            return self._evaluate(free)
 
     def precondition(self, grad):
         """M^-1 grad for a free vector ``grad``, M the Gram matrix of the
@@ -379,41 +381,42 @@ class CarlemanObjective:
         layer with the 1/4 chain factor from the elimination formula.
         Every term carries J's factor 2, which is applied once at the end.
         """
-        value = self._evaluate(free)
-        w = self._w
-        sx, sz = self._sx, self._sz
-        g = np.multiply(w.sf, self.gamma, out=w.grad)
+        with np.errstate(all="ignore"):
+            value = self._evaluate(free)
+            w = self._w
+            sx, sz = self._sx, self._sz
+            g = np.multiply(w.sf, self.gamma, out=w.grad)
 
-        t = np.multiply(self._wband, w.r, out=w.a)
-        tc = np.add(t[0], t[1], out=w.c)
-        u, v = t, w.b
-        u *= self._ce
-        core = self._shifted(g, 0)
-        core += np.multiply(u, 4.0, out=v)
-        for s, c in ((sx, self._cx), (sz, self._cz)):
-            np.multiply(c, tc, out=v)
-            ahead, behind = self._shifted(g, s), self._shifted(g, -s)
-            ahead += v
-            ahead -= u
-            behind -= v
-            behind -= u
-        # u and v are spent; their rows hold the nonlinear term's temporaries.
-        x, xq = u
-        y, z = v
-        np.divide(tc, w.ep, out=x)
-        x *= self.mu_s
-        core[1] += np.multiply(x, w.acoef, out=y)
-        np.multiply(x, self._shifted(w.field, 0)[1], out=xq)
-        np.matmul(xq.reshape(-1, sz), self._smat, out=y.reshape(-1, sz))
-        y -= np.matmul(x.reshape(-1, sz), self._dmat, out=z.reshape(-1, sz)).reshape(-1)
-        y *= w.ep
-        y -= np.multiply(tc, w.nonlin, out=z)
-        core[0] += y
+            t = np.multiply(self._wband, w.r, out=w.a)
+            tc = np.add(t[0], t[1], out=w.c)
+            u, v = t, w.b
+            u *= self._ce
+            core = self._shifted(g, 0)
+            core += np.multiply(u, 4.0, out=v)
+            for s, c in ((sx, self._cx), (sz, self._cz)):
+                np.multiply(c, tc, out=v)
+                ahead, behind = self._shifted(g, s), self._shifted(g, -s)
+                ahead += v
+                ahead -= u
+                behind -= v
+                behind -= u
+            # u and v are spent; their rows hold the nonlinear term's temporaries.
+            x, xq = u
+            y, z = v
+            np.divide(tc, w.ep, out=x)
+            x *= self.mu_s
+            core[1] += np.multiply(x, w.acoef, out=y)
+            np.multiply(x, self._shifted(w.field, 0)[1], out=xq)
+            np.matmul(xq.reshape(-1, sz), self._smat, out=y.reshape(-1, sz))
+            y -= np.matmul(x.reshape(-1, sz), self._dmat, out=z.reshape(-1, sz)).reshape(-1)
+            y *= w.ep
+            y -= np.multiply(tc, w.nonlin, out=z)
+            core[0] += y
 
-        nz = self.grid.z.size
-        g4 = g.reshape(self._shape)
-        g4[:, 1:-1, nz - 3] += 0.25 * g4[:, 1:-1, nz - 2]
-        return value, 2.0 * g4[:, 1:-1, 1 : nz - 2].ravel()
+            nz = self.grid.z.size
+            g4 = g.reshape(self._shape)
+            g4[:, 1:-1, nz - 3] += 0.25 * g4[:, 1:-1, nz - 2]
+            return value, 2.0 * g4[:, 1:-1, 1 : nz - 2].ravel()
 
 
 @dataclass(eq=False)

@@ -53,8 +53,6 @@ OMEGA_RING = {
     "gap_deg": (-115.0, -65.0),
 }
 
-LETTER_BOX = (-0.35, 0.35, 1.2, 1.8)
-
 
 def _in_rect(x1, z, rect):
     x_lo, x_hi, z_lo, z_hi = rect

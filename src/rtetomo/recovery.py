@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
 from .forward import scatter_matrix
 from .geometry import direction_tables, trapezoid_weights
 from .phantom import true_contrast
@@ -65,9 +64,7 @@ def recover_attenuation(pair, kernel, mu_s_value=5.0):
 
 def computed_contrast(absorber, mu_s_value=5.0):
     """Contrast 1 + max(absorber)+ / mu_s implied by a recovered map."""
-    if mu_s_value <= 0:
-        raise UsageError("scattering level must be positive for a contrast")
-    return 1.0 + max(0.0, float(np.max(absorber))) / mu_s_value
+    return true_contrast(max(0.0, float(np.max(absorber))), mu_s_value)
 
 
 def support_centroid(values, grid):

@@ -285,14 +285,7 @@ _NEUMANN_SIGN = "rederived"
 
 
 def _geometry_meta(grid):
-    g = grid.geometry
-    return {
-        "half_width": fnum(g.half_width),
-        "slab_bottom": fnum(g.slab_bottom),
-        "slab_top": fnum(g.slab_top),
-        "source_half_width": fnum(g.source_half_width),
-        "h": fnum(grid.h),
-    }
+    return {**{k: fnum(getattr(grid.geometry, k)) for k in _GEOM_KEYS}, "h": fnum(grid.h)}
 
 
 def _rebuild_grid(meta, path):

@@ -1,16 +1,13 @@
 """Grids, directions, weights, and the elementary quadratures."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rtetomo import Geometry, GridSet, UsageError, carleman_weight
-from rtetomo.geometry import (
-    direction_alpha_derivative,
-    direction_tables,
-    direction_vector,
-    trapezoid_weights,
-)
+from rtetomo.geometry import direction_tables, trapezoid_weights
 
 
 def test_default_geometry_extents(geometry):
@@ -89,30 +86,20 @@ def test_direction_vectors_are_unit(grid10):
     assert np.all(nu2 > 0)
 
 
-def test_direction_alpha_derivative_matches_differences(grid10):
-    x = (0.3, 1.7)
-    alpha = -0.2
-    da = 1e-6
-    fd = (direction_vector(x, alpha + da) - direction_vector(x, alpha - da)) / (2 * da)
-    np.testing.assert_allclose(direction_alpha_derivative(x, alpha), fd, atol=1e-8)
+@np.vectorize
+def _direction(x1, z, alpha):
+    """Unit vector from the source (alpha, 0) to the point (x1, z)."""
+    r = math.hypot(x1 - alpha, z)
+    return (x1 - alpha) / r, z / r
 
 
 def test_direction_tables_match_pointwise(grid10):
     nu1, nu2, dnu1, dnu2 = direction_tables(grid10)
-    i, j, k = 3, 5, 7
-    x = (grid10.x1[i], grid10.z[j])
-    a = grid10.alpha[k]
-    np.testing.assert_allclose(
-        [nu1[i, j, k], nu2[i, j, k]], direction_vector(x, a), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        [dnu1[i, j, k], dnu2[i, j, k]], direction_alpha_derivative(x, a), atol=1e-14
-    )
-
-
-def test_degenerate_direction_raises():
-    with pytest.raises(UsageError, match="coincides with source"):
-        direction_vector((0.1, 0.0), 0.1)
+    x1, z, alpha = np.meshgrid(grid10.x1, grid10.z, grid10.alpha, indexing="ij")
+    np.testing.assert_allclose([nu1, nu2], _direction(x1, z, alpha), rtol=0, atol=1e-14)
+    da = 1e-6
+    ahead, behind = np.array(_direction(x1, z, alpha + da)), np.array(_direction(x1, z, alpha - da))
+    np.testing.assert_allclose([dnu1, dnu2], (ahead - behind) / (2 * da), rtol=0, atol=1e-8)
 
 
 def test_trapezoid_weights_sum_to_span():

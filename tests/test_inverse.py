@@ -1,5 +1,7 @@
 """Objective assembly, constraints, and the descent loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,17 @@ def test_value_and_grad_value_matches_value(objective10):
     assert jval == objective10.value(free)
     assert grad.shape == (objective10.n_free,)
     assert np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("shift", [-800.0, 720.0])
+def test_j_far_from_the_data_is_non_finite_without_warnings(objective10, shift):
+    # exp(p) underflows to 0 at p - 800 and overflows at p + 720.
+    free = objective10.initial_guess()
+    free[: objective10.n_free // 2] += shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(objective10.value(free))
+        assert not np.isfinite(objective10.value_and_grad(free)[0])
 
 
 def test_value_and_gradient_at_the_first_guess_are_pinned(objective10):

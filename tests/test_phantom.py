@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from rtetomo import GridSet, UsageError, letter_mask, make_phantom, true_contrast
-from rtetomo.phantom import LETTER_BOX, LETTER_STROKES
+from rtetomo.phantom import LETTER_STROKES
 
 
 def _node(grid, x1, z):
@@ -37,7 +37,7 @@ def test_letter_membership_at_landmark_nodes(grid20, letter, point, member):
 
 def test_masks_stay_inside_the_letter_box(grid20):
     x1, z = grid20.spatial_mesh("medium")
-    x_lo, x_hi, z_lo, z_hi = LETTER_BOX
+    x_lo, x_hi, z_lo, z_hi = -0.35, 0.35, 1.2, 1.8  # the box the module docstring gives
     for letter in LETTER_STROKES:
         mask = letter_mask(letter, grid20)
         assert np.all(x1[mask] >= x_lo - 1e-9) and np.all(x1[mask] <= x_hi + 1e-9)
