@@ -94,9 +94,14 @@ def _direction(x1, z, alpha):
 
 
 def test_direction_tables_match_pointwise(grid10):
-    nu1, nu2, dnu1, dnu2 = direction_tables(grid10)
+    nu1, nu2, _, _ = direction_tables(grid10)
     x1, z, alpha = np.meshgrid(grid10.x1, grid10.z, grid10.alpha, indexing="ij")
     np.testing.assert_allclose([nu1, nu2], _direction(x1, z, alpha), rtol=0, atol=1e-14)
+
+
+def test_direction_alpha_derivative_matches_differences(grid10):
+    _, _, dnu1, dnu2 = direction_tables(grid10)
+    x1, z, alpha = np.meshgrid(grid10.x1, grid10.z, grid10.alpha, indexing="ij")
     da = 1e-6
     ahead, behind = np.array(_direction(x1, z, alpha + da)), np.array(_direction(x1, z, alpha - da))
     np.testing.assert_allclose([dnu1, dnu2], (ahead - behind) / (2 * da), rtol=0, atol=1e-8)
