@@ -186,6 +186,13 @@ def default_ds(grid):
     return 0.5 * grid.h
 
 
+def _sample_counts(seg, grid):
+    """Samples of the rays whose segments above the medium floor are
+    ``seg``: ``max(ceil(seg / ds) + 1, 2)`` with ds :func:`default_ds`, so
+    each ray's step is the closest to ds that divides its segment evenly."""
+    return np.maximum(np.ceil(seg / default_ds(grid)).astype(np.int64) + 1, 2)
+
+
 def _bilinear_corners(px, pz, grid, pad=0):
     """Bilinear interpolation of the samples (px, pz) on the medium grid,
     widened by ``pad`` columns of zeros on each side.
@@ -285,15 +292,15 @@ def _march_row(rays, tz, vt=None):
     """March the :class:`_Rays` ``rays`` to the targets at height ``tz``;
     returns their :class:`_RowRays`.
 
-    Each ray takes the closest step to :func:`default_ds` that divides its
-    segment above the medium floor evenly, ``max(ceil(seg / ds) + 1, 2)``
-    samples.  Rays with the same horizontal offset from source to target
-    and the same sample count have the same samples up to a shift of whole
-    columns (the sources lie on a lattice of step h), so the samples, their
-    :func:`_bilinear_corners` and trapezoid weights are computed once per
-    such group and shifted; each ray then gathers its own attenuation for
-    c.  A row's rays are aligned at their last samples, and the columns
-    before a shorter ray's first sample repeat it with trapezoid weight 0.
+    Each ray takes :func:`_sample_counts` samples, evenly spaced over its
+    segment above the medium floor.  Rays with the same horizontal offset
+    from source to target and the same sample count have the same samples
+    up to a shift of whole columns (the sources lie on a lattice of step
+    h), so the samples, their :func:`_bilinear_corners` and trapezoid
+    weights are computed once per such group and shifted; each ray then
+    gathers its own attenuation for c.  A row's rays are aligned at their
+    last samples, and the columns before a shorter ray's first sample
+    repeat it with trapezoid weight 0.
 
     With the widened nodal scattering density ``vt`` (n_alpha, n1 + 2 pad,
     nz), each sample's weight trap * c(s) / c(end) is also dotted with the
@@ -321,7 +328,7 @@ def _march_row(rays, tz, vt=None):
     ell = np.hypot(dxr, tz)
     s_a = ell * (floor_z / tz)
     seg = ell - s_a
-    counts = np.maximum(np.ceil(seg / default_ds(grid)).astype(np.int64) + 1, 2)
+    counts = _sample_counts(seg, grid)
     width = int(counts.max())
     # Group the rays by offset and count; each group is marched as its
     # ray from the lowest source, whatever the order of the targets.
@@ -519,7 +526,7 @@ def _ray_row(x1t, zt, alpha, atten, grid):
     ell = float(np.hypot(dxr, zt))
     s_a = ell * (floor / zt)
     seg = ell - s_a
-    m_cnt = max(int(np.ceil(seg / default_ds(grid))) + 1, 2)
+    m_cnt = int(_sample_counts(seg, grid))
     ds = seg / (m_cnt - 1)
     tpar = (s_a + ds * np.arange(m_cnt)) / ell
     flat, corners = _bilinear_corners(alpha + tpar * dxr, tpar * zt, grid)

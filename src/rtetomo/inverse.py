@@ -467,7 +467,8 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     rows are (iteration, J, grad max-norm, step), the step being the
     accepted rho along M^-1 g.  A ``grad_tol`` that is not finite and
     non-negative, or a ``max_iters`` that is not a non-negative integer,
-    is a :class:`UsageError`.
+    is a :class:`UsageError`; a start where J or its gradient is not
+    finite raises :class:`NumericalError`.
 
     Every trial costs one ``value`` call; the accepted one's
     ``value_and_grad`` is served from the objective's memo of that trial,
@@ -481,6 +482,8 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     free = obj.initial_guess() if free0 is None else np.array(free0, dtype=float)
     jval, grad = obj.value_and_grad(free)
     ginf = float(np.max(np.abs(grad)))
+    if not (np.isfinite(jval) and np.isfinite(ginf)):
+        raise NumericalError(f"J or its gradient is not finite at the start (J = {jval:.6e}, grad {ginf:.3e})")
     rows = [(0, jval, ginf, 0.0)]
     it = 0
     warming = True

@@ -13,21 +13,25 @@ rebuild the node arrays, which are deterministic.  Every artifact is
 UTF-8 text; a file that cannot be read or decoded, or a path that cannot
 be written, is a usage error naming it.
 
-Text conversion is the codec's cost, so it is done once per distinct
-cell where cells repeat.  The writer formats each distinct value of a
-column once and writes the rows a block at a time; the reader splits the
-whole body in one pass and converts each grid or index column per
-distinct text.  A cell the fast path cannot convert sends its columns
-through :func:`parse_value` cell by cell, which raises the usage error
-that names it.
+Text conversion is the codec's cost.  The writer formats each distinct
+value of a column once and writes the rows a block at a time.  The
+reader hands a table to ``np.loadtxt``, one typed field per column, when
+the file is ASCII without NUL or the unit separator (0x1F) and no '#'
+follows the header.  On such text numpy reads every cell as
+:func:`parse_value` does or refuses it.  On other text its integer
+parser has crashed the interpreter (astral-plane characters), a str
+field drops a trailing NUL, and a number sheds unit separators that
+Python keeps.  Any other table, or one that numpy refuses, is read cell
+by cell through :func:`parse_value`, which reads spellings only Python
+accepts (``3_0``, Arabic-Indic digits) and raises the usage error that
+names the first bad cell.
 """
 
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .boundary import BoundaryDataSet, face_nodes, face_shapes
+from .boundary import FACE_ORDER, BoundaryDataSet, face_nodes, face_shapes
 from .carleman import LAMBDAS
 from .config import config_hash, config_lines
 from .errors import UsageError
@@ -125,37 +129,21 @@ def _store_meta(path, meta, raw):
         _store(path, meta, key, val)
 
 
-def _data_text(path, body, width, meta):
-    """The data rows among the lines ``body``, joined by commas.  '#' lines
-    go into ``meta`` and blank lines are skipped; a row without ``width``
-    cells is refused.  Faults are met in line order."""
-    text = ",".join(body)
-    # A data row has exactly width - 1 commas, a blank line none.
-    commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body))
-    odd = commas != width - 1
-    if "#" in text:
-        odd |= np.fromiter(map(str.startswith, body, repeat("#")), bool, len(body))
-    if not odd.any():
-        return text
-    for n in np.flatnonzero(odd).tolist():
-        raw = body[n]
-        if raw.startswith("#"):
-            _store_meta(path, meta, raw)
-        elif raw.strip():
-            raise UsageError(f"{path}: row {raw!r} has {commas[n] + 1} cells, not {width}")
-    return ",".join(body[n] for n in np.flatnonzero(~odd).tolist())
-
-
-def _read_table(path, columns):
-    """Split a headered CSV into (meta dict, one list of cell texts per
-    column).
+def _read_table(path, columns, dtypes):
+    """(meta dict, one array per column) of a headered CSV, read as
+    ``dtypes`` gives: int64, float64 or a str width per column.
 
     The column header must equal ``columns`` (two or more names), every
     row must carry one cell per column, and no meta key may repeat.  Blank
-    lines are skipped and '#' lines are meta lines wherever they stand; a
-    file with several faults is refused for its first.
+    lines are skipped and '#' lines are meta lines wherever they stand.
+    Faults are met in line order, then the first cell that does not
+    convert in row order.
     """
-    lines = _read_text(path).splitlines()
+    text = _read_text(path)
+    plain = text.isascii() and "\0" not in text and "\x1f" not in text
+    hashes = text.count("#")
+    lines = text.splitlines()
+    del text  # the lines hold the table now: free its text before parsing
     meta = {}
     for n, raw in enumerate(lines):
         if not raw.strip():
@@ -169,11 +157,31 @@ def _read_table(path, columns):
         break
     else:
         raise UsageError(f"{path}: no column header found")
-    width = len(columns)
-    text = _data_text(path, lines[n + 1:], width, meta)
-    del lines  # the cells are the table's largest copy; free the lines first
-    cells = text.split(",") if text else []
-    return meta, [cells[c::width] for c in range(width)]
+    body = lines[n + 1:]
+    # With no '#' past the header, the body holds only data rows and blank
+    # lines, which np.loadtxt skips; it warns on a body without data rows.
+    if plain and hashes == sum(line.count("#") for line in lines[:n]) and any(body):
+        try:
+            rows = np.loadtxt(body, dtype=list(zip(columns, dtypes)), delimiter=",", comments=None, ndmin=1)
+            return meta, [rows[name] for name in columns]
+        except ValueError:
+            pass
+    # Cell by cell through parse_value.  Int and str cells stay Python
+    # objects, so that an int past int64 reaches _index and a str keeps
+    # every character.
+    rows = []
+    for raw in body:
+        if raw.startswith("#"):
+            _store_meta(path, meta, raw)
+        elif raw.strip():
+            cells = raw.split(",")
+            if len(cells) != len(columns):
+                raise UsageError(f"{path}: row {raw!r} has {len(cells)} cells, not {len(columns)}")
+            rows.append(cells)
+    kinds = [{"i": int, "f": float, "U": str}[np.dtype(d).kind] for d in dtypes]
+    table = np.array([[parse_value(path, t, k) for t, k in zip(row, kinds)] for row in rows], dtype=object)
+    cols = table.reshape(-1, len(kinds)).T
+    return meta, [col.astype(float) if k is float else col for col, k in zip(cols, kinds)]
 
 
 def parse_value(path, text, kind=float, size=None):
@@ -188,76 +196,30 @@ def parse_value(path, text, kind=float, size=None):
     return value
 
 
-# A column whose first _PROBE cells hold at most half as many distinct
-# texts (a grid or index column) is converted once per distinct text; any
-# other cell by cell, which is faster when most texts differ.
-_PROBE = 64
+def _index(path, cols, shape):
+    """The index columns ``cols`` as int64 arrays into ``shape``.  The
+    first row with an index outside is refused as :func:`parse_value`
+    refuses it."""
+    outside = np.logical_or.reduce([(col < 0) | (col >= size) for col, size in zip(cols, shape)])
+    if outside.any():
+        for col, size in zip(cols, shape):
+            parse_value(path, col[np.argmax(outside)], int, size)
+    return [col.astype(np.int64) for col in cols]
 
 
-def _distinct(cells):
-    """(keys, inverse): the distinct texts of ``cells`` in order of first
-    appearance, and each cell's position among them."""
-    where = dict.fromkeys(cells)
-    keys = list(where)
-    where.update(zip(keys, range(len(keys))))
-    return keys, np.fromiter(map(where.__getitem__, cells), np.intp, len(cells))
-
-
-def _columns(path, cols, kind, sizes):
-    """Each list of cell texts in ``cols`` as an int64 (``kind=int``) or
-    float array, every cell read as :func:`parse_value` reads it with the
-    matching entry of ``sizes``.  A cell it refuses raises its usage error,
-    for the first such cell in row order."""
-    arrays = []
-    for col, size in zip(cols, sizes):
-        head = col[:_PROBE]
-        keys, inverse = _distinct(col) if 2 * len(set(head)) <= len(head) else (col, None)
-        try:
-            values = np.fromiter(map(kind, keys), np.int64 if kind is int else float, len(keys))
-        except (ValueError, OverflowError):
-            break
-        if size is not None and not ((values >= 0) & (values < size)).all():
-            break
-        arrays.append(values if inverse is None else values[inverse])
-    else:
-        return arrays
-    # The error path: parse_value refuses at least one of these cells.
-    for row in zip(*cols):
-        for text, size in zip(row, sizes):
-            parse_value(path, text, kind, size)
-    raise AssertionError(f"{path}: a cell failed to convert but parse_value accepts them all")
-
-
-def _take(cells, rows):
-    """The entries of the list ``cells`` at the ascending positions ``rows``
-    (a slice when they are consecutive, as each face's rows are)."""
-    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
-        return cells[rows[0]:rows[-1] + 1]
-    return [cells[n] for n in rows.tolist()]
-
-
-def _parse(path, cols, sizes):
-    """(index, values) of a table's columns of cell texts: the leading
-    ``len(sizes)`` columns as int arrays, each checked against its axis
-    size, and the remaining columns as the rows of an (m, n) float array."""
-    d = len(sizes)
-    index = _columns(path, cols[:d], int, sizes)
-    values = _columns(path, cols[d:], float, (None,) * (len(cols) - d))
-    return tuple(index), np.array(values)
-
-
-def _fill(path, index, values, shape, what="table"):
-    """Each value column scattered into an array of ``shape``, stacked along
-    a new first axis.  Every index must occur exactly once and every value
-    must be a finite number: a repeated or missing row, or a 'nan' or
-    'inf' cell, is a usage error."""
-    flat = np.ravel_multi_index(index, shape)
+def _fill(path, cols, shape, what="table"):
+    """The columns of ``cols`` after the first ``len(shape)``, each
+    scattered into an array of ``shape`` by those index columns
+    (:func:`_index`), stacked along a new first axis.  A repeated or
+    missing index row, or a 'nan' or 'inf' value, is a usage error."""
+    flat = np.ravel_multi_index(_index(path, cols[:len(shape)], shape), shape)
     count = np.bincount(flat, minlength=int(np.prod(shape)))
     if np.any(count > 1):
         repeated = tuple(int(i) for i in np.unravel_index(np.argmax(count), shape))
         raise UsageError(f"{path}: {what} has more than one row for index {repeated}")
     if not count.size or not count.all():
         raise UsageError(f"{path}: {what} has missing rows")
+    values = np.array(cols[len(shape):])
     if not np.isfinite(values).all():
         raise UsageError(f"{path}: {what} has a non-finite value")
     out = np.empty((values.shape[0], count.size))
@@ -275,6 +237,10 @@ _BOUNDARY_COLUMNS = ("face", "r", "c", "x1", "z", "alpha", "g", "g1", "g2", "g3"
 _ITERATION_COLUMNS = ("iteration", "objective", "grad_inf", "step")
 _PAIR_COLUMNS = ("i", "j", "k", "x1", "z", "alpha", "p", "q")
 _RECONSTRUCTION_COLUMNS = ("i", "j", "x1", "z", "attenuation", "absorber")
+
+# The face column's width: one character more than the longest face
+# name, so that a longer cell reads as an unknown face, never as a face.
+_FACE_TEXT = f"U{max(map(len, FACE_ORDER)) + 1}"
 
 _GEOM_KEYS = ("half_width", "slab_bottom", "slab_top", "source_half_width")
 
@@ -361,7 +327,7 @@ def write_boundary(bds, path, meta=None):
 
 def read_boundary(path):
     """Rebuild a :class:`BoundaryDataSet` from :func:`write_boundary` output."""
-    meta, cols = _read_table(path, _BOUNDARY_COLUMNS)
+    meta, cols = _read_table(path, _BOUNDARY_COLUMNS, (_FACE_TEXT, np.int64, np.int64) + (float,) * 8)
     _require(meta, ("delta", "seed", "neumann_sign", "attenuation_trace"), path)
     if meta["neumann_sign"] != _NEUMANN_SIGN:
         raise UsageError(
@@ -370,17 +336,15 @@ def read_boundary(path):
         )
     grid = _rebuild_grid(meta, path)
     shapes = face_shapes(grid)
-    names, where = _distinct(cols[0])
-    unknown = set(names) - shapes.keys()
-    if unknown:
-        raise UsageError(f"{path}: unknown face {min(unknown)!r}")
+    rows = {face: cols[0] == face for face in shapes}
+    unknown = ~np.logical_or.reduce(list(rows.values()))
+    if unknown.any():
+        raise UsageError(f"{path}: unknown face {min(cols[0][unknown].tolist())!r}")
     faces = {}
     for face, shape in shapes.items():
-        rows = np.flatnonzero(where == (names.index(face) if face in names else -1))
-        # The g3, g4 cells off the top face are 'nan' placeholders.
-        face_cols = [_take(col, rows) for col in (cols[1:] if face == "top" else cols[1:-2])]
-        # x1, z, alpha, g, g1, g2 (and g3, g4 on top) arrays of the face's shape
-        faces[face] = _fill(path, *_parse(path, face_cols, shape), shape, f"face {face!r}")
+        # x1, z, alpha, g, g1, g2 (and g3, g4 on top; 'nan' placeholders elsewhere)
+        face_cols = [col[rows[face]] for col in (cols[1:] if face == "top" else cols[1:-2])]
+        faces[face] = _fill(path, face_cols, shape, f"face {face!r}")
     g, g1, g2 = ({face: cols[n] for face, cols in faces.items()} for n in (3, 4, 5))
     return BoundaryDataSet(
         grid=grid, g=g, g1=g1, g2=g2, g3=faces["top"][6], g4=faces["top"][7],
@@ -412,9 +376,9 @@ def write_iterations(history, path, meta=None):
 
 def read_iterations(path):
     """History back as a float array of shape (n, 4)."""
-    _, cols = _read_table(path, _ITERATION_COLUMNS)
+    _, cols = _read_table(path, _ITERATION_COLUMNS, (np.int64, float, float, float))
     shape = (len(cols[0]),)
-    return np.column_stack((np.arange(shape[0]), *_fill(path, *_parse(path, cols, shape), shape)))
+    return np.column_stack((np.arange(shape[0]), *_fill(path, cols, shape)))
 
 
 def write_pair(pair, path, meta=None):
@@ -427,10 +391,10 @@ def write_pair(pair, path, meta=None):
 
 def read_pair(path):
     """Rebuild a :class:`PairField` from :func:`write_pair` output."""
-    meta, cols = _read_table(path, _PAIR_COLUMNS)
+    meta, cols = _read_table(path, _PAIR_COLUMNS, (np.int64,) * 3 + (float,) * 5)
     grid = _rebuild_grid(meta, path)
     shape = grid.shape_medium
-    *_, p, q = _fill(path, *_parse(path, cols, shape), shape)
+    *_, p, q = _fill(path, cols, shape)
     return PairField(p, q, grid)
 
 
@@ -445,11 +409,11 @@ def write_reconstruction(rec, path, meta=None):
 
 def read_reconstruction(path):
     """Rebuild a :class:`Reconstruction` from its CSV."""
-    meta, cols = _read_table(path, _RECONSTRUCTION_COLUMNS)
+    meta, cols = _read_table(path, _RECONSTRUCTION_COLUMNS, (np.int64,) * 2 + (float,) * 4)
     _require(meta, ("mu_s",), path)
     grid = _rebuild_grid(meta, path)
     shape = grid.shape_medium[:2]
-    *_, atten, absorber = _fill(path, *_parse(path, cols, shape), shape)
+    *_, atten, absorber = _fill(path, cols, shape)
     return Reconstruction(
         attenuation=atten, absorber=absorber,
         mu_s_value=parse_value(path, meta["mu_s"]), grid=grid,

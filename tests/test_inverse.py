@@ -416,3 +416,11 @@ def test_minimize_raises_when_no_descent_exists():
 
     with pytest.raises(NumericalError, match="line search stalled"):
         minimize(Flat())
+
+
+@pytest.mark.parametrize("shift", [-800.0, 720.0])
+def test_minimize_refuses_a_start_where_j_is_not_finite(objective10, shift):
+    free = objective10.initial_guess()
+    free[: objective10.n_free // 2] += shift
+    with pytest.raises(NumericalError, match=r"not finite at the start \(J = "):
+        minimize(objective10, free0=free, grad_tol=1e-8)

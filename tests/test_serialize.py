@@ -384,9 +384,13 @@ def test_every_artifact_writer_matches_the_per_row_formatter(tmp_path, monkeypat
 
 
 def _per_cell(path, cols, kind, sizes):
-    """What the readers did before converting per distinct text: every
-    cell through parse_value, row by row."""
-    rows = [[parse_value(path, text, kind, size) for text, size in zip(row, sizes)] for row in zip(*cols)]
+    """The reference reader: every cell through parse_value, row by row,
+    then every index against its size, so a cell that does not convert is
+    refused before an index outside its axis."""
+    rows = [[parse_value(path, text, kind) for text in row] for row in zip(*cols)]
+    for row in rows:
+        for value, size in zip(row, sizes):
+            parse_value(path, value, kind, size)
     return [np.array(col, dtype=np.int64 if kind is int else float) for col in zip(*rows)]
 
 
@@ -407,23 +411,77 @@ _NUMBER_TEXT = (
 @example(kind=int, size=11, pool=["9" * 30], picks=[[0]])
 @example(kind=int, size=11, pool=["3", "1.5"], picks=[[0] * 80 + [1]])
 @example(kind=int, size=11, pool=["4", "-0", " 3", "3_0"], picks=[[0] * 70 + [1, 2, 3]])
-def test_column_reader_reads_and_refuses_what_parse_value_does(kind, size, pool, picks):
-    path = "table.csv"
+def test_column_reader_reads_and_refuses_what_parse_value_does(tmp_path_factory, kind, size, pool, picks):
     n = min(len(p) for p in picks)
-    cols = [[pool[i % len(pool)] for i in p[:n]] for p in picks]
+    # A leading "0" column keeps every row a data row: no drawn cell can
+    # make it blank or a '#' line.
+    cols = [["0"] * n] + [[pool[i % len(pool)] for i in p[:n]] for p in picks]
+    names = [f"c{c}" for c in range(len(cols))]
+    path = tmp_path_factory.mktemp("cells") / "table.csv"
+    path.write_text("\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n", encoding="utf-8")
     sizes = [size if kind is int else None] * len(cols)
+
+    def read():
+        _, got = serialize._read_table(path, names, [np.int64 if kind is int else float] * len(cols))
+        return serialize._index(path, got, sizes) if kind is int else got
+
     try:
         expected = _per_cell(path, cols, kind, sizes)
     except UsageError as exc:
         with pytest.raises(UsageError) as got:
-            serialize._columns(path, cols, kind, sizes)
+            read()
         assert str(got.value) == str(exc)
     else:
-        arrays = serialize._columns(path, cols, kind, sizes)
+        arrays = read()
         assert len(arrays) == len(expected)
         for got, want in zip(arrays, expected):
             assert got.dtype == (np.int64 if kind is int else float)
             assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+
+def _with_cell(desk_run, tmp_path, name, col, cell):
+    """``name`` from the desk run with cell ``col`` of its last row set to
+    ``cell``; returns the new file's path."""
+    lines = (desk_run / name).read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[col] = cell
+    path = tmp_path / name
+    path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_non_ascii_table_never_reaches_numpy(desk_run, tmp_path, monkeypatch):
+    # numpy's integer parser has crashed the interpreter on such a cell.
+    path = _with_cell(desk_run, tmp_path, "pair.csv", 0, "\U00063889\U00049eab63")
+    monkeypatch.setattr(serialize.np, "loadtxt", lambda *args, **kwargs: pytest.fail("np.loadtxt called"))
+    with pytest.raises(UsageError, match="cannot read '.*' as int"):
+        read_pair(path)
+
+
+@pytest.mark.parametrize("cell", ["topology", "bottoms", "top\0"])
+def test_face_cell_that_only_starts_like_a_face_is_refused(desk_run, tmp_path, cell):
+    path = _with_cell(desk_run, tmp_path, "boundary.csv", 0, cell)
+    with pytest.raises(UsageError, match="unknown face"):
+        read_boundary(path)
+
+
+def test_meta_line_among_the_rows_is_read_as_meta(desk_run, tmp_path):
+    # It holds a whole row's cells: read as a row, it would be one of an
+    # unknown face.
+    lines = (desk_run / "boundary.csv").read_text().splitlines()
+    path = tmp_path / "boundary.csv"
+    path.write_text("\n".join(lines + ["# note=" + lines[-1]]) + "\n")
+    back, want = read_boundary(path), read_boundary(desk_run / "boundary.csv")
+    for face in FACE_ORDER:
+        np.testing.assert_array_equal(back.g[face], want.g[face])
+    np.testing.assert_array_equal(back.g4, want.g4)
+
+
+def test_number_cell_with_a_unit_separator_is_refused(desk_run, tmp_path):
+    # numpy strips \x1f around a number; int() and float() do not.
+    path = _with_cell(desk_run, tmp_path, "pair.csv", 0, "0\x1f")
+    with pytest.raises(UsageError, match=r"cannot read '0\\x1f' as int"):
+        read_pair(path)
 
 
 @pytest.mark.parametrize(
