@@ -17,16 +17,17 @@ Text conversion is the codec's cost.  The writer formats each distinct
 value of a column once and writes the rows a block at a time.  The
 reader hands a table to ``np.loadtxt``, one typed field per column, when
 the file is ASCII without NUL or the unit separator (0x1F) and no '#'
-follows the header.  On such text numpy reads every cell as
-:func:`parse_value` does or refuses it.  On other text its integer
-parser has crashed the interpreter (astral-plane characters), a str
-field drops a trailing NUL, and a number sheds unit separators that
-Python keeps.  Any other table, or one that numpy refuses, is read cell
-by cell through :func:`parse_value`, which reads spellings only Python
-accepts (``3_0``, Arabic-Indic digits) and raises the usage error that
-names the first bad cell.
+follows the header.  On such text numpy, its DeprecationWarning made an
+error, reads every cell as :func:`parse_value` does or refuses it.  On
+other text its integer parser has crashed the interpreter (astral-plane
+characters), a str field drops a trailing NUL, and a number sheds unit
+separators that Python keeps.  Any other table, or one that numpy
+refuses, is read cell by cell through :func:`parse_value`, which reads
+spellings only Python accepts (``3_0``, Arabic-Indic digits) and raises
+the usage error that names the first bad cell.
 """
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,13 +163,15 @@ def _read_table(path, columns, dtypes):
     # lines, which np.loadtxt skips; it warns on a body without data rows.
     if plain and hashes == sum(line.count("#") for line in lines[:n]) and any(body):
         try:
-            rows = np.loadtxt(body, dtype=list(zip(columns, dtypes)), delimiter=",", comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                # numpy 1.x truncates an int cell like '2.7' read via float; refuse it.
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(body, dtype=list(zip(columns, dtypes)), delimiter=",", comments=None, ndmin=1)
             return meta, [rows[name] for name in columns]
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             pass
-    # Cell by cell through parse_value.  Int and str cells stay Python
-    # objects, so that an int past int64 reaches _index and a str keeps
-    # every character.
+    # Cell by cell: int and str cells stay Python objects, so that an int
+    # past int64 reaches _index and a str keeps every character.
     rows = []
     for raw in body:
         if raw.startswith("#"):
@@ -393,8 +396,7 @@ def read_pair(path):
     """Rebuild a :class:`PairField` from :func:`write_pair` output."""
     meta, cols = _read_table(path, _PAIR_COLUMNS, (np.int64,) * 3 + (float,) * 5)
     grid = _rebuild_grid(meta, path)
-    shape = grid.shape_medium
-    *_, p, q = _fill(path, cols, shape)
+    *_, p, q = _fill(path, cols, grid.shape_medium)
     return PairField(p, q, grid)
 
 
@@ -412,8 +414,7 @@ def read_reconstruction(path):
     meta, cols = _read_table(path, _RECONSTRUCTION_COLUMNS, (np.int64,) * 2 + (float,) * 4)
     _require(meta, ("mu_s",), path)
     grid = _rebuild_grid(meta, path)
-    shape = grid.shape_medium[:2]
-    *_, atten, absorber = _fill(path, cols, shape)
+    *_, atten, absorber = _fill(path, cols, grid.shape_medium[:2])
     return Reconstruction(
         attenuation=atten, absorber=absorber,
         mu_s_value=parse_value(path, meta["mu_s"]), grid=grid,
