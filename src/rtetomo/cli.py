@@ -269,8 +269,7 @@ def cmd_score(args):
     path = run / "reconstruction.csv"
     rec = read_reconstruction(path)
     recorded = dict(vars(rec.grid.geometry), h_inverse=rec.grid.h, mu_s=rec.mu_s_value)
-    expected = {**vars(cfg), "h_inverse": cfg.inversion_step}
-    _refuse_other_run(path, "reconstructed", recorded, expected)
+    _refuse_other_run(path, "reconstructed", recorded, vars(cfg))
     mask = make_phantom(cfg.letter, cfg.c_a, rec.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
     # Keys score does not recompute (the descent's diagnostics) stay as written.

@@ -80,15 +80,13 @@ class RunConfig:
         ratio = self.h_inverse / self.h_forward
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise UsageError("inversion step must be an integer multiple of the forward step")
+        # The step `downsample_boundary` builds, which may differ in the last place.
+        object.__setattr__(self, "h_inverse", self.h_forward * round(ratio))
         # Both grids must exist and suit their stencils, so a configuration
         # that `invert` would refuse is refused before `forward` writes anything.
-        # The inversion grid checked is the one `invert` builds.
-        for key, step, check in (
-            ("h_forward", self.h_forward, check_acquisition_grid),
-            ("h_inverse", self.inversion_step, check_inversion_grid),
-        ):
+        for key, check in (("h_forward", check_acquisition_grid), ("h_inverse", check_inversion_grid)):
             try:
-                check(GridSet.uniform(geometry, step))
+                check(GridSet.uniform(geometry, getattr(self, key)))
             except UsageError as exc:
                 raise UsageError(f"{key}={getattr(self, key)!r}: {exc}") from None
         check_weights(self.lam, self.gamma, self.epsilon)
@@ -105,13 +103,6 @@ class RunConfig:
     def downsample_factor(self):
         """Acquisition-to-inversion grid ratio (validated to be integral)."""
         return round(self.h_inverse / self.h_forward)
-
-    @property
-    def inversion_step(self):
-        """The step `invert` reconstructs on, h_forward times the factor: the
-        step of its downsampled grid, which may differ from h_inverse in
-        the last place."""
-        return self.h_forward * self.downsample_factor
 
 
 def geometry_of(config):

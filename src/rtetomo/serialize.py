@@ -15,16 +15,13 @@ be written, is a usage error naming it.
 
 Text conversion is the codec's cost.  The writer formats each distinct
 value of a column once and writes the rows a block at a time.  The
-reader hands a table to ``np.loadtxt``, one typed field per column, when
-the file is ASCII without NUL or the unit separator (0x1F) and no '#'
-follows the header.  On such text numpy, its DeprecationWarning made an
-error, reads every cell as :func:`parse_value` does or refuses it.  On
-other text its integer parser has crashed the interpreter (astral-plane
-characters), a str field drops a trailing NUL, and a number sheds unit
-separators that Python keeps.  Any other table, or one that numpy
-refuses, is read cell by cell through :func:`parse_value`, which reads
-spellings only Python accepts (``3_0``, Arabic-Indic digits) and raises
-the usage error that names the first bad cell.
+reader takes every value from one ``np.loadtxt`` call, one typed field
+per column, with its DeprecationWarning made an error: so run, numpy
+reads each cell as :func:`parse_value` does or refuses the table, and a
+short loop then names the first bad row or cell.  Every writer emits
+ASCII rows, and a row that is not ASCII or holds NUL or the unit
+separator (0x1F) is refused before numpy, whose integer parser has
+crashed the interpreter on such text.
 """
 
 import warnings
@@ -134,15 +131,14 @@ def _read_table(path, columns, dtypes):
     """(meta dict, one array per column) of a headered CSV, read as
     ``dtypes`` gives: int64, float64 or a str width per column.
 
-    The column header must equal ``columns`` (two or more names), every
-    row must carry one cell per column, and no meta key may repeat.  Blank
-    lines are skipped and '#' lines are meta lines wherever they stand.
-    Faults are met in line order, then the first cell that does not
-    convert in row order.
+    '#' lines above the column header are meta lines; blank lines are
+    skipped.  Faults are met in this order: a header other than
+    ``columns`` (two or more names) or a repeated meta key, a row that is
+    not ASCII or holds NUL or 0x1F, then the first row without one cell
+    per column that ``np.loadtxt`` converts.
     """
     text = _read_text(path)
     plain = text.isascii() and "\0" not in text and "\x1f" not in text
-    hashes = text.count("#")
     lines = text.splitlines()
     del text  # the lines hold the table now: free its text before parsing
     meta = {}
@@ -159,32 +155,29 @@ def _read_table(path, columns, dtypes):
     else:
         raise UsageError(f"{path}: no column header found")
     body = lines[n + 1:]
-    # With no '#' past the header, the body holds only data rows and blank
-    # lines, which np.loadtxt skips; it warns on a body without data rows.
-    if plain and hashes == sum(line.count("#") for line in lines[:n]) and any(body):
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.x truncates an int cell like '2.7' read via float; refuse it.
-                warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(body, dtype=list(zip(columns, dtypes)), delimiter=",", comments=None, ndmin=1)
-            return meta, [rows[name] for name in columns]
-        except (ValueError, DeprecationWarning):
-            pass
-    # Cell by cell: int and str cells stay Python objects, so that an int
-    # past int64 reaches _index and a str keeps every character.
-    rows = []
-    for raw in body:
-        if raw.startswith("#"):
-            _store_meta(path, meta, raw)
-        elif raw.strip():
+    # numpy has crashed on non-ASCII cells, and drops NUL and 0x1F that Python keeps.
+    for raw in [] if plain else body:
+        if not raw.isascii() or "\0" in raw or "\x1f" in raw:
+            raise UsageError(f"{path}: row {raw!r} holds a non-ASCII, NUL or 0x1F character")
+    dtype = list(zip(columns, dtypes))
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x truncates an int cell like '2.7' read via float; refuse it.
+            warnings.simplefilter("error", DeprecationWarning)
+            # np.loadtxt skips blank lines, and warns on a body of nothing else.
+            rows = np.empty(0, dtype) if not any(body) else np.loadtxt(
+                body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
+        # Name the first row numpy refuses as parse_value would, else give numpy's reason.
+        kinds = [{"i": int, "f": float, "U": str}[np.dtype(d).kind] for d in dtypes]
+        for raw in filter(None, body):
             cells = raw.split(",")
             if len(cells) != len(columns):
-                raise UsageError(f"{path}: row {raw!r} has {len(cells)} cells, not {len(columns)}")
-            rows.append(cells)
-    kinds = [{"i": int, "f": float, "U": str}[np.dtype(d).kind] for d in dtypes]
-    table = np.array([[parse_value(path, t, k) for t, k in zip(row, kinds)] for row in rows], dtype=object)
-    cols = table.reshape(-1, len(kinds)).T
-    return meta, [col.astype(float) if k is float else col for col, k in zip(cols, kinds)]
+                raise UsageError(f"{path}: row {raw!r} has {len(cells)} cells, not {len(columns)}") from None
+            for cell, kind in zip(cells, kinds):
+                parse_value(path, cell, kind)
+        raise UsageError(f"{path}: {exc}") from None
+    return meta, [rows[name] for name in columns]
 
 
 def parse_value(path, text, kind=float, size=None):
@@ -275,18 +268,18 @@ def write_keyvalues(path, mapping, meta=None):
 
 def read_keyvalues(path):
     """Read a key=value report; returns (body, meta), both str -> str.
-    A key repeated within the body or within the meta lines is refused."""
+    '#' lines follow the table rule (:func:`_store_meta`).  A key repeated
+    within the body or within the meta lines is refused."""
     meta, body = {}, {}
     for raw in _read_text(path).splitlines():
         line = raw.strip()
-        if not line:
-            continue
-        target = meta if line.startswith("#") else body
-        line = line.lstrip("#").strip()
-        if "=" not in line:
-            raise UsageError(f"{path}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        _store(path, target, key, val)
+        if line.startswith("#"):
+            _store_meta(path, meta, line)
+        elif line:
+            if "=" not in line:
+                raise UsageError(f"{path}: expected key=value, got {raw!r}")
+            key, _, val = line.partition("=")
+            _store(path, body, key, val)
     return body, meta
 
 

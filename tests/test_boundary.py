@@ -150,3 +150,30 @@ def test_short_axes_and_unnamed_streams_are_usage_errors():
         diff_axis(f[:2], 0.1, 0)
     with pytest.raises(UsageError, match="stream name must be a non-empty string"):
         stream(0, "")
+
+
+# Max / RMS of noisy - clean derived data at delta = 0.05, seed 1, letter
+# A: g1 and g2 over every face, g3 and g4 on the top face.  Each finite
+# difference of the noisy traces divides their noise by the step, so the
+# derivative data grow as h shrinks (Hanke & Scherzer, "Inverse problems
+# light: numerical differentiation", Amer. Math. Monthly 108, 2001).
+NOISE_AMPLIFICATION = {
+    "field20": {"g1": (0.0488, 0.0281), "g2": (1.52, 0.290), "g3": (1.06, 0.205), "g4": (43.8, 4.47)},
+    "field40": {"g1": (0.0488, 0.0283), "g2": (3.73, 0.507), "g3": (2.07, 0.221), "g4": (54.7, 7.43)},
+}
+
+
+@pytest.mark.parametrize("fixture, grid", [("field20", "grid20"), ("field40", "grid40")])
+def test_noise_amplification_of_the_derived_data(request, fixture, grid, kernel):
+    field, grid = request.getfixturevalue(fixture), request.getfixturevalue(grid)
+    faces = extract_boundary(field[0] if fixture == "field40" else field)  # field40 carries its solve time
+    clean = derive_boundary_data(faces, grid, kernel)
+    noisy = derive_boundary_data(faces, grid, kernel, delta=0.05, seed=1)
+    measured = {}
+    for name in ("g1", "g2", "g3", "g4"):
+        diff = [getattr(noisy, name), getattr(clean, name)]
+        if name in ("g1", "g2"):
+            diff = [np.concatenate([np.ravel(data[face]) for face in FACE_ORDER]) for data in diff]
+        err = np.abs(diff[0] - diff[1])
+        measured[name] = tuple(float(f"{x:.3g}") for x in (err.max(), np.sqrt(np.mean(err**2))))
+    assert measured == NOISE_AMPLIFICATION[fixture]

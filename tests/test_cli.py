@@ -733,17 +733,20 @@ def test_score_refuses_a_reconstruction_from_another_run(desk_run, tmp_path, cap
     assert (out / "metrics.txt").read_bytes() == written
 
 
-def test_score_accepts_the_step_invert_reconstructs_on(desk_run, tmp_path):
-    # invert reconstructs on h_forward * 7 = 0.09999999999999999, one ulp
-    # below h_inverse, and score must take that step as this run's
-    cfg = RunConfig(h_forward=1 / 70, h_inverse=0.1, out=str(tmp_path))
-    rec = read_reconstruction(desk_run / "reconstruction.csv")
-    grid = GridSet.uniform(cfg.geometry, cfg.h_forward * cfg.downsample_factor)
-    assert grid.h != cfg.h_inverse
-    moved = Reconstruction(rec.attenuation, rec.absorber, cfg.mu_s, grid)
-    write_reconstruction(moved, tmp_path / "reconstruction.csv")
-    write_manifest(cfg, tmp_path / "manifest.txt")
-    assert main(["score", "--run", str(tmp_path)]) == 0
+def test_score_accepts_the_step_invert_reconstructs_on(tmp_path):
+    # invert reconstructs on h_forward * 7 = 0.19999999999999998, one ulp
+    # below 0.2; the manifest records that step, and so do pair.csv and
+    # reconstruction.csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h_forward={1 / 35!r}\nh_inverse=0.2\n")
+    out = tmp_path / "run"
+    for command in ("forward", "invert"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["score", "--run", str(out)]) == 0
+    steps = [read_manifest(out / "manifest.txt")["h_inverse"]]
+    for name in ("pair.csv", "reconstruction.csv"):
+        steps += [line[len("# h="):] for line in (out / name).read_text().splitlines() if line.startswith("# h=")]
+    assert steps == [format(1 / 35 * 7, ".17g")] * 3
 
 
 def test_config_checks_the_inversion_grid_invert_builds(monkeypatch, tmp_path):
@@ -763,8 +766,18 @@ def test_config_checks_the_inversion_grid_invert_builds(monkeypatch, tmp_path):
     zeros = np.zeros(coarse.shape_medium)
     write_pair(PairField(zeros, zeros, coarse), tmp_path / "pair.csv")
     recorded = read_pair(tmp_path / "pair.csv").grid.h
-    assert steps == [recorded] == [cfg.inversion_step]
-    assert recorded != cfg.h_inverse
+    # one step, the product, where 0.1 itself is one ulp away
+    assert steps == [recorded] == [cfg.h_inverse] == [1 / 70 * 7] != [0.1]
+
+
+def test_score_reads_a_run_annotated_by_hand(desk_run, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(desk_run, out)
+    for name in ("manifest.txt", "metrics.txt"):
+        with open(out / name, "a") as f:
+            f.write("# checked by hand\n")
+    assert main(["score", "--run", str(out)]) == 0
+    assert read_manifest(out / "manifest.txt") == read_manifest(desk_run / "manifest.txt")
 
 
 def test_a_manifest_is_a_config_file(desk_run, tmp_path):

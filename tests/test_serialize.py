@@ -1,5 +1,6 @@
 """Text artifacts round-trip bit for bit."""
 
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -395,6 +396,17 @@ def _per_cell(path, cols, kind, sizes):
     return [np.array(col, dtype=np.int64 if kind is int else float) for col in zip(*rows)]
 
 
+def _python_only(text, kind):
+    """Whether ``text`` is a spelling that the reader refuses and that
+    ``kind`` may read: not ASCII, with '_', or an int past int64."""
+    if not text.isascii() or "_" in text:
+        return True
+    try:
+        return kind is int and not -(2**63) <= int(text) < 2**63
+    except ValueError:
+        return False
+
+
 _NUMBER_TEXT = (
     st.integers(-3, 40).map(str)
     | st.floats().map(fnum)
@@ -426,6 +438,12 @@ def test_column_reader_reads_and_refuses_what_parse_value_does(tmp_path_factory,
         _, got = serialize._read_table(path, names, [np.int64 if kind is int else float] * len(cols))
         return serialize._index(path, got, sizes) if kind is int else got
 
+    # A table with a spelling only Python reads is refused, naming the file;
+    # any other is read, or refused, as parse_value reads or refuses it.
+    if any(_python_only(text, kind) for col in cols for text in col):
+        with pytest.raises(UsageError, match=re.escape(str(path))):
+            read()
+        return
     try:
         expected = _per_cell(path, cols, kind, sizes)
     except UsageError as exc:
@@ -440,23 +458,33 @@ def test_column_reader_reads_and_refuses_what_parse_value_does(tmp_path_factory,
             assert got.tobytes() == want.astype(got.dtype).tobytes()
 
 
+def _set_cell(lines, col, cell):
+    """``lines`` with cell ``col`` of the last one set to ``cell``."""
+    cells = lines[-1].split(",")
+    cells[col] = cell
+    return lines[:-1] + [",".join(cells)]
+
+
 def _with_cell(desk_run, tmp_path, name, col, cell):
     """``name`` from the desk run with cell ``col`` of its last row set to
     ``cell``; returns the new file's path."""
-    lines = (desk_run / name).read_text().splitlines()
-    cells = lines[-1].split(",")
-    cells[col] = cell
     path = tmp_path / name
-    path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n", encoding="utf-8")
+    lines = _set_cell((desk_run / name).read_text().splitlines(), col, cell)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# The usage error of a row that is kept from numpy.
+_NOT_PLAIN = "holds a non-ASCII, NUL or 0x1F character"
 
 
 def test_non_ascii_table_never_reaches_numpy(desk_run, tmp_path, monkeypatch):
     # numpy's integer parser has crashed the interpreter on such a cell.
     path = _with_cell(desk_run, tmp_path, "pair.csv", 0, "\U00063889\U00049eab63")
     monkeypatch.setattr(serialize.np, "loadtxt", lambda *args, **kwargs: pytest.fail("np.loadtxt called"))
-    with pytest.raises(UsageError, match="cannot read '.*' as int"):
+    with pytest.raises(UsageError, match=_NOT_PLAIN) as exc:
         read_pair(path)
+    assert str(exc.value).startswith(f"{path}: row ")
 
 
 @pytest.mark.parametrize("cell", ["1.5", "1e0", "nan"])
@@ -483,28 +511,73 @@ def test_index_cell_read_via_float_is_refused(desk_run, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("cell", ["topology", "bottoms", "top\0"])
 def test_face_cell_that_only_starts_like_a_face_is_refused(desk_run, tmp_path, cell):
+    # numpy's str field would drop the NUL, so that row never reaches it.
     path = _with_cell(desk_run, tmp_path, "boundary.csv", 0, cell)
-    with pytest.raises(UsageError, match="unknown face"):
+    with pytest.raises(UsageError, match=_NOT_PLAIN if "\0" in cell else "unknown face"):
         read_boundary(path)
 
 
 def test_meta_line_among_the_rows_is_read_as_meta(desk_run, tmp_path):
-    # It holds a whole row's cells: read as a row, it would be one of an
-    # unknown face.
+    # Only the lines above the column header are meta lines.  Below it this
+    # '#' line, which holds a whole row's cells, is read as a row, and its
+    # face cell is not a face.
     lines = (desk_run / "boundary.csv").read_text().splitlines()
     path = tmp_path / "boundary.csv"
     path.write_text("\n".join(lines + ["# note=" + lines[-1]]) + "\n")
-    back, want = read_boundary(path), read_boundary(desk_run / "boundary.csv")
-    for face in FACE_ORDER:
-        np.testing.assert_array_equal(back.g[face], want.g[face])
-    np.testing.assert_array_equal(back.g4, want.g4)
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: unknown face '# note='$"):
+        read_boundary(path)
 
 
 def test_number_cell_with_a_unit_separator_is_refused(desk_run, tmp_path):
     # numpy strips \x1f around a number; int() and float() do not.
     path = _with_cell(desk_run, tmp_path, "pair.csv", 0, "0\x1f")
-    with pytest.raises(UsageError, match=r"cannot read '0\\x1f' as int"):
+    with pytest.raises(UsageError, match=r"row '0\\x1f,.*' " + _NOT_PLAIN):
         read_pair(path)
+
+
+def _loadtxt_of_ascii_rows(monkeypatch):
+    """Patch np.loadtxt in the reader to fail the test on a non-ASCII row."""
+    loadtxt = np.loadtxt
+
+    def ascii_only(rows, *args, **kwargs):
+        assert all(row.isascii() for row in rows), "np.loadtxt called on a non-ASCII row"
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(serialize.np, "loadtxt", ascii_only)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: _set_cell(lines, 0, "3_0"), "could not convert string '3_0' to int64"),
+        (lambda lines: _set_cell(lines, 0, "9" * 30), f"could not convert string '{'9' * 30}' to int64"),
+        (lambda lines: lines + ["# note=x"], "row '# note=x' has 1 cells, not 8"),
+        (lambda lines: lines + ["   "], "row '   ' has 1 cells, not 8"),
+        (lambda lines: _set_cell(lines, 0, "\u0663"), "row '\u0663,.*' " + _NOT_PLAIN),
+    ],
+    ids=["underscore", "past-int64", "hash-line", "spaces", "arabic-indic"],
+)
+def test_spellings_only_python_reads_are_refused(desk_run, tmp_path, monkeypatch, edit, message):
+    lines = edit((desk_run / "pair.csv").read_text().splitlines())
+    path = tmp_path / "pair.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _loadtxt_of_ascii_rows(monkeypatch)
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: {message}"):
+        read_pair(path)
+
+
+def test_non_ascii_meta_line_reads_back(desk_run, tmp_path, monkeypatch):
+    lines = (desk_run / "boundary.csv").read_text().splitlines()
+    path = tmp_path / "boundary.csv"
+    path.write_text("\n".join(lines[:1] + ["# note=\u00e9"] + lines[1:]) + "\n", encoding="utf-8")
+    _loadtxt_of_ascii_rows(monkeypatch)
+    back, want = read_boundary(path), read_boundary(desk_run / "boundary.csv")
+    for name in ("g", "g1", "g2"):
+        for face in FACE_ORDER:
+            assert getattr(back, name)[face].tobytes() == getattr(want, name)[face].tobytes()
+    for name in ("g3", "g4", "delta", "seed", "attenuation_trace"):
+        assert np.asarray(getattr(back, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+    assert (back.grid.geometry, back.grid.h) == (want.grid.geometry, want.grid.h)
 
 
 @pytest.mark.parametrize(
