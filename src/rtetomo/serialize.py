@@ -16,15 +16,14 @@ be written, is a usage error naming it.
 Text conversion is the codec's cost.  The writer formats each distinct
 value of a column once and writes the rows a block at a time.  The
 reader takes every value from one ``np.loadtxt`` call, one typed field
-per column, with its DeprecationWarning made an error: so run, numpy
-reads each cell as :func:`parse_value` does or refuses the table, and a
-short loop then names the first bad row or cell.  Every writer emits
-ASCII rows, and a row that is not ASCII or holds NUL or the unit
+per column, which reads each cell as :func:`parse_value` does or
+refuses the table (an int cell such as '2.7' included), and a short
+loop then names the first row numpy refuses by its text.  Every writer
+emits ASCII rows, and a row that is not ASCII or holds NUL or the unit
 separator (0x1F) is refused before numpy, whose integer parser has
 crashed the interpreter on such text.
 """
 
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,13 +160,10 @@ def _read_table(path, columns, dtypes):
             raise UsageError(f"{path}: row {raw!r} holds a non-ASCII, NUL or 0x1F character")
     dtype = list(zip(columns, dtypes))
     try:
-        with warnings.catch_warnings():
-            # numpy 1.x truncates an int cell like '2.7' read via float; refuse it.
-            warnings.simplefilter("error", DeprecationWarning)
-            # np.loadtxt skips blank lines, and warns on a body of nothing else.
-            rows = np.empty(0, dtype) if not any(body) else np.loadtxt(
-                body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning) as exc:
+        # np.loadtxt refuses an int cell such as '2.7', and warns on a body of blank lines alone.
+        rows = np.empty(0, dtype) if not any(body) else np.loadtxt(
+            body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
         # Name the first row numpy refuses as parse_value would, else give numpy's reason.
         kinds = [{"i": int, "f": float, "U": str}[np.dtype(d).kind] for d in dtypes]
         for raw in filter(None, body):

@@ -2,7 +2,6 @@
 
 import re
 import shutil
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -488,25 +487,10 @@ def test_non_ascii_table_never_reaches_numpy(desk_run, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cell", ["1.5", "1e0", "nan"])
-@pytest.mark.parametrize("lenient", [False, True])
-def test_index_cell_read_via_float_is_refused(desk_run, tmp_path, monkeypatch, cell, lenient):
-    # numpy 1.x reads such an int cell through float and truncates it,
-    # with only a DeprecationWarning; the lenient stand-in does so on any
-    # numpy.  Warnings are ignored here, as they are outside the tests.
+def test_index_cell_read_via_float_is_refused(desk_run, tmp_path, cell):
     path = _with_cell(desk_run, tmp_path, "pair.csv", 0, cell)
-    if lenient:
-        loadtxt = np.loadtxt
-
-        def truncating(rows, dtype, **kwargs):
-            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
-            floats = [(name, float if np.dtype(d).kind == "i" else d) for name, d in dtype]
-            return loadtxt(rows, dtype=floats, **kwargs).astype(dtype)
-
-        monkeypatch.setattr(serialize.np, "loadtxt", truncating)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(UsageError, match=f"cannot read '{cell}' as int"):
-            read_pair(path)
+    with pytest.raises(UsageError, match=f"cannot read '{cell}' as int"):
+        read_pair(path)
 
 
 @pytest.mark.parametrize("cell", ["topology", "bottoms", "top\0"])
