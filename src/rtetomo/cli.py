@@ -272,10 +272,10 @@ def cmd_score(args):
     _refuse_other_run(path, "reconstructed", recorded, vars(cfg))
     mask = make_phantom(cfg.letter, cfg.c_a, rec.grid, cfg.mu_s).mask
     metrics = score(rec, mask, cfg.c_a, mu_s_value=cfg.mu_s)
-    # Keys score does not recompute (the descent's diagnostics) stay as written.
+    # Keys score does not recompute (the descent's diagnostics) and meta lines stay as written.
     out = run / "metrics.txt"
-    kept = read_keyvalues(out)[0] if out.is_file() else {}
-    write_keyvalues(out, {**kept, **metrics}, meta={"config_hash": config_hash(cfg)})
+    kept, meta = read_keyvalues(out) if out.is_file() else ({}, {})
+    write_keyvalues(out, {**kept, **metrics}, meta={**meta, "config_hash": config_hash(cfg)})
     for key, value in metrics.items():
         print(f"{key}={format(value, '.17g') if isinstance(value, float) else value}")
     return 0

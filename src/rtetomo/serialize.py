@@ -164,14 +164,18 @@ def _read_table(path, columns, dtypes):
         rows = np.empty(0, dtype) if not any(body) else np.loadtxt(
             body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError as exc:
-        # Name the first row numpy refuses as parse_value would, else give numpy's reason.
+        # Name the first row numpy refuses by its text: cell count, parse_value's reason, or numpy's.
         kinds = [{"i": int, "f": float, "U": str}[np.dtype(d).kind] for d in dtypes]
         for raw in filter(None, body):
             cells = raw.split(",")
             if len(cells) != len(columns):
                 raise UsageError(f"{path}: row {raw!r} has {len(cells)} cells, not {len(columns)}") from None
-            for cell, kind in zip(cells, kinds):
-                parse_value(path, cell, kind)
+            try:
+                np.loadtxt([raw], dtype=dtype, delimiter=",", comments=None)
+            except ValueError as refused:
+                for cell, kind in zip(cells, kinds):
+                    parse_value(path, cell, kind)
+                raise UsageError(f"{path}: row {raw!r}: {str(refused).partition(' at row ')[0]}") from None
         raise UsageError(f"{path}: {exc}") from None
     return meta, [rows[name] for name in columns]
 

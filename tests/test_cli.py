@@ -780,6 +780,17 @@ def test_score_reads_a_run_annotated_by_hand(desk_run, tmp_path):
     assert read_manifest(out / "manifest.txt") == read_manifest(desk_run / "manifest.txt")
 
 
+def test_score_keeps_the_meta_lines_of_metrics(desk_run, tmp_path):
+    # config_hash is rewritten where it stands; a '#' line without '=' is
+    # a comment and is dropped
+    out = tmp_path / "run"
+    shutil.copytree(desk_run, out)
+    lines = (desk_run / "metrics.txt").read_text().splitlines()
+    (out / "metrics.txt").write_text("\n".join(lines + ["# reviewer=me", "# checked by hand"]) + "\n")
+    assert main(["score", "--run", str(out)]) == 0
+    assert (out / "metrics.txt").read_text().splitlines() == [lines[0], "# reviewer=me", *lines[1:]]
+
+
 def test_a_manifest_is_a_config_file(desk_run, tmp_path):
     out = tmp_path / "again"
     assert main(["forward", "--config", str(desk_run / "manifest.txt"), "--out", str(out)]) == 0

@@ -181,6 +181,32 @@ def test_constant_log_data_expand_to_the_constant_pair(grid10, kernel):
     )
 
 
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_viscosity_term_is_minus_epsilon_times_the_laplacian(geometry, kernel, h):
+    # The five-point stencil and the one-sided normal identity are exact on
+    # a quadratic in x1 and z: a dataset taken from one expands to it at
+    # every node, and only the viscosity term of R1 and R2 depends on eps.
+    grid = GridSet.uniform(geometry, h)
+    x1, z = (c[:, :, None] for c in grid.spatial_mesh())
+    alpha = grid.alpha
+    p = 0.3 * x1**2 - 0.2 * z**2 + 0.1 * x1 * z + 0.05 * alpha
+    q = -0.1 * x1**2 + 0.4 * z**2 + 0.2 * z * alpha
+    laplacians = (2 * 0.3 - 2 * 0.2, -2 * 0.1 + 2 * 0.4)
+    g3, g4 = (np.broadcast_to(dz, p.shape)[:, -1] for dz in (-0.4 * z + 0.1 * x1, 0.8 * z + 0.2 * alpha))
+    g1, g2 = extract_boundary(p), extract_boundary(q)
+    g = {face: np.exp(v) for face, v in g1.items()}
+    data = BoundaryDataSet(grid=grid, g=g, g1=g1, g2=g2, g3=g3, g4=g4, delta=0.0, seed=0)
+    eps = (1e-2, 3e-2)
+    objectives = [CarlemanObjective(data, kernel, epsilon=e) for e in eps]
+    free = objectives[0].extract_free(PairField(p, q, grid))
+    pair = objectives[0].apply_constraints(free)
+    np.testing.assert_allclose(pair.p, p, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(pair.q, q, rtol=0, atol=1e-13)
+    first, second = (objective.residuals(free) for objective in objectives)
+    for r1, r2, laplacian in zip(first, second, laplacians):
+        np.testing.assert_allclose(r1 - r2, -(eps[0] - eps[1]) * laplacian, rtol=1e-6)
+
+
 def test_value_decomposes_into_residual_and_penalty(objective10):
     free = objective10.initial_guess()
     r1, r2 = objective10.residuals(free)

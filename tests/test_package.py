@@ -1,6 +1,7 @@
-"""The package holds no code that only its tests reach."""
+"""The package holds no code that only its tests reach, and supports one numpy."""
 
 import ast
+import re
 from pathlib import Path
 
 import rtetomo
@@ -48,3 +49,12 @@ def test_every_module_level_name_is_exported_or_used():
         if not name.startswith("__") and not any(name in words[id(other)] for _, other in stmts if other is not stmt)
     }
     assert unused <= ALLOWED, sorted(unused - ALLOWED)
+
+
+def test_the_numpy_floor_is_the_version_ci_pins():
+    """pyproject.toml's numpy floor and the tier-1 workflow's numpy pin are
+    one version, so the only numpy the package supports is the one tested."""
+    root = Path(__file__).resolve().parents[1]
+    floors = re.findall(r'"numpy>=([^"]+)"', (root / "pyproject.toml").read_text(encoding="utf-8"))
+    pins = re.findall(r"\bnumpy==(\S+)", (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    assert len(floors) == len(pins) == 1 and floors == pins, (floors, pins)
