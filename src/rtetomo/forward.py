@@ -52,6 +52,18 @@ sample's corners, and the widened attenuation.  :func:`solve_forward`
 keeps one widened scattering density and writes each row's into it in
 place once the row is solved, for the marches of the rows above.
 
+A row's rays are marched in chunks of at most ``_CHUNK`` sample slots,
+each in views of the 64-byte-aligned work vectors of one
+:class:`_Workspace` per solve, which the row marches, the lattice marches
+and :func:`u0_field`'s share: every gather, interpolation, sum and
+product of a chunk writes into them, so a chunk allocates no array.
+Fresh arrays per chunk, which the allocator hands back to the kernel
+between chunks, cost a warmed solve at h = 1/40 about 17-21 k minor page
+faults; the workspace leaves about 1.4-2.3 k.  The gathers clip instead
+of checking every index, so one check per row, of the furthest corner
+any ray's samples reach, raises the IndexError for a sample outside the
+widened medium or density.
+
 The ballistic term u0 aims its rays at the nodes as
 :func:`~rtetomo.geometry._ray_lattice` places them: a uniform grid over
 the rays' rectangle with the medium's step.  They differ from ``grid.z``
@@ -76,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .geometry import GridSet, _ray_lattice, trapezoid_weights
+from .geometry import GridSet, _aligned, _ray_lattice, trapezoid_weights
 
 _PROFILE_TABLE_N = 8193
 # int_0^1 t exp(t^2 / (t^2 - 1)) dt = (1 - e E_1(1)) / 2 = 0.20182631883840296...
@@ -223,6 +235,23 @@ def _bilinear_corners(px, pz, grid, pad=0):
 _CHUNK = 1 << 15
 
 
+class _Workspace:
+    """The work arrays of :func:`_march_row`'s chunks, shared by every
+    march of one solve: one 64-byte-aligned vector per name, of ``slots``
+    items (or more, if a march asks for more)."""
+
+    def __init__(self, slots):
+        self.slots = slots
+        self._vectors = {}
+
+    def get(self, name, size, dtype=float):
+        """The first ``size`` items of the work vector ``name``."""
+        vec = self._vectors.get(name)
+        if vec is None or vec.size < size:
+            vec = self._vectors[name] = _aligned(max(size, self.slots), dtype)
+        return vec[:size]
+
+
 @dataclass(frozen=True, eq=False)
 class _Rays:
     """What the rays from every source abscissa to the targets at
@@ -232,7 +261,9 @@ class _Rays:
     horizontal offset and ``offset`` that offset's label.  ``pad`` zero
     columns on each side of the medium hold every sample's corners (all
     lie between a source and a target), one to spare; ``atten`` is the
-    flat attenuation widened by them.
+    flat attenuation widened by them.  ``work`` is the :class:`_Workspace`
+    their marches run in, by default one that holds a chunk of the widest
+    row, the one at the top of the medium.
     """
 
     grid: GridSet
@@ -243,10 +274,12 @@ class _Rays:
     offset: np.ndarray
     pad: int
     atten: np.ndarray
+    work: _Workspace
 
     @classmethod
-    def build(cls, tx, atten, grid):
-        """The rays to ``tx`` through the nodal attenuation ``atten`` (n1, nz)."""
+    def build(cls, tx, atten, grid, work=None):
+        """The rays to ``tx`` through the nodal attenuation ``atten`` (n1, nz),
+        marched in ``work``."""
         if atten.shape != grid.shape_medium[:2]:
             raise UsageError("attenuation shape disagrees with the grid")
         alpha, h = grid.alpha, grid.h
@@ -256,17 +289,27 @@ class _Rays:
         dxr = (tx[:, None] - alpha).ravel()
         _, offset = np.unique(np.rint(dxr * (1e9 / h)), return_inverse=True)
         widened = np.pad(atten, ((pad, pad), (0, 0))).ravel()
-        return cls(grid, tx, ray_t, ray_k, dxr, offset, pad, widened)
+        if work is None:
+            top = grid.geometry.slab_top
+            ell = np.hypot(dxr, top)
+            width = int(_sample_counts(ell - ell * (grid.geometry.slab_bottom / top), grid).max())
+            work = _Workspace(min(max(_CHUNK, width), ray_k.size * width))
+        return cls(grid, tx, ray_t, ray_k, dxr, offset, pad, widened, work)
 
 
-def _interpolate(field, idx, corners):
+def _interpolate(field, idx, corners, out, scratch):
     """The bilinear interpolant of the flat ``field`` at samples whose
-    lower-left nodes are ``idx``, its (offset, weight) ``corners`` summed in
-    place in their order."""
+    lower-left nodes are ``idx``, written into ``out``: its (offset, weight)
+    ``corners`` summed in place in their order, each term formed in
+    ``scratch``.  The gathers clip, so the caller checks that every corner
+    lies in ``field``."""
     (off, cw), *rest = corners
-    out = cw * np.take(field[off:], idx)
+    np.take(field[off:], idx, out=out, mode="clip")
+    out *= cw
     for off, cw in rest:
-        out += cw * np.take(field[off:], idx)
+        np.take(field[off:], idx, out=scratch, mode="clip")
+        scratch *= cw
+        out += scratch
     return out
 
 
@@ -354,9 +397,39 @@ def _march_row(rays, tz, vt=None):
     trap[np.arange(n.size), first] *= 0.5
     trap[:, -1] *= 0.5
     half_ds = 0.5 * ds[:, None] * live[:, :-1]
+
+    # Every corner of every sample must lie in the widened medium (and
+    # the density): the gathers below clip, so this one check raises the
+    # IndexError that np.take's default mode would.  No index is negative,
+    # as neither flat nor shift is.
+    shift_nz = shift * nz
+    reach = flat.max(axis=1)[group] + shift_nz + (nz + 1)
+    if reach.max() >= rays.atten.size:
+        raise IndexError(f"index {reach.max()} is out of bounds for the {rays.atten.size} widened medium nodes")
     if vt is not None:
         stride = vt[0].size
         v = vt.ravel()
+        k_stride = ray_k * stride
+        reach += k_stride
+        if reach.max() >= v.size:
+            raise IndexError(f"index {reach.max()} is out of bounds for the {v.size} widened density nodes")
+    ends = fx[:, [0, -1]][group] + shift[:, None]
+    beside = np.any((ends < -1e-9) | (ends > n1 - 1 + 1e-9), axis=1)
+
+    # Every ray, a chunk at a time, shifted from its group's.  Each chunk
+    # runs in (rows, columns) views of the first items of rays.work's
+    # vectors, so no array is allocated per chunk.
+    step = max(1, _CHUNK // width)
+    rows = min(step, ray_k.size)
+
+    def work(name, cols=width, dtype=float):
+        return rays.work.get(name, rows * width, dtype)[: rows * cols].reshape(rows, cols)
+
+    flat_w, corners_w = work("flat", dtype=np.int64), [work(f"corner{i}") for i in range(len(corners))]
+    a_w, tmp_w, half_w = work("a"), work("tmp"), work("tmp", width - 1)
+    terms_w, weight_w, c_w, cum_w = work("terms", width - 1), work("terms"), work("c"), work("c", width - 1)
+    inside_w, upper_w = work("inside", dtype=bool), work("upper", dtype=bool)
+    if vt is not None:
         # The columns from the first that reaches the last cell band, and
         # the corners' weights on the targets' z-row there.
         z_row = min(int(np.searchsorted(grid.z, tz - 1e-9 * h)), nz - 1)
@@ -364,48 +437,57 @@ def _march_row(rays, tz, vt=None):
         tail = int(np.argmax(np.any(iz >= z_row - 1, axis=0)))
         ix = flat[:, tail:] // nz
         on_row = [(off // nz, cw[:, tail:] * (iz[:, tail:] + off % nz == z_row)) for off, cw in corners]
-        keys, vals = [], []
-
-    # Every ray, a chunk at a time, shifted from its group's.
-    step = max(1, _CHUNK // width)
+        ix_w = work("ix", width - tail, np.int64)
+        k_t0 = (ray_k * n_t + ray_t) * n1w + shift
+        keys = rays.work.get("keys", len(on_row) * ray_k.size * (width - tail), np.int64)
+        vals = rays.work.get("vals", keys.size)
+    at = 0
     for lo in range(0, ray_k.size, step):
         r = slice(lo, lo + step)
-        g, sh = group[r], shift[r]
-        flat_r = flat[g]
-        flat_r += (sh * nz)[:, None]
-        corners_r = [(off, cw[g]) for off, cw in corners]
-        a_s = _interpolate(rays.atten, flat_r, corners_r)
-        ends = np.stack([fx[g, 0], fx[g, -1]]) + sh
+        g = group[r]
+        m = g.size
+        flat_r = np.take(flat, g, axis=0, out=flat_w[:m], mode="clip")
+        flat_r += shift_nz[r, None]
+        corners_r = [(off, np.take(cw, g, axis=0, out=w[:m], mode="clip")) for (off, cw), w in zip(corners, corners_w)]
+        a_s = _interpolate(rays.atten, flat_r, corners_r, a_w[:m], tmp_w[:m])
         inside = None
-        if np.any((ends < -1e-9) | (ends > n1 - 1 + 1e-9)):
-            fx_r = fx[g] + sh[:, None]
-            inside = (fx_r >= -1e-9) & (fx_r <= n1 - 1 + 1e-9)
+        if beside[r].any():
+            fx_r = np.take(fx, g, axis=0, out=tmp_w[:m], mode="clip")
+            fx_r += shift[r, None]
+            inside = np.greater_equal(fx_r, -1e-9, out=inside_w[:m])
+            inside &= np.less_equal(fx_r, n1 - 1 + 1e-9, out=upper_w[:m])
             a_s *= inside
-        terms = a_s[:, 1:] + a_s[:, :-1]
-        terms *= half_ds[g]
+        terms = np.add(a_s[:, 1:], a_s[:, :-1], out=terms_w[:m])
+        terms *= np.take(half_ds, g, axis=0, out=half_w[:m], mode="clip")
         if vt is None:
-            c[r] = np.exp(np.cumsum(terms, axis=1)[:, -1])
+            np.exp(np.cumsum(terms, axis=1, out=cum_w[:m])[:, -1], out=c[r])
             continue
-        c_s = np.zeros_like(a_s)
+        c_s = c_w[:m]
+        c_s[:, 0] = 0.0
         np.cumsum(terms, axis=1, out=c_s[:, 1:])
         np.exp(c_s, out=c_s)
         c[r] = c_s[:, -1]
-        weight = trap[g]
+        weight = np.take(trap, g, axis=0, out=weight_w[:m], mode="clip")
         weight *= c_s
         weight /= c_s[:, -1:]
         if inside is not None:
             weight *= inside
-        v_s = _interpolate(v, flat_r + (ray_k[r] * stride)[:, None], corners_r)
-        below[r] = np.einsum("rm,rm->r", weight, v_s)
-        k_t = ((ray_k[r] * n_t + ray_t[r]) * n1w + sh)[:, None] + ix[g]
+        flat_r += k_stride[r, None]
+        v_s = _interpolate(v, flat_r, corners_r, a_w[:m], tmp_w[:m])
+        np.einsum("rm,rm->r", weight, v_s, out=below[r])
+        k_t = np.take(ix, g, axis=0, out=ix_w[:m], mode="clip")
+        k_t += k_t0[r, None]
         for dx, cw in on_row:
-            vals.append(weight[:, tail:] * cw[g])
-            keys.append(k_t + dx)
+            end = at + k_t.size
+            part = np.take(cw, g, axis=0, out=vals[at:end].reshape(k_t.shape), mode="clip")
+            part *= weight[:, tail:]
+            np.add(k_t, dx, out=keys[at:end].reshape(k_t.shape))
+            at = end
     if vt is None:
         return _RowRays(c.reshape(n_t, n_alpha), n[group])
     # The widened columns beyond the medium hold only weights of 0 or of
     # rounding, and read a density of 0.
-    block = np.bincount(np.concatenate(keys).ravel(), np.concatenate(vals).ravel(), n_alpha * n_t * n1w)
+    block = np.bincount(keys, vals, n_alpha * n_t * n1w)
     block = block.reshape(n_alpha, n_t, n1w)[:, :, pad : pad + n1]
     return _RowRays(c.reshape(n_t, n_alpha), n[group], below.reshape(n_t, n_alpha), block)
 
@@ -464,7 +546,7 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
     x1, z = _ray_lattice(grid)
     x1_off = np.any(x1 != grid.x1)
     rays = _Rays.build(grid.x1, atten, grid)
-    lattice = _Rays.build(x1, atten, grid) if x1_off else rays
+    lattice = _Rays.build(x1, atten, grid, rays.work) if x1_off else rays
     w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
     mu_s = phantom.mu_s
     u = np.empty(shape)
@@ -502,6 +584,8 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
             )
         u[:, j] = uj
         vt[:, pad : pad + n1, j] = ((uj @ w_t) * mu_j).T
+        # Free the row's block before the next row's march makes its own.
+        del row, block
 
     if return_info:
         return u, {"sweeps": len(diffs), "diffs": diffs}

@@ -145,6 +145,19 @@ def carleman_weight(z, lam):
     return np.exp(2.0 * lam * z * z)
 
 
+def _aligned(size, dtype=float):
+    """Zeroed vector of ``size`` items whose data start on a 64-byte boundary.
+
+    malloc aligns only to 16 bytes, and on CPUs with 64-byte vector stores
+    (AVX-512) an elementwise kernel writing to an unaligned output runs up
+    to twice as slow.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.zeros(size + 64 // itemsize - 1, dtype)
+    start = (-raw.ctypes.data % 64) // itemsize
+    return raw[start : start + size]
+
+
 def trapezoid_weights(n, h):
     """Composite trapezoid weights for n closed uniform nodes of step h."""
     if n < 2:

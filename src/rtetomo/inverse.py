@@ -44,19 +44,7 @@ import numpy as np
 from .boundary import face_field
 from .errors import NumericalError, UsageError
 from .forward import scatter_alpha_derivative_matrix, scatter_matrix
-from .geometry import direction_tables, trapezoid_weights
-
-
-def _aligned(size):
-    """Zeroed float64 vector whose data start on a 64-byte boundary.
-
-    malloc aligns only to 16 bytes, and on CPUs with 64-byte vector stores
-    (AVX-512) an elementwise kernel writing to an unaligned output runs up
-    to twice as slow.
-    """
-    raw = np.zeros(size + 7)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start : start + size]
+from .geometry import _aligned, direction_tables, trapezoid_weights
 
 
 @dataclass(eq=False)

@@ -255,6 +255,56 @@ def test_march_order_cannot_move_a_rows_bits(h, source_half_width, monkeypatch):
         np.testing.assert_array_equal(permuted.block, rays.block[:, perm])
 
 
+@pytest.mark.parametrize("chunk", [None, 97], ids=["chunk", "chunk97"])
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.05, 0.5), (0.125, 0.75)], ids=["grid20", "wide-source"]
+)
+def test_a_used_workspace_cannot_move_a_rows_bits(h, source_half_width, chunk, monkeypatch):
+    # A row's march runs in its rays' work vectors, which hold whatever the
+    # last march left there (with 97-slot chunks the last chunk is partial).
+    # Marching other rows first, with and without a density, must leave a
+    # row's c, products and own-row weights the bits of fresh rays.
+    if chunk is not None:
+        monkeypatch.setattr(forward, "_CHUNK", chunk)
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    atten = make_phantom("A", 5.0, grid).attenuation
+    n1, nz, n_alpha = grid.shape_medium
+    vt = np.random.default_rng(7).uniform(0.0, 1.0, (n_alpha, n1, nz))
+    j1, j2 = nz // 2, nz - 1
+    used = _Rays.build(grid.x1, atten, grid)
+    dense = {j: _widened(vt * (np.arange(nz) < j), used) for j in (j1, j2)}
+    fresh = _march_row(_Rays.build(grid.x1, atten, grid), grid.z[j1], dense[j1])
+    _march_row(used, grid.z[j1], dense[j1])
+    _march_row(used, grid.z[j2], dense[j2])
+    _march_row(used, grid.z[j2])
+    again = _march_row(used, grid.z[j1], dense[j1])
+    for part in ("c", "below", "block"):
+        np.testing.assert_array_equal(getattr(again, part), getattr(fresh, part))
+    np.testing.assert_array_equal(_march_row(used, grid.z[j1]).c, fresh.c)
+
+
+@pytest.mark.parametrize("case", ["c", "density", "density-alone"])
+@pytest.mark.parametrize(
+    "h, source_half_width", [(0.05, 0.5), (0.125, 0.75)], ids=["grid20", "wide-source"]
+)
+def test_a_sample_beyond_the_widened_medium_is_refused(h, source_half_width, case):
+    # The march gathers without np.take's bounds check and checks each
+    # row's reach once instead.  Rays without their zero columns reach past
+    # the medium on every row above the floor (with the widened attenuation
+    # kept, past the last source's density only), and must still raise.
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
+    atten = make_phantom("A", 5.0, grid).attenuation
+    rays = _Rays.build(grid.x1, atten, grid)
+    if case == "density-alone":
+        rays = dataclasses.replace(rays, pad=0)
+    else:
+        rays = dataclasses.replace(rays, pad=0, atten=atten.ravel())
+    vt = None if case == "c" else np.zeros((grid.alpha.size, *grid.shape_medium[:2]))
+    for z in grid.z[1:]:
+        with pytest.raises(IndexError, match="out of bounds"):
+            _march_row(rays, z, vt)
+
+
 def test_ray_blocks_march_little_padding(grid20):
     # A row's rays are aligned at their ends and padded to its longest: the
     # sample slots stay within 20% of the live samples (1.12 at h = 1/20).
@@ -270,8 +320,11 @@ def test_ray_blocks_march_little_padding(grid20):
 
 def test_forward_solve_grows_resident_memory_little():
     # The row march stores no operator (the stored one grew the resident
-    # set by about 40 MB at h = 1/40).  Measured in a fresh interpreter,
-    # after a small solve has loaded everything the solve touches.
+    # set by about 40 MB at h = 1/40), and runs its chunks in one workspace
+    # per solve instead of fresh arrays that the allocator hands back to
+    # the kernel and faults in again (18 k minor faults per solve).
+    # Measured in a fresh interpreter, after a small solve has loaded
+    # everything the solve touches.
     code = textwrap.dedent(
         """
         import resource
@@ -284,16 +337,18 @@ def test_forward_solve_grows_resident_memory_little():
         solve(0.1)
         grid = GridSet.uniform(Geometry(), 1.0 / 40.0)
         phantom = make_phantom("A", 5.0, grid)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = resource.getrusage(resource.RUSAGE_SELF)
         solve_forward(phantom, SourceModel.build(0.05), KernelModel(), grid)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        print(after.ru_maxrss - before.ru_maxrss, after.ru_minflt - before.ru_minflt)
         """
     )
     paths = [str(Path(forward.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    growth_kb = int(done.stdout)
+    growth_kb, faults = map(int, done.stdout.split())
     assert growth_kb <= 15 * 1024
+    assert faults <= 6000
 
 
 def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
