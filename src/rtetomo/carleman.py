@@ -20,7 +20,7 @@ each sample's numbers are the bits it gets alone.
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, is_integer
 from .geometry import carleman_weight, trapezoid_weights
 from .seeding import stream
 from .stencils import diff_axis, second_diff_axis, smooth_pass
@@ -143,7 +143,7 @@ def empirical_carleman_constant(samples, seed, grid):
 
 
 def _check_count(count, name):
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
+    if not (is_integer(count) and count >= 1):
         raise UsageError(f"{name} must be a positive integer, got {count!r}")
 
 

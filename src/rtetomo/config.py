@@ -20,7 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .boundary import check_acquisition_grid, check_noise_level
-from .errors import UsageError
+from .errors import UsageError, is_integer
 from .forward import KernelModel, SourceModel, check_source_radius
 from .geometry import Geometry, GridSet
 from .inverse import check_inversion_grid, check_weights
@@ -62,7 +62,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{_file_key(f.name)} must be finite, got {value!r}")
-        if not isinstance(self.seed, int):
+        if not is_integer(self.seed):
             raise UsageError(f"seed must be an integer, got {self.seed!r}")
         # Each rule lives with the constructor that needs it.
         geometry = Geometry(self.half_width, self.slab_bottom, self.slab_top, self.source_half_width)

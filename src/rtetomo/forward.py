@@ -53,10 +53,10 @@ keeps one widened scattering density and writes each row's into it in
 place once the row is solved, for the marches of the rows above.
 
 A row's rays are marched in chunks of at most ``_CHUNK`` sample slots,
-each in views of the 64-byte-aligned work vectors of one
-:class:`_Workspace` per solve, which the row marches, the lattice marches
-and :func:`u0_field`'s share: every gather, interpolation, sum and
-product of a chunk writes into them, so a chunk allocates no array.
+each in views of the 64-byte-aligned work vectors of the one
+:class:`_Workspace` that all the marches of a solve share: every gather,
+interpolation, sum and product of a chunk writes into them, so a chunk
+allocates no array.
 Fresh arrays per chunk, which the allocator hands back to the kernel
 between chunks, cost a warmed solve at h = 1/40 about 17-21 k minor page
 faults; the workspace leaves about 1.4-2.3 k.  The gathers clip instead
@@ -66,14 +66,14 @@ widened medium or density.
 
 The ballistic term u0 aims its rays at the nodes as
 :func:`~rtetomo.geometry._ray_lattice` places them: a uniform grid over
-the rays' rectangle with the medium's step.  They differ from ``grid.z``
-in the last bit on a few rows (11 of 41 at h = 1/40), and on some grids
-whose source segment is wider than the medium from ``grid.x1``.  A one-bit
-change can change ceil(segment / ds), and with it a ray's sample count:
-aiming at ``grid.z`` instead moves u0 by up to 1% at h = 0.1, so the
-synthetic data depend on these exact coordinates.  :func:`u0_field`
-marches the lattice row by row; :func:`solve_forward` takes u0's c from
-its row's march and marches again only the rows that lie off the lattice.
+the rays' rectangle with the medium's step.  ``grid.x1`` is that
+lattice's x1 window, but ``grid.z`` differs from its z in the last bit on
+a few rows (11 of 41 at h = 1/40).  A one-bit change can change
+ceil(segment / ds), and with it a ray's sample count: aiming at ``grid.z``
+instead moves u0 by up to 1% at h = 0.1, so the synthetic data depend on
+these exact coordinates.  :func:`u0_field` marches the lattice z row by
+row; :func:`solve_forward` takes u0's c from its row's march and marches
+again, with the same rays, only the rows whose z lies off the lattice.
 
 A dense collocation solve of the same discretization is the oracle for
 small grids (at most ``DIRECT_MAX_UNKNOWNS`` unknowns).  The oracle takes
@@ -262,8 +262,8 @@ class _Rays:
     columns on each side of the medium hold every sample's corners (all
     lie between a source and a target), one to spare; ``atten`` is the
     flat attenuation widened by them.  ``work`` is the :class:`_Workspace`
-    their marches run in, by default one that holds a chunk of the widest
-    row, the one at the top of the medium.
+    their marches run in, one that holds a chunk of the widest row, the
+    one at the top of the medium.
     """
 
     grid: GridSet
@@ -277,9 +277,8 @@ class _Rays:
     work: _Workspace
 
     @classmethod
-    def build(cls, tx, atten, grid, work=None):
-        """The rays to ``tx`` through the nodal attenuation ``atten`` (n1, nz),
-        marched in ``work``."""
+    def build(cls, tx, atten, grid):
+        """The rays to ``tx`` through the nodal attenuation ``atten`` (n1, nz)."""
         if atten.shape != grid.shape_medium[:2]:
             raise UsageError("attenuation shape disagrees with the grid")
         alpha, h = grid.alpha, grid.h
@@ -289,11 +288,10 @@ class _Rays:
         dxr = (tx[:, None] - alpha).ravel()
         _, offset = np.unique(np.rint(dxr * (1e9 / h)), return_inverse=True)
         widened = np.pad(atten, ((pad, pad), (0, 0))).ravel()
-        if work is None:
-            top = grid.geometry.slab_top
-            ell = np.hypot(dxr, top)
-            width = int(_sample_counts(ell - ell * (grid.geometry.slab_bottom / top), grid).max())
-            work = _Workspace(min(max(_CHUNK, width), ray_k.size * width))
+        top = grid.geometry.slab_top
+        ell = np.hypot(dxr, top)
+        width = int(_sample_counts(ell - ell * (grid.geometry.slab_bottom / top), grid).max())
+        work = _Workspace(min(max(_CHUNK, width), ray_k.size * width))
         return cls(grid, tx, ray_t, ray_k, dxr, offset, pad, widened, work)
 
 
@@ -505,8 +503,8 @@ def u0_field(phantom, source, grid):
     """Ballistic (unscattered) radiance array on the medium grid, its rays
     aimed at the rays' lattice and marched one z-row at a time."""
     check_source_radius(source, grid.geometry)
-    x1, z = _ray_lattice(grid)
-    rays = _Rays.build(x1, phantom.attenuation, grid)
+    z = _ray_lattice(grid)[1]
+    rays = _Rays.build(grid.x1, phantom.attenuation, grid)
     c = np.stack([_march_row(rays, zj).c for zj in z], axis=1)
     return source.profile_integral / c
 
@@ -536,17 +534,14 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
     ``return_info`` an info dict: ``sweeps``, the most passes any row took,
     and ``diffs``, for each m the largest m-th pass update over the rows.
 
-    u0 aims at the rays' lattice (:func:`~rtetomo.geometry._ray_lattice`).
-    A row on it takes u0's c from the row's own march; a row off it, in z
-    or in x1, is marched once more to the lattice for u0.
+    u0 aims at the rays' lattice (:func:`~rtetomo.geometry._ray_lattice`),
+    whose x1 is ``grid.x1``: a row on it takes u0's c from the row's own
+    march, and the same rays march a row off it in z once more for u0.
     """
     check_source_radius(source, grid.geometry)
     shape = n1, nz, n_alpha = grid.shape_medium
-    atten = phantom.attenuation
-    x1, z = _ray_lattice(grid)
-    x1_off = np.any(x1 != grid.x1)
-    rays = _Rays.build(grid.x1, atten, grid)
-    lattice = _Rays.build(x1, atten, grid, rays.work) if x1_off else rays
+    z = _ray_lattice(grid)[1]
+    rays = _Rays.build(grid.x1, phantom.attenuation, grid)
     w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
     mu_s = phantom.mu_s
     u = np.empty(shape)
@@ -558,9 +553,7 @@ def solve_forward(phantom, source, kernel, grid, return_info=False):
     diffs, top = [], 1.0
     for j in range(nz):
         row = _march_row(rays, grid.z[j], vt)
-        c = row.c
-        if x1_off or z[j] != grid.z[j]:
-            c = _march_row(lattice, z[j]).c
+        c = row.c if z[j] == grid.z[j] else _march_row(rays, z[j]).c
         b = source.profile_integral / c + row.below
         block, mu_j = row.block, mu_s[:, j, None]
         uj = b
@@ -639,15 +632,15 @@ def solve_forward_direct(phantom, source, kernel, grid, return_info=False):
     check_source_radius(source, grid.geometry)
     atten, mu_s = phantom.attenuation, phantom.mu_s.ravel()
     w = scatter_matrix(kernel, grid.alpha, grid.h)
-    x1, z = _ray_lattice(grid)
+    z = _ray_lattice(grid)[1]
 
     rhs = np.empty((n1 * nz, nk))
     smat = np.zeros((n_unknown, n1 * nz, nk))
     for t, (i, j) in enumerate(np.ndindex(n1, nz)):
         for k, alpha in enumerate(grid.alpha):
             c, row = _ray_row(grid.x1[i], grid.z[j], alpha, atten, grid)
-            if (x1[i], z[j]) != (grid.x1[i], grid.z[j]):
-                c = _ray_row(x1[i], z[j], alpha, atten, grid)[0]
+            if z[j] != grid.z[j]:
+                c = _ray_row(grid.x1[i], z[j], alpha, atten, grid)[0]
             rhs[t, k] = source.profile_integral / c
             smat[t * nk + k] = np.outer(row * mu_s, w[k])
     rhs = rhs.ravel()

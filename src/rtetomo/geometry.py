@@ -58,8 +58,9 @@ def _ray_lattice(grid):
     """The medium's x1 and z nodes as a uniform grid over P with the same
     steps places them.
 
-    They equal ``grid.x1`` / ``grid.z`` up to round-off; a medium whose nodes
-    are not on that lattice (say, offset from it by half a step) is refused.
+    They equal ``grid.x1`` to the bit and ``grid.z`` up to round-off; a
+    medium whose nodes are not on that lattice (say, offset from it by half
+    a step) is refused.
     """
     g = grid.geometry
     n1, nz = grid.x1.size, grid.z.size
@@ -78,7 +79,8 @@ class GridSet:
 
     Built from the geometry and the one step ``h``: ``x1`` / ``z`` are the
     medium-rectangle nodes (both endpoints included) and ``alpha`` the
-    source abscissae, all spaced by ``h``.
+    source abscissae, all spaced by ``h``; ``x1`` is the window of the
+    rays' lattice over P (:func:`_ray_lattice`).
     """
 
     geometry: Geometry
@@ -96,7 +98,7 @@ class GridSet:
         object.__setattr__(self, "x1", _uniform_span(-g.half_width, g.half_width, h, "x1"))
         object.__setattr__(self, "z", _uniform_span(g.slab_bottom, g.slab_top, h, "z"))
         object.__setattr__(self, "alpha", _uniform_span(-g.source_half_width, g.source_half_width, h, "alpha"))
-        _ray_lattice(self)
+        object.__setattr__(self, "x1", _ray_lattice(self)[0])
 
     @property
     def shape_medium(self):

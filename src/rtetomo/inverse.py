@@ -42,7 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .boundary import face_field
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, is_integer
 from .forward import scatter_alpha_derivative_matrix, scatter_matrix
 from .geometry import _aligned, direction_tables, trapezoid_weights
 
@@ -464,7 +464,7 @@ def minimize(objective, free0=None, grad_tol=1e-2, max_iters=20000):
     """
     if not (np.isfinite(grad_tol) and grad_tol >= 0.0):
         raise UsageError(f"grad_tol must be finite and non-negative, got {grad_tol!r}")
-    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+    if not (is_integer(max_iters) and max_iters >= 0):
         raise UsageError(f"max_iters must be a non-negative integer, got {max_iters!r}")
     obj = objective
     free = obj.initial_guess() if free0 is None else np.array(free0, dtype=float)

@@ -14,10 +14,12 @@ from rtetomo import (
     Geometry,
     GridSet,
     NumericalError,
+    RunConfig,
     UsageError,
     convexity_sweep,
     empirical_carleman_constant,
     gradient_check,
+    minimize,
     sample_in_ball,
     sample_test_function,
     stream,
@@ -131,6 +133,22 @@ def test_sweep_argument_validation(objective10):
             empirical_carleman_constant(count, 0, small_grid())
         with pytest.raises(UsageError, match="count must be a positive integer"):
             convexity_sweep(objective10, count=count)
+
+
+@pytest.mark.parametrize("name", ["seed", "max_iters", "count", "samples"])
+def test_integer_arguments_take_numpy_integers_and_refuse_bools(objective10, name):
+    # One rule for the library's integer arguments: a Python or numpy
+    # integer, never a bool, which would otherwise run as 0 or 1.
+    call = {
+        "seed": lambda n: RunConfig(seed=n),
+        "max_iters": lambda n: minimize(objective10, max_iters=n),
+        "count": lambda n: convexity_sweep(objective10, count=n),
+        "samples": lambda n: empirical_carleman_constant(n, 0, small_grid()),
+    }[name]
+    call(np.int64(2))
+    for flag in (True, False):
+        with pytest.raises(UsageError, match=f"^{name} must be an? "):
+            call(flag)
 
 
 def test_forward_and_reverse_gaps_sum_to_the_gradient_jump(objective10):

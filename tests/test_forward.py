@@ -360,44 +360,57 @@ def test_scattering_only_adds_radiance(grid10, source, kernel, field10):
 
 
 @pytest.mark.parametrize(
-    "h, source_half_width, off_z, off_x1",
-    [(0.1, 0.5, 3, False), (0.05, 0.75, 6, True)],
-    ids=["grid10", "wide-source-20"],
+    "h, source_half_width, off_z",
+    [(0.1, 0.5, 3), (0.05, 0.75, 6), (0.025, 0.75, 11)],
+    ids=["grid10", "wide-source-20", "wide-source-40"],
 )
-def test_unscattered_solve_is_the_ballistic_field_to_the_bit(source, h, source_half_width, off_z, off_x1):
+def test_unscattered_solve_is_the_ballistic_field_to_the_bit(source, h, source_half_width, off_z):
     # Without scattering the row solve's u0 is all there is, so both of its
     # ways to c (the row's own march, or a second march to the rays'
-    # lattice) must give u0_field's bits.
+    # lattice z) must give u0_field's bits.  The medium's x1 nodes are the
+    # lattice's, also where the source segment is wider than the medium.
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     x1, z = _ray_lattice(grid)
     assert np.count_nonzero(z != grid.z) == off_z
-    assert np.any(x1 != grid.x1) == off_x1
+    assert _same_bits(x1, grid.x1)
     phantom = make_phantom("A", 5.0, grid, mu_s_value=0.0)
     field = solve_forward(phantom, source, KernelModel(aperture_half_width=source_half_width), grid)
     np.testing.assert_array_equal(field, u0_field(phantom, source, grid))
 
 
-def test_solve_forward_marches_each_ray_once(grid20, source, kernel, monkeypatch):
-    # The solve marches every (row target, source) ray once; u0 reuses its
-    # c and marches again only the rows that lie off the rays' lattice.
-    marched = []
+@pytest.mark.parametrize("source_half_width", [0.5, 0.75], ids=["grid20", "wide-source-20"])
+def test_solve_forward_marches_each_ray_once(source, source_half_width, monkeypatch):
+    # The solve marches every (row target, source) ray once, all with one
+    # set of rays aimed at grid.x1; u0 reuses their c and marches again
+    # only the rows whose z lies off the rays' lattice.
+    grid = GridSet.uniform(Geometry(source_half_width=source_half_width), 0.05)
+    kernel = KernelModel(aperture_half_width=source_half_width)
+    marched, built = [], []
+    build = forward._Rays.build
     march_row = forward._march_row
 
     def counting(rays, tz, *args):
         row = march_row(rays, tz, *args)
-        marched.append((tz, rays.tx.copy(), np.count_nonzero(row.counts)))
+        marched.append((tz, rays, np.count_nonzero(row.counts)))
         return row
 
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
     monkeypatch.setattr(forward, "_march_row", counting)
-    solve_forward(make_phantom("A", 5.0, grid20), source, kernel, grid20)
-    floor = grid20.geometry.slab_bottom + 1e-12
-    n1, nz, n_alpha = grid20.shape_medium
-    x1, z = _ray_lattice(grid20)
-    off = [j for j in range(nz) if np.any(x1 != grid20.x1) or z[j] != grid20.z[j]]
-    assert 0 < len(off) < nz
-    expected = [(grid20.z[j], grid20.x1) for j in range(nz)] + [(z[j], x1) for j in off]
-    assert sorted((zj, tuple(x)) for zj, x, _ in marched) == sorted((zj, tuple(x)) for zj, x in expected)
-    active = np.count_nonzero(grid20.z > floor) + sum(z[j] > floor for j in off)
+    monkeypatch.setattr(forward._Rays, "build", building)
+    solve_forward(make_phantom("A", 5.0, grid), source, kernel, grid)
+    assert len(built) == 1 and _same_bits(built[0].tx, grid.x1)
+    floor = grid.geometry.slab_bottom + 1e-12
+    n1, nz, n_alpha = grid.shape_medium
+    z = _ray_lattice(grid)[1]
+    off = [j for j in range(nz) if z[j] != grid.z[j]]
+    assert len(off) == 6
+    expected = [grid.z[j] for j in range(nz)] + [z[j] for j in off]
+    assert sorted(zj for zj, _, _ in marched) == sorted(expected)
+    assert all(rays is built[0] for _, rays, _ in marched)
+    active = np.count_nonzero(grid.z > floor) + sum(z[j] > floor for j in off)
     assert sum(rays for _, _, rays in marched) == active * n1 * n_alpha
 
 
@@ -408,7 +421,7 @@ def _row_by_row_setup_solve(phantom, source, kernel, grid):
     Returns the field and the per-pass largest updates."""
     n1, nz, n_alpha = grid.shape_medium
     atten = phantom.attenuation
-    x1, z = _ray_lattice(grid)
+    z = _ray_lattice(grid)[1]
     w_t = scatter_matrix(kernel, grid.alpha, grid.h).T
     u = np.empty(grid.shape_medium)
     vt = np.zeros((n_alpha, n1, nz))
@@ -418,8 +431,8 @@ def _row_by_row_setup_solve(phantom, source, kernel, grid):
         rays = _Rays.build(grid.x1, atten, grid)
         row = _march_row(rays, grid.z[j], _widened(vt, rays))
         c = row.c
-        if np.any(x1 != grid.x1) or z[j] != grid.z[j]:
-            c = _march_row(_Rays.build(x1, atten, grid), z[j]).c
+        if z[j] != grid.z[j]:
+            c = _march_row(_Rays.build(grid.x1, atten, grid), z[j]).c
         b = source.profile_integral / c + row.below
         uj = b
         for m in range(MAX_SWEEPS):
@@ -570,8 +583,8 @@ def test_divergence_names_the_row_whose_passes_grow(grid10, source, kernel):
 
 @pytest.mark.parametrize(
     "source_half_width, letter, c_a, h, off_lattice",
-    [(0.5, "SZ", 3.0, 0.125, 0), (0.75, "A", 5.0, 0.125, 0), (0.5, "SZ", 3.0, 0.1, 3)],
-    ids=["default", "wide-source", "off-lattice"],
+    [(0.5, "SZ", 3.0, 0.125, 0), (0.75, "A", 5.0, 0.125, 0), (0.5, "SZ", 3.0, 0.1, 3), (0.6, "A", 5.0, 0.1, 3)],
+    ids=["default", "wide-source", "off-lattice", "wide-source-off-lattice"],
 )
 def test_direct_solver_matches_sweeps_on_a_coarse_grid(
     source, source_half_width, letter, c_a, h, off_lattice, monkeypatch
@@ -582,13 +595,16 @@ def test_direct_solver_matches_sweeps_on_a_coarse_grid(
     # (a pure scatterer converges too slowly here).  With the wider source
     # segment some rays enter the slab beside the medium, where both solvers
     # must read the media as zero.  At h = 1/10 some z rows leave the rays'
-    # lattice in the last bit, so both solvers re-march u0 there.  The
+    # lattice in the last bit, so both solvers re-march u0 there; the x1
+    # nodes are the lattice's, also where the source segment is 0.6 wide
+    # (there the medium's own span places 7 of 11 one bit off it).  The
     # sweeps run far past the production tolerance, so the gap is the two
     # quadratures'.
     monkeypatch.setattr(forward, "FORWARD_TOL", 1e-14)
     grid = GridSet.uniform(Geometry(source_half_width=source_half_width), h)
     x1, z = _ray_lattice(grid)
-    assert np.count_nonzero(x1 != grid.x1) + np.count_nonzero(z != grid.z) == off_lattice
+    assert _same_bits(x1, grid.x1)
+    assert np.count_nonzero(z != grid.z) == off_lattice
     kernel = KernelModel(aperture_half_width=source_half_width)
     phantom = make_phantom(letter, c_a, grid)
     swept = solve_forward(phantom, source, kernel, grid)

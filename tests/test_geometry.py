@@ -72,6 +72,28 @@ def test_uniform_grid_rejects_medium_off_the_ray_lattice():
         GridSet.uniform(Geometry(slab_bottom=1.05, slab_top=2.05), 0.1)
 
 
+@pytest.mark.parametrize(
+    "source_half_width, h",
+    [(0.5, 0.1), (0.5, 0.05), (0.5, 0.025), (0.3, 0.1), (0.6, 0.1), (0.7, 0.1), (1.2, 0.1), (0.75, 0.05),
+     (1.0, 0.05), (0.75, 0.025), (0.75, 0.125)],
+)
+def test_medium_x1_nodes_are_the_ray_lattice_window(source_half_width, h):
+    # The rays over P = (-reach, reach) x (0, b) aim at the medium's x1
+    # nodes, so those are P's uniform nodes from the medium's left edge on,
+    # to the bit; with the segment inside the medium that is the medium's
+    # own span.  Where the segment is wider, the medium's own span would
+    # place some of them one bit off (7 of 11 at (0.6, 0.1)).
+    geometry = Geometry(source_half_width=source_half_width)
+    grid = GridSet.uniform(geometry, h)
+    reach, half = geometry.reach, geometry.half_width
+    lattice = np.linspace(-reach, reach, round(2 * reach / h) + 1)
+    start = round((reach - half) / h)
+    window = lattice[start : start + round(2 * half / h) + 1]
+    assert grid.x1.tobytes() == window.tobytes()
+    if source_half_width <= half:
+        assert grid.x1.tobytes() == np.linspace(-half, half, window.size).tobytes()
+
+
 def test_wide_source_segment_grows_the_hull():
     geom = Geometry(source_half_width=0.75)
     grid = GridSet.uniform(geom, 0.25)

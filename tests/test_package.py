@@ -61,3 +61,12 @@ def test_the_numpy_floor_is_the_version_ci_pins():
     names = [name for name, _ in pins]
     assert "numpy" in names and len(set(names)) == len(names), pins
     assert {name: floors.get(name) for name in names} == dict(pins)
+
+
+def test_the_python_floor_is_the_version_ci_runs():
+    """pyproject.toml's requires-python floor is the one Python the tier-1
+    workflow runs, so the oldest Python the package allows is tested."""
+    root = Path(__file__).resolve().parents[1]
+    floor = re.search(r'^requires-python = ">=([^"]+)"$', (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    ran = re.findall(r'python-version: "([^"]+)"', (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    assert floor and ran == [floor.group(1)], (floor, ran)
