@@ -12,7 +12,9 @@ source abscissa alpha:
 All differentiation is second order (central inside, one-sided at the
 ends) and happens on the acquisition grid; production runs acquire on a
 finer grid than they invert on and downsample afterwards, which tames the
-noise amplification of differencing.
+noise amplification of differencing.  One helper, :func:`_derive`,
+computes g1-g4 from g, the grid, the kernel and mu_s, after the noise draw
+and again when :func:`~rtetomo.serialize.read_boundary` reads g back.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .forward import scatter_matrix
+from .forward import KernelModel, scatter_matrix
 from .geometry import GridSet
 from .seeding import stream
 from .stencils import diff_axis
@@ -90,9 +92,9 @@ def add_noise(faces, delta, seed):
 class BoundaryDataSet:
     """All boundary quantities on one acquisition grid.
 
-    ``g``, ``g1``, ``g2`` are per-face dicts (see :func:`face_shapes`);
-    ``g3``/``g4`` live on the top face only.  ``delta``/``seed`` record
-    the noise that produced ``g``.
+    ``g``, ``g1``, ``g2`` are per-face dicts (see :func:`face_shapes`),
+    ``g3``/``g4`` top-face arrays; ``delta``/``seed`` record g's noise, and
+    ``attenuation_trace`` (mu_s) and ``kernel`` what g3 was derived with.
     """
 
     grid: GridSet
@@ -104,6 +106,7 @@ class BoundaryDataSet:
     delta: float
     seed: int
     attenuation_trace: float = 5.0
+    kernel: KernelModel = KernelModel()
 
     def __post_init__(self):
         shapes = face_shapes(self.grid)
@@ -122,7 +125,7 @@ def check_acquisition_grid(grid):
 
 
 def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0):
-    """Log data and derived derivatives from (possibly noisy) traces.
+    """Log data and derived derivatives from traces, after :func:`add_noise`.
 
     The normal derivative on the top face never touches the (unknown)
     interior field: writing the transport equation on the face leaves
@@ -135,20 +138,22 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0)
     recorded as the dataset's ``attenuation_trace``.  Dropping the term
     would bias the reconstruction near the top by about a_top / nu_n.
     """
-    check_acquisition_grid(grid)
-    check_noise_level(delta)
-    if delta > 0.0:
-        faces = add_noise(faces, delta, seed)
-    g1 = {}
-    g2 = {}
-    for name in FACE_ORDER:
-        g = faces[name]
-        if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
-            raise UsageError(f"non-positive or non-finite radiance on face {name!r}")
-        g1[name] = np.log(g)
-        g2[name] = diff_axis(g, grid.h, axis=1) / g
+    # add_noise refuses a bad delta; delta = 0 draws nothing.
+    return _derive(add_noise(faces, delta, seed) if delta else faces, grid, kernel, mu_s_value, delta, seed)
 
-    top = faces["top"]
+
+def _derive(faces, grid, kernel, mu_s_value, delta, seed):
+    """The :class:`BoundaryDataSet` of the traces ``faces`` as measured,
+    noise included: the only code that computes g1-g4."""
+    check_acquisition_grid(grid)
+    g = {name: faces[name].copy() for name in FACE_ORDER}
+    for name, trace in g.items():
+        if np.any(trace <= 0.0) or not np.all(np.isfinite(trace)):
+            raise UsageError(f"non-positive or non-finite radiance on face {name!r}")
+    g1 = {name: np.log(trace) for name, trace in g.items()}
+    g2 = {name: diff_axis(trace, grid.h, axis=1) / trace for name, trace in g.items()}
+
+    top = g["top"]
     zb = grid.geometry.slab_top
     dx = grid.x1[:, None] - grid.alpha[None, :]
     r = np.hypot(dx, zb)
@@ -160,9 +165,8 @@ def derive_boundary_data(faces, grid, kernel, mu_s_value=5.0, delta=0.0, seed=0)
     g3 = (-nu1 * w_x1 + scattering - mu_s_value) / nu_n
     g4 = diff_axis(g3, grid.h, axis=1)
     return BoundaryDataSet(
-        grid=grid, g={k: faces[k].copy() for k in FACE_ORDER}, g1=g1, g2=g2,
-        g3=g3, g4=g4, delta=float(delta), seed=int(seed),
-        attenuation_trace=float(mu_s_value),
+        grid=grid, g=g, g1=g1, g2=g2, g3=g3, g4=g4, delta=float(delta), seed=int(seed),
+        attenuation_trace=float(mu_s_value), kernel=kernel,
     )
 
 
@@ -192,14 +196,12 @@ def downsample_boundary(bds, factor):
         # grid, restrict, and read the faces off again.
         return extract_boundary(face_field(dct, g)[::factor, ::factor, ::factor])
 
-    return BoundaryDataSet(
+    return replace(
+        bds,
         grid=coarse,
         g=pick(bds.g),
         g1=pick(bds.g1),
         g2=pick(bds.g2),
         g3=bds.g3[::factor, ::factor].copy(),
         g4=bds.g4[::factor, ::factor].copy(),
-        delta=bds.delta,
-        seed=bds.seed,
-        attenuation_trace=bds.attenuation_trace,
     )

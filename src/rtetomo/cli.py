@@ -150,8 +150,8 @@ def cmd_invert(args):
     bds = read_boundary(path)
     # Every acquisition value the file records, under the config key it
     # came from; noiseless data do not depend on the seed.
-    fine = bds.grid
-    recorded = dict(vars(fine.geometry), h_forward=fine.h, delta=bds.delta, mu_s=bds.attenuation_trace)
+    recorded = dict(vars(bds.grid.geometry), h_forward=bds.grid.h, delta=bds.delta, mu_s=bds.attenuation_trace,
+                    anisotropy=bds.kernel.anisotropy)
     if bds.delta > 0:
         recorded["seed"] = bds.seed
     _refuse_other_run(path, "acquired", recorded, vars(cfg))

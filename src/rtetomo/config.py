@@ -15,6 +15,7 @@ the merged values once and keeps what the checks built.
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -59,9 +60,13 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, key = getattr(self, f.name), _file_key(f.name)
+            if f.type is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise UsageError(f"{key} expects a number, got {value!r}")
+            if f.type is str and not isinstance(value, str):
+                raise UsageError(f"{key} expects a str, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise UsageError(f"{_file_key(f.name)} must be finite, got {value!r}")
+                raise UsageError(f"{key} must be finite, got {value!r}")
         if not is_integer(self.seed):
             raise UsageError(f"seed must be an integer, got {self.seed!r}")
         # Each rule lives with the constructor that needs it.

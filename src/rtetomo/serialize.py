@@ -9,7 +9,9 @@ the arrays bit for bit; int and str cells are written as ``str`` gives
 them.  Tables that a reader rebuilds arrays from lead with index columns,
 and each index row must appear exactly once.  Grids are never stored
 wholesale: meta lines carry the geometry and the step, and readers
-rebuild the node arrays, which are deterministic.  Every artifact is
+rebuild the node arrays, which are deterministic; ``boundary.csv``
+likewise stores the traces g alone, and its reader derives g1-g4 from
+them.  Every artifact is
 UTF-8 text; a file that cannot be read or decoded, or a path that cannot
 be written, is a usage error naming it.
 
@@ -28,10 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import FACE_ORDER, BoundaryDataSet, face_nodes, face_shapes
+from .boundary import FACE_ORDER, _derive, face_nodes, face_shapes
 from .carleman import LAMBDAS
 from .config import config_hash, config_lines
 from .errors import UsageError
+from .forward import KernelModel
 from .geometry import Geometry, GridSet
 from .inverse import PairField
 from .recovery import Reconstruction
@@ -229,7 +232,7 @@ def _require(meta, keys, path):
         raise UsageError(f"{path}: header lacks {missing}")
 
 
-_BOUNDARY_COLUMNS = ("face", "r", "c", "x1", "z", "alpha", "g", "g1", "g2", "g3", "g4")
+_BOUNDARY_COLUMNS = ("face", "r", "c", "x1", "z", "alpha", "g")
 _ITERATION_COLUMNS = ("iteration", "objective", "grad_inf", "step")
 _PAIR_COLUMNS = ("i", "j", "k", "x1", "z", "alpha", "p", "q")
 _RECONSTRUCTION_COLUMNS = ("i", "j", "x1", "z", "attenuation", "absorber")
@@ -239,11 +242,7 @@ _RECONSTRUCTION_COLUMNS = ("i", "j", "x1", "z", "attenuation", "absorber")
 _FACE_TEXT = f"U{max(map(len, FACE_ORDER)) + 1}"
 
 _GEOM_KEYS = ("half_width", "slab_bottom", "slab_top", "source_half_width")
-
-# boundary.csv names the normal-derivative formula its g3/g4 came from.
-# Only the rederived one exists; data derived otherwise must not be read
-# as if they were.
-_NEUMANN_SIGN = "rederived"
+_KERNEL_KEYS = ("anisotropy", "aperture_half_width")
 
 
 def _geometry_meta(grid):
@@ -295,58 +294,51 @@ def read_manifest(path):
 
 
 def write_boundary(bds, path, meta=None):
-    """One row per (face, node, source), faces as :func:`face_shapes` lays
-    them out.
+    """The traces g, one row per (face, node, source), faces as
+    :func:`face_shapes` lays them out.
 
     ``r`` and ``c`` are the in-face indices the reader fills arrays by, so
-    the coordinate columns are documentation, not addressing; the
-    normal-derivative columns are 'nan' off the top face.
+    the coordinate columns are documentation, not addressing.  The meta
+    lines hold what :func:`read_boundary` derives g1-g4 with: the grid,
+    the noise, ``attenuation_trace`` (mu_s) and the kernel.
     """
     g = bds.grid
     head = {
         **_geometry_meta(g),
         "delta": fnum(bds.delta),
         "seed": str(bds.seed),
-        "neumann_sign": _NEUMANN_SIGN,
         "attenuation_trace": fnum(bds.attenuation_trace),
+        **{k: fnum(getattr(bds.kernel, k)) for k in _KERNEL_KEYS},
         **(meta or {}),
     }
     faces = []
     for face, (x1, z) in face_nodes(g).items():
         r, c = np.indices(bds.g[face].shape)
-        normal = (bds.g3, bds.g4) if face == "top" else (np.full(r.shape, np.nan),) * 2
-        faces.append((np.full(r.shape, face), r, c, x1[r], z[r], g.alpha[c],
-                      bds.g[face], bds.g1[face], bds.g2[face], *normal))
+        faces.append((np.full(r.shape, face), r, c, x1[r], z[r], g.alpha[c], bds.g[face]))
     cells = [np.concatenate([np.ravel(part) for part in col]) for col in zip(*faces)]
     _write_table(path, head, _BOUNDARY_COLUMNS, cells)
 
 
 def read_boundary(path):
-    """Rebuild a :class:`BoundaryDataSet` from :func:`write_boundary` output."""
-    meta, cols = _read_table(path, _BOUNDARY_COLUMNS, (_FACE_TEXT, np.int64, np.int64) + (float,) * 8)
-    _require(meta, ("delta", "seed", "neumann_sign", "attenuation_trace"), path)
-    if meta["neumann_sign"] != _NEUMANN_SIGN:
-        raise UsageError(
-            f"{path}: neumann_sign={meta['neumann_sign']} data are not supported "
-            f"(only {_NEUMANN_SIGN})"
-        )
+    """Rebuild a :class:`~rtetomo.boundary.BoundaryDataSet` from
+    :func:`write_boundary` output, deriving g1-g4 from g as acquisition did."""
+    meta, cols = _read_table(path, _BOUNDARY_COLUMNS, (_FACE_TEXT, np.int64, np.int64) + (float,) * 4)
+    _require(meta, ("delta", "seed", "attenuation_trace") + _KERNEL_KEYS, path)
     grid = _rebuild_grid(meta, path)
     shapes = face_shapes(grid)
     rows = {face: cols[0] == face for face in shapes}
     unknown = ~np.logical_or.reduce(list(rows.values()))
     if unknown.any():
         raise UsageError(f"{path}: unknown face {min(cols[0][unknown].tolist())!r}")
-    faces = {}
-    for face, shape in shapes.items():
-        # x1, z, alpha, g, g1, g2 (and g3, g4 on top; 'nan' placeholders elsewhere)
-        face_cols = [col[rows[face]] for col in (cols[1:] if face == "top" else cols[1:-2])]
-        faces[face] = _fill(path, face_cols, shape, f"face {face!r}")
-    g, g1, g2 = ({face: cols[n] for face, cols in faces.items()} for n in (3, 4, 5))
-    return BoundaryDataSet(
-        grid=grid, g=g, g1=g1, g2=g2, g3=faces["top"][6], g4=faces["top"][7],
-        delta=parse_value(path, meta["delta"]), seed=parse_value(path, meta["seed"], int),
-        attenuation_trace=parse_value(path, meta["attenuation_trace"]),
-    )
+    # Each face's x1, z, alpha and g, filled by r and c; g is the last.
+    g = {face: _fill(path, [col[rows[face]] for col in cols[1:]], shape, f"face {face!r}")[-1]
+         for face, shape in shapes.items()}
+    *kernel, trace, delta = (parse_value(path, meta[k]) for k in (*_KERNEL_KEYS, "attenuation_trace", "delta"))
+    seed = parse_value(path, meta["seed"], int)
+    try:
+        return _derive(g, grid, KernelModel(*kernel), trace, delta, seed)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def write_sweeps(diffs, path, meta=None):

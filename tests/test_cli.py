@@ -86,6 +86,17 @@ def test_configuration_validation():
     assert RunConfig(letter=None, c_a=0.0).letter is None
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [(f.name, value) for f in fields(RunConfig) if f.type is float for value in (True, "5")] + [("out", Path("run"))],
+    ids=str,
+)
+def test_a_field_of_another_type_is_refused_by_its_key(key, value):
+    # A bool or a str is no float field's number, and a path is no out.
+    with pytest.raises(UsageError, match=f"^{'lambda' if key == 'lam' else key} expects a "):
+        RunConfig(**{key: value})
+
+
 def test_geometry_off_the_ray_lattice_is_refused_before_forward_writes(tmp_path, capsys):
     # At h=0.1 the medium's x1 nodes sit half a step off the lattice over
     # P = [-0.75, 0.75]; the forward grid (h=0.05) alone would be fine.
@@ -480,6 +491,7 @@ def test_invert_checks_the_acquisition_step(tmp_path):
         {"delta": "0.1"},
         {"seed": "9"},
         {"mu_s": "4"},
+        {"anisotropy": "0.8"},
         {"mu_s": "4", "seed": "9", "letter": "SZ"},
     ],
     ids=lambda changes: "-".join(changes),

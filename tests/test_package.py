@@ -65,8 +65,10 @@ def test_the_numpy_floor_is_the_version_ci_pins():
 
 def test_the_python_floor_is_the_version_ci_runs():
     """pyproject.toml's requires-python floor is the one Python the tier-1
-    workflow runs, so the oldest Python the package allows is tested."""
+    workflow runs and the one the README states, so the oldest Python the
+    package allows is tested and documented."""
     root = Path(__file__).resolve().parents[1]
     floor = re.search(r'^requires-python = ">=([^"]+)"$', (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
     ran = re.findall(r'python-version: "([^"]+)"', (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
-    assert floor and ran == [floor.group(1)], (floor, ran)
+    stated = re.findall(r"Requires Python (\S+)\+", (root / "README.md").read_text(encoding="utf-8"))
+    assert floor and ran == [floor.group(1)] == stated, (floor, ran, stated)

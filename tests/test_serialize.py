@@ -8,11 +8,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rtetomo import RunConfig, UsageError, config_hash, recover_attenuation
+from rtetomo import (
+    Geometry,
+    GridSet,
+    KernelModel,
+    RunConfig,
+    SourceModel,
+    UsageError,
+    config_hash,
+    derive_boundary_data,
+    extract_boundary,
+    make_phantom,
+    recover_attenuation,
+    solve_forward,
+)
 from rtetomo.boundary import FACE_ORDER
 from rtetomo.carleman import LAMBDAS, convexity_sweep, empirical_carleman_constant
 from rtetomo.cli import main
-from rtetomo.geometry import Geometry, GridSet
 import rtetomo.serialize as serialize
 from rtetomo.serialize import (
     fnum,
@@ -80,20 +92,60 @@ def test_manifest_carries_the_config_hash(tmp_path):
     assert body["letter"] == "SZ"
 
 
+def _assert_same_dataset(back, want):
+    """Every array of two boundary datasets equal to the bit, and so are
+    the noise, the attenuation trace, the kernel and the grid."""
+    for name in ("g", "g1", "g2"):
+        for face in FACE_ORDER:
+            assert getattr(back, name)[face].tobytes() == getattr(want, name)[face].tobytes(), (name, face)
+    for name in ("g3", "g4", "delta", "seed", "attenuation_trace"):
+        assert np.asarray(getattr(back, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+    assert back.kernel == want.kernel
+    assert (back.grid.geometry, back.grid.h) == (want.grid.geometry, want.grid.h)
+
+
 def test_boundary_round_trip_is_bit_exact(boundary10, tmp_path):
     path = tmp_path / "boundary.csv"
     write_boundary(boundary10, path)
-    back = read_boundary(path)
-    for face in FACE_ORDER:
-        np.testing.assert_array_equal(back.g[face], boundary10.g[face])
-        np.testing.assert_array_equal(back.g1[face], boundary10.g1[face])
-        np.testing.assert_array_equal(back.g2[face], boundary10.g2[face])
-    np.testing.assert_array_equal(back.g3, boundary10.g3)
-    np.testing.assert_array_equal(back.g4, boundary10.g4)
-    assert back.delta == boundary10.delta
-    assert back.seed == boundary10.seed
-    assert back.attenuation_trace == boundary10.attenuation_trace
-    assert back.grid.h == boundary10.grid.h
+    _assert_same_dataset(read_boundary(path), boundary10)
+
+
+@pytest.mark.parametrize(
+    "source_half_width, h, anisotropy, delta",
+    [(0.5, 0.05, 0.5, 0.0), (0.5, 0.05, 0.5, 0.05), (0.75, 0.125, 0.5, 0.0), (0.5, 0.1, 0.3, 0.05)],
+    ids=["desk-noiseless", "desk-noisy", "wide-source", "anisotropy-0.3"],
+)
+def test_boundary_file_keeps_only_g_and_reads_back_every_bit(tmp_path, source_half_width, h, anisotropy, delta):
+    geometry = Geometry(source_half_width=source_half_width)
+    grid = GridSet.uniform(geometry, h)
+    kernel = KernelModel(anisotropy=anisotropy, aperture_half_width=source_half_width)
+    field = solve_forward(make_phantom("A", 5.0, grid), SourceModel.build(0.05), kernel, grid)
+    bds = derive_boundary_data(extract_boundary(field), grid, kernel, delta=delta, seed=3)
+    path = tmp_path / "boundary.csv"
+    write_boundary(bds, path)
+    lines = path.read_text().splitlines()
+    assert f"# anisotropy={fnum(anisotropy)}" in lines and f"# aperture_half_width={fnum(source_half_width)}" in lines
+    assert "face,r,c,x1,z,alpha,g" in lines
+    _assert_same_dataset(read_boundary(path), bds)
+
+
+@pytest.mark.parametrize("cell", ["0", "-0", "-1e-3"])
+def test_non_positive_trace_cell_is_refused(desk_run, tmp_path, cell):
+    path = _with_cell(desk_run, tmp_path, "boundary.csv", 6, cell)
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: non-positive or non-finite radiance on face"):
+        read_boundary(path)
+
+
+def test_boundary_file_with_the_old_derived_columns_is_refused(desk_run, tmp_path):
+    lines = (desk_run / "boundary.csv").read_text().splitlines()
+    header = lines.index("face,r,c,x1,z,alpha,g")
+    lines[header] += ",g1,g2,g3,g4"
+    lines[header + 1:] = [line + ",1,2,3,4" for line in lines[header + 1:]]
+    path = tmp_path / "boundary.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = "['face', 'r', 'c', 'x1', 'z', 'alpha', 'g']"
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: unexpected columns .*expected {re.escape(expected)}$"):
+        read_boundary(path)
 
 
 def test_boundary_rows_read_back_in_any_order(boundary10, tmp_path):
@@ -117,16 +169,6 @@ def test_truncated_boundary_file_is_rejected(boundary10, tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-40]) + "\n")
     with pytest.raises(UsageError):
-        read_boundary(path)
-
-
-def test_boundary_file_of_another_neumann_sign_is_refused(boundary10, tmp_path):
-    path = tmp_path / "boundary.csv"
-    write_boundary(boundary10, path)
-    text = path.read_text()
-    assert "# neumann_sign=rederived\n" in text
-    path.write_text(text.replace("# neumann_sign=rederived\n", "# neumann_sign=printed\n"))
-    with pytest.raises(UsageError, match="neumann_sign=printed"):
         read_boundary(path)
 
 
@@ -285,7 +327,7 @@ def test_repeated_row_is_refused(desk_run, tmp_path, name, col):
     [
         # the nan cases keep their original ids
         pytest.param(name, col, cell, id=f"{name}-{col}" + ("" if cell == "nan" else f"-{cell}"))
-        for name, col in (("boundary.csv", 7), ("pair.csv", 6), ("reconstruction.csv", 4))
+        for name, col in (("boundary.csv", 6), ("pair.csv", 6), ("reconstruction.csv", 4))
         for cell in ("nan", "inf", "-inf")
     ],
 )
@@ -557,13 +599,7 @@ def test_non_ascii_meta_line_reads_back(desk_run, tmp_path, monkeypatch):
     path = tmp_path / "boundary.csv"
     path.write_text("\n".join(lines[:1] + ["# note=\u00e9"] + lines[1:]) + "\n", encoding="utf-8")
     _loadtxt_of_ascii_rows(monkeypatch)
-    back, want = read_boundary(path), read_boundary(desk_run / "boundary.csv")
-    for name in ("g", "g1", "g2"):
-        for face in FACE_ORDER:
-            assert getattr(back, name)[face].tobytes() == getattr(want, name)[face].tobytes()
-    for name in ("g3", "g4", "delta", "seed", "attenuation_trace"):
-        assert np.asarray(getattr(back, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
-    assert (back.grid.geometry, back.grid.h) == (want.grid.geometry, want.grid.h)
+    _assert_same_dataset(read_boundary(path), read_boundary(desk_run / "boundary.csv"))
 
 
 @pytest.mark.parametrize(
